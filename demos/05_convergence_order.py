@@ -14,10 +14,7 @@ converge command runs the full-size study.
 import numpy as np
 
 import symplevy as sl
-
-
-def cell_seed(seed, dt_index, sample_index):
-    return int(np.random.SeedSequence([seed, dt_index, sample_index]).generate_state(1, np.uint64)[0])
+from symplevy.cli import _cell_seed
 
 
 def main():
@@ -33,7 +30,7 @@ def main():
         controls = sl.StepControls(dt=dt)
         diffs = np.empty((samples, 2))
         for j in range(samples):
-            spec = sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=cell_seed(0, i, j))
+            spec = sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=_cell_seed(0, i, j))
             path = sl.sample_path(spec, T)
             traj = sl.integrate_pathwise(system, start, 0.0, T, path, controls)
             exact = sl.kubo_exact(params, start, T, sl.increment(path, 1, 0.0, T))

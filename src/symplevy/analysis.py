@@ -18,6 +18,7 @@ import numpy as np
 from ._csv import fmt, write_csv
 from .errors import DomainError
 from .hamiltonian import PhaseState, hamiltonian_value
+from .integrators import explicit_euler_step, symplectic_euler_step
 
 __all__ = [
     "OrderFit",
@@ -109,10 +110,6 @@ def hamiltonian_series(system, trajectory, r=None):
 
 
 def _apply_step(system, scheme, state, dt, dL, controls):
-    # imported here to avoid a module cycle: integrators imports the
-    # phase-state types from hamiltonian, analysis sits above both
-    from .integrators import explicit_euler_step, symplectic_euler_step
-
     if scheme == "symplectic":
         return symplectic_euler_step(system, state, dt, dL, controls)
     if scheme == "explicit":

@@ -15,8 +15,10 @@ Five subcommands write CSV artifacts (and optional SVG charts) into
   one-step schemes at random states and increments
   (symplectic_check.csv).
 
-Settings resolve as defaults < JSON config (--config) < explicit flags;
-config keys mirror flag names (``{"lambda": 5.0, "out-dir": "runs"}``).
+Every setting is one row of ``_SETTINGS``, which generates the flags,
+the JSON config coercion and the bounds checks. Settings resolve as
+defaults < JSON config (--config) < explicit flags; config keys mirror
+flag names (``{"lambda": 5.0, "out-dir": "runs"}``).
 Exit codes: 0 success, 2 usage or config error, 3 numerical divergence
 (partial CSV output is still written).
 """
@@ -26,8 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .analysis import (
     write_order_fit_csv,
 )
 from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
-from .hamiltonian import KuboParams, PhaseState, hamiltonian_value, kubo_exact, kubo_system
+from .hamiltonian import KuboParams, PhaseState, kubo_exact, kubo_system
 from .integrators import (
     StepControls,
     Trajectory,
@@ -60,101 +65,95 @@ class CliUsageError(Exception):
     """Flag or config combination outside a subcommand's domain."""
 
 
-_COMMON_DEFAULTS = {"seed": 0, "out-dir": ".", "svg": False}
-
-_DEFAULTS = {
-    "sample-path": {
-        "lambda": 5.0,
-        "sigma": 0.2,
-        "horizon": 200.0,
-        **_COMMON_DEFAULTS,
-    },
-    "orbit": {
-        "alpha": 0.1,
-        "beta": 0.1,
-        "dt": 0.08,
-        "T": 200.0,
-        "lambda": 5.0,
-        "sigma": 0.2,
-        **_COMMON_DEFAULTS,
-    },
-    "hamiltonian": {
-        "alpha": 0.1,
-        "beta": 0.1,
-        "dt": 0.08,
-        "T": 200.0,
-        "lambda": 5.0,
-        "sigma": 0.2,
-        **_COMMON_DEFAULTS,
-    },
-    "converge": {
-        "alpha": 0.1,
-        "beta": 0.1,
-        "T": 10.0,
-        "lambda": 5.0,
-        "sigma": 0.2,
-        "samples": 500,
-        "dts": "0.08,0.04,0.02,0.01,0.005",
-        "scheme": "symplectic",
-        **_COMMON_DEFAULTS,
-    },
-    "symplectic-check": {
-        "alpha": 0.1,
-        "beta": 0.1,
-        "samples": 1000,
-        **_COMMON_DEFAULTS,
-    },
-}
-
-# argparse attribute that holds each flag's value ("lambda" and "out-dir"
-# are not valid identifiers)
-_ATTR = {"lambda": "lambda_", "out-dir": "out_dir", "T": "T"}
-
-_FLOAT_KEYS = {"alpha", "beta", "dt", "T", "lambda", "sigma", "horizon"}
-_INT_KEYS = {"seed", "samples"}
+def _real(value):
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
 
 
-def _coerce(command, key, value):
+def _count(value):
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise TypeError("not an integer")
+    return int(value)
+
+
+def _switch(value):
+    if not isinstance(value, bool):
+        raise TypeError("not true or false")
+    return value
+
+
+def _step_sizes(value):
+    # a comma list on the command line, a JSON array in a config
+    items = [part for part in value.split(",") if part.strip()] if isinstance(value, str) else value
+    dts = [_real(item) for item in items]
+    if not all(dt > 0 for dt in dts):
+        raise ValueError("step sizes must be positive")
+    return dts
+
+
+@dataclass(frozen=True)
+class _Setting:
+    """One flag and config key: its type, help, default per subcommand and bound.
+
+    ``bound`` is ``(op, limit)`` with op one of ``>``, ``>=`` or ``in``;
+    list values are bounded by their length.
+    """
+
+    name: str
+    parse: object
+    help: str
+    defaults: dict
+    bound: tuple = None
+
+
+_ALL = ("sample-path", "orbit", "hamiltonian", "converge", "symplectic-check")
+_ORBITS = ("orbit", "hamiltonian")
+_SCHEMES = ("symplectic", "explicit")
+
+# Row order is flag order; a name has one row per distinct bound.
+_SETTINGS = (
+    _Setting("alpha", _real, "drift frequency", dict.fromkeys(_ALL[1:], 0.1)),
+    _Setting("beta", _real, "noise coupling", dict.fromkeys(_ALL[1:], 0.1)),
+    _Setting("dt", _real, "step size", dict.fromkeys(_ORBITS, 0.08), (">", 0)),
+    _Setting("T", _real, "end time", dict.fromkeys(_ORBITS, 200.0), (">=", 0)),
+    _Setting("T", _real, "end time", {"converge": 10.0}, (">", 0)),
+    _Setting("lambda", _real, "jump rate per unit time", dict.fromkeys(_ALL[:4], 5.0), (">=", 0)),
+    _Setting("sigma", _real, "mark standard deviation", dict.fromkeys(_ALL[:4], 0.2), (">=", 0)),
+    _Setting("horizon", _real, "path horizon", {"sample-path": 200.0}, (">", 0)),
+    _Setting("samples", _count, "Monte-Carlo sample count", {"converge": 500}, (">=", 2)),
+    _Setting("samples", _count, "random sample count", {"symplectic-check": 1000}, (">=", 1)),
+    _Setting("dts", _step_sizes, "comma-separated step sizes",
+             {"converge": "0.08,0.04,0.02,0.01,0.005"}, (">=", 3)),
+    _Setting("scheme", str, "symplectic or explicit", {"converge": "symplectic"}, ("in", _SCHEMES)),
+    _Setting("seed", _count, "reproducibility seed", dict.fromkeys(_ALL, 0), (">=", 0)),
+    _Setting("out-dir", str, "directory for output files", dict.fromkeys(_ALL, ".")),
+    _Setting("svg", _switch, "also write SVG line charts", dict.fromkeys(_ALL, False)),
+)
+
+_TESTS = {">": operator.gt, ">=": operator.ge, "in": lambda value, choices: value in choices}
+
+
+def _rows(command):
+    return {row.name: row for row in _SETTINGS if command in row.defaults}
+
+
+def _parse(row, value):
     try:
-        if key in _FLOAT_KEYS:
-            value = float(value)
-            if not math.isfinite(value):
-                raise CliUsageError(f"--{key} must be finite, got {value}")
-            return value
-        if key in _INT_KEYS:
-            if isinstance(value, float) and not value.is_integer():
-                raise CliUsageError(f"--{key} must be an integer, got {value}")
-            return int(value)
-        if key == "svg":
-            if not isinstance(value, bool):
-                raise CliUsageError(f'config key "svg" must be true or false, got {value!r}')
-            return value
-        if key in ("scheme", "out-dir"):
-            return str(value)
-        if key == "dts":
-            if isinstance(value, str):
-                items = [part for part in value.split(",") if part.strip()]
-            elif isinstance(value, (list, tuple)):
-                items = value
-            else:
-                raise CliUsageError(f"--dts must be a comma list or JSON array, got {value!r}")
-            dts = [float(item) for item in items]
-            if not all(math.isfinite(dt) and dt > 0 for dt in dts):
-                raise CliUsageError("--dts entries must be positive finite numbers")
-            return dts
+        return row.parse(value)
     except (TypeError, ValueError) as err:
-        raise CliUsageError(f"bad value for --{key} in {command}: {value!r}") from err
-    raise CliUsageError(f"unknown setting {key!r} for {command}")
+        raise CliUsageError(f"bad value for --{row.name}: {value!r} ({err})") from err
 
 
 def _load_config(config_path):
     try:
         with open(config_path, "r") as handle:
             loaded = json.load(handle)
-    except OSError as err:
-        raise CliUsageError(f"cannot read config {config_path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise CliUsageError(f"config {config_path} is not valid JSON: {err}") from err
+    except (OSError, ValueError) as err:
+        raise CliUsageError(f"cannot load config {config_path}: {err}") from err
     if not isinstance(loaded, dict):
         raise CliUsageError(f"config {config_path} must hold a JSON object")
     return loaded
@@ -162,190 +161,142 @@ def _load_config(config_path):
 
 def _resolve(args):
     command = args.command
-    settings = dict(_DEFAULTS[command])
+    rows = _rows(command)
+    settings = {name: _parse(row, row.defaults[command]) for name, row in rows.items()}
     if args.config is not None:
         for key, value in _load_config(args.config).items():
-            if key not in settings:
+            if key not in rows:
                 raise CliUsageError(f"unknown config key {key!r} for {command}")
-            settings[key] = _coerce(command, key, value)
-    for key in _DEFAULTS[command]:
-        attr = _ATTR.get(key, key.replace("-", "_"))
-        value = getattr(args, attr, None)
+            settings[key] = _parse(rows[key], value)
+    for name, row in rows.items():
+        value = getattr(args, name)
         if value is not None:
-            settings[key] = _coerce(command, key, value)
-    if "dts" in settings:
-        settings["dts"] = _coerce(command, "dts", settings["dts"])
-    _validate(command, settings)
+            settings[name] = _parse(row, value)
+    for name, row in rows.items():
+        if row.bound is not None:
+            op, limit = row.bound
+            value = settings[name]
+            measured = len(value) if isinstance(value, list) else value
+            if not _TESTS[op](measured, limit):
+                what = f"--{name} count" if isinstance(value, list) else f"--{name}"
+                raise CliUsageError(f"{what} must be {op} {limit}, got {measured!r}")
     return settings
 
 
-def _validate(command, settings):
-    if settings["seed"] < 0:
-        raise CliUsageError("--seed must be >= 0")
-    if "lambda" in settings and settings["lambda"] < 0:
-        raise CliUsageError("--lambda must be >= 0")
-    if "sigma" in settings and settings["sigma"] < 0:
-        raise CliUsageError("--sigma must be >= 0")
-    if "horizon" in settings and settings["horizon"] <= 0:
-        raise CliUsageError("--horizon must be > 0")
-    if "dt" in settings and settings["dt"] <= 0:
-        raise CliUsageError("--dt must be > 0")
-    if "T" in settings and settings["T"] < 0:
-        raise CliUsageError("--T must be >= 0")
-    if command == "converge":
-        if settings["samples"] < 2:
-            raise CliUsageError("--samples must be >= 2 for a mean-square estimate")
-        if len(settings["dts"]) < 3:
-            raise CliUsageError("--dts needs at least 3 step sizes for an order fit")
-        if settings["scheme"] not in ("symplectic", "explicit"):
-            raise CliUsageError(f"--scheme must be symplectic or explicit, got {settings['scheme']!r}")
-    if command == "symplectic-check" and settings["samples"] < 1:
-        raise CliUsageError("--samples must be >= 1")
+_START = PhaseState([0.0], [1.0])
 
 
-def _out_path(settings, name):
-    out_dir = settings["out-dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+def _write(settings, name, write):
+    """Write one output file with ``write(file_path)`` and report it."""
+    file_path = os.path.join(settings["out-dir"], name)
+    write(file_path)
+    print(f"wrote {file_path}")
 
 
-def _kubo_setup(settings):
+def _chart(settings, name, series, title, x_label, y_label):
+    if settings["svg"]:
+        _write(settings, name, lambda file_path: line_chart(file_path, series, title, x_label, y_label))
+
+
+def _kubo(settings):
     params = KuboParams(settings["alpha"], settings["beta"])
-    system = kubo_system(params)
+    return params, kubo_system(params)
+
+
+def _sample(settings, horizon, seed):
     spec = LevyPathSpec(
-        rate=settings["lambda"],
-        mark_sigma=settings["sigma"],
-        noise_count=1,
-        seed=settings["seed"],
+        rate=settings["lambda"], mark_sigma=settings["sigma"], noise_count=1, seed=seed
     )
-    return params, system, spec
+    return sample_path(spec, horizon)
+
+
+def _levels(path, times):
+    """L(t) of the one-channel path at each sorted time, in one pass.
+
+    Each level is the correctly rounded exact sum of the marks up to t,
+    so it equals ``increment(path, 1, 0, t)`` bit for bit.
+    """
+    total = Fraction(0)
+    levels = [0.0]
+    for ev in path.events:
+        total += Fraction(ev.mark)
+        levels.append(float(total))
+    counts = np.searchsorted([ev.time for ev in path.events], times, side="right")
+    return [levels[k] for k in counts]
 
 
 def _exact_trajectory(params, path, times):
-    initial = PhaseState([0.0], [1.0])
-    ps = np.empty((times.size, 1))
-    qs = np.empty((times.size, 1))
-    for j, t in enumerate(times):
-        state = kubo_exact(params, initial, float(t), increment(path, 1, 0.0, float(t)))
-        ps[j] = state.p
-        qs[j] = state.q
-    return Trajectory(times, ps, qs, "exact")
+    states = [
+        kubo_exact(params, _START, float(t), level) for t, level in zip(times, _levels(path, times))
+    ]
+    return Trajectory(times, [s.p for s in states], [s.q for s in states], "exact")
+
+
+def _fixed_grid_runs(settings):
+    """Both schemes on one path; a diverged run keeps its partial trajectory."""
+    params, system = _kubo(settings)
+    T = settings["T"]
+    path = _sample(settings, T if T > 0 else 1.0, settings["seed"])
+    controls = StepControls(dt=settings["dt"])
+    code = 0
+    runs = {}
+    for scheme in _SCHEMES:
+        try:
+            runs[scheme] = integrate_fixed_grid(system, scheme, _START, 0.0, T, path, controls)
+        except DivergenceError as err:
+            print(f"{scheme} scheme diverged: {err}", file=sys.stderr)
+            runs[scheme] = err.partial
+            code = 3
+    return params, system, path, runs, code
 
 
 def _cmd_sample_path(settings):
-    spec = LevyPathSpec(
-        rate=settings["lambda"],
-        mark_sigma=settings["sigma"],
-        noise_count=1,
-        seed=settings["seed"],
-    )
-    path = sample_path(spec, settings["horizon"])
-    csv_path = _out_path(settings, "path.csv")
-    write_path_csv(path, csv_path)
+    path = _sample(settings, settings["horizon"], settings["seed"])
     print(f"events: {len(path)}")
-    print(f"wrote {csv_path}")
-    if settings["svg"]:
-        times = [0.0] + [ev.time for ev in path.events] + [path.horizon]
-        cumulative = [0.0] + list(np.cumsum([ev.mark for ev in path.events])) + [
-            float(np.sum([ev.mark for ev in path.events])) if path.events else 0.0
-        ]
-        svg_path = _out_path(settings, "path.svg")
-        line_chart(svg_path, [(times, cumulative, "L(t)")], "cumulative jump path", "t", "L")
-        print(f"wrote {svg_path}")
+    _write(settings, "path.csv", lambda file_path: write_path_csv(path, file_path))
+    marks = [ev.mark for ev in path.events]
+    times = [0.0] + [ev.time for ev in path.events] + [path.horizon]
+    cumulative = [0.0] + list(np.cumsum(marks)) + [float(np.sum(marks)) if marks else 0.0]
+    _chart(settings, "path.svg", [(times, cumulative, "L(t)")], "cumulative jump path", "t", "L")
     return 0
 
 
 def _cmd_orbit(settings):
-    params, system, spec = _kubo_setup(settings)
-    T = settings["T"]
-    path = sample_path(spec, T if T > 0 else 1.0)
-    controls = StepControls(dt=settings["dt"])
-    initial = PhaseState([0.0], [1.0])
-    code = 0
-    trajectories = {}
-    sym = None
-    try:
-        sym = integrate_fixed_grid(system, "symplectic", initial, 0.0, T, path, controls)
-        trajectories["symplectic"] = sym
-    except DivergenceError as err:
-        print(f"symplectic scheme diverged: {err}", file=sys.stderr)
-        trajectories["symplectic"] = err.partial
-        code = 3
-    try:
-        trajectories["explicit"] = integrate_fixed_grid(
-            system, "explicit", initial, 0.0, T, path, controls
-        )
-    except DivergenceError as err:
-        print(f"explicit scheme diverged: {err}", file=sys.stderr)
-        trajectories["explicit"] = err.partial
-        code = 3
-    times = sym.times if sym is not None else trajectories["symplectic"].times
-    trajectories["exact"] = _exact_trajectory(params, path, times)
+    params, _, path, runs, code = _fixed_grid_runs(settings)
+    runs = {"exact": _exact_trajectory(params, path, runs["symplectic"].times), **runs}
     radii = {}
-    for name in ("exact", "symplectic", "explicit"):
-        traj = trajectories[name]
-        csv_path = _out_path(settings, f"{name}.csv")
-        write_trajectory_csv(traj, csv_path)
+    for name, traj in runs.items():
+        _write(settings, f"{name}.csv", lambda file_path: write_trajectory_csv(traj, file_path))
         end = traj.final_state()
         radii[name] = math.hypot(float(end.p[0]), float(end.q[0]))
-        print(f"wrote {csv_path}")
     print(
         "end radius exact={exact:.6f} symplectic={symplectic:.6f} "
         "explicit={explicit:.6f}".format(**radii)
     )
-    if settings["svg"]:
-        svg_path = _out_path(settings, "orbit.svg")
-        series = [
-            (trajectories[name].qs[:, 0], trajectories[name].ps[:, 0], name)
-            for name in ("exact", "symplectic", "explicit")
-        ]
-        line_chart(svg_path, series, "phase-plane orbits", "Q", "P")
-        print(f"wrote {svg_path}")
+    series = [(traj.qs[:, 0], traj.ps[:, 0], name) for name, traj in runs.items()]
+    _chart(settings, "orbit.svg", series, "phase-plane orbits", "Q", "P")
     return code
 
 
 def _cmd_hamiltonian(settings):
-    params, system, spec = _kubo_setup(settings)
-    T = settings["T"]
-    path = sample_path(spec, T if T > 0 else 1.0)
-    controls = StepControls(dt=settings["dt"])
-    initial = PhaseState([0.0], [1.0])
-    code = 0
-    results = {}
-    for scheme in ("symplectic", "explicit"):
-        try:
-            results[scheme] = integrate_fixed_grid(system, scheme, initial, 0.0, T, path, controls)
-        except DivergenceError as err:
-            print(f"{scheme} scheme diverged: {err}", file=sys.stderr)
-            results[scheme] = err.partial
-            code = 3
-    rows_len = min(len(results["symplectic"]), len(results["explicit"]))
-    times = results["symplectic"].times[:rows_len]
-    exact = _exact_trajectory(params, path, times)
-    h_exact = hamiltonian_series(system, exact)[:, 1]
-    h_sym = hamiltonian_series(system, results["symplectic"])[:rows_len, 1]
-    h_exp = hamiltonian_series(system, results["explicit"])[:rows_len, 1]
-    csv_path = _out_path(settings, "hamiltonian.csv")
-    rows = [
-        [fmt(times[j]), fmt(h_exact[j]), fmt(h_sym[j]), fmt(h_exp[j])]
-        for j in range(rows_len)
-    ]
-    write_csv(csv_path, "t,H_exact,H_symplectic,H_explicit", rows)
-    print(f"wrote {csv_path}")
+    params, system, path, runs, code = _fixed_grid_runs(settings)
+    rows_len = min(len(runs["symplectic"]), len(runs["explicit"]))
+    times = runs["symplectic"].times[:rows_len]
+    h_exact = hamiltonian_series(system, _exact_trajectory(params, path, times))[:, 1]
+    h_sym = hamiltonian_series(system, runs["symplectic"])[:rows_len, 1]
+    h_exp = hamiltonian_series(system, runs["explicit"])[:rows_len, 1]
+    rows = [[fmt(t), fmt(a), fmt(b), fmt(c)] for t, a, b, c in zip(times, h_exact, h_sym, h_exp)]
+    _write(
+        settings,
+        "hamiltonian.csv",
+        lambda file_path: write_csv(file_path, "t,H_exact,H_symplectic,H_explicit", rows),
+    )
     print(
         f"H symplectic range=[{h_sym.min():.6f}, {h_sym.max():.6f}] "
         f"explicit final={h_exp[-1]:.6f}"
     )
-    if settings["svg"]:
-        svg_path = _out_path(settings, "hamiltonian.svg")
-        line_chart(
-            svg_path,
-            [(times, h_exact, "exact"), (times, h_sym, "symplectic"), (times, h_exp, "explicit")],
-            "energy along the solutions",
-            "t",
-            "H",
-        )
-        print(f"wrote {svg_path}")
+    series = [(times, h_exact, "exact"), (times, h_sym, "symplectic"), (times, h_exp, "explicit")]
+    _chart(settings, "hamiltonian.svg", series, "energy along the solutions", "t", "H")
     return code
 
 
@@ -356,143 +307,75 @@ def _cell_seed(seed, dt_index, sample_index):
 
 
 def _cmd_converge(settings):
-    params, system, _ = _kubo_setup(settings)
+    params, system = _kubo(settings)
     T = settings["T"]
-    if T <= 0:
-        raise CliUsageError("--T must be > 0 for a convergence study")
-    initial = PhaseState([0.0], [1.0])
-    dts = settings["dts"]
     errors = []
-    for i, dt in enumerate(dts):
+    for i, dt in enumerate(settings["dts"]):
         controls = StepControls(dt=dt)
         diffs = np.empty((settings["samples"], 2))
         for s in range(settings["samples"]):
-            spec = LevyPathSpec(
-                rate=settings["lambda"],
-                mark_sigma=settings["sigma"],
-                noise_count=1,
-                seed=_cell_seed(settings["seed"], i, s),
-            )
-            path = sample_path(spec, T)
+            path = _sample(settings, T, _cell_seed(settings["seed"], i, s))
             if settings["scheme"] == "symplectic":
-                traj = integrate_pathwise(system, initial, 0.0, T, path, controls)
+                traj = integrate_pathwise(system, _START, 0.0, T, path, controls)
             else:
-                traj = integrate_fixed_grid(system, "explicit", initial, 0.0, T, path, controls)
-            end = traj.final_state()
-            ref = kubo_exact(params, initial, T, increment(path, 1, 0.0, T))
-            diffs[s] = end.as_vector() - ref.as_vector()
+                traj = integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, controls)
+            ref = kubo_exact(params, _START, T, increment(path, 1, 0.0, T))
+            diffs[s] = traj.final_state().as_vector() - ref.as_vector()
         errors.append(ms_error(diffs))
-    fit = estimate_order(dts, errors)
-    csv_path = _out_path(settings, "convergence.csv")
-    write_order_fit_csv(fit, csv_path)
-    print(f"wrote {csv_path}")
+    fit = estimate_order(settings["dts"], errors)
+    _write(settings, "convergence.csv", lambda file_path: write_order_fit_csv(fit, file_path))
     print(
         f"slope={fit.slope:.6f} intercept={fit.intercept:.6f} "
         f"residual={fit.residual:.6f} half-order-residual={reference_residual(fit):.6f}"
     )
-    if settings["svg"]:
-        svg_path = _out_path(settings, "convergence.svg")
-        log_dt = np.log(fit.dts)
-        log_err = np.log(fit.errors)
-        fitted = fit.slope * log_dt + fit.intercept
-        line_chart(
-            svg_path,
-            [(log_dt, log_err, "measured"), (log_dt, fitted, "fit")],
-            "mean-square error vs step size (log-log)",
-            "log dt",
-            "log error",
-        )
-        print(f"wrote {svg_path}")
+    log_dt = np.log(fit.dts)
+    series = [
+        (log_dt, np.log(fit.errors), "measured"),
+        (log_dt, fit.slope * log_dt + fit.intercept, "fit"),
+    ]
+    title = "mean-square error vs step size (log-log)"
+    _chart(settings, "convergence.svg", series, title, "log dt", "log error")
     return 0
 
 
 def _cmd_symplectic_check(settings):
-    _, system, _ = _kubo_setup({**settings, "lambda": 0.0, "sigma": 0.0})
+    _, system = _kubo(settings)
     controls = StepControls(dt=1.0)
     rng = np.random.default_rng(settings["seed"])
     rows = []
-    cases = []
-    for _ in range(5):
+    max_sym = max_exp = 0.0
+    # five controls first: at dt = dL = 0 both maps are the identity
+    for k in range(5 + settings["samples"]):
         state = PhaseState([rng.uniform(-2.0, 2.0)], [rng.uniform(-2.0, 2.0)])
-        cases.append((state, 0.0, 0.0))
-    for _ in range(settings["samples"]):
-        state = PhaseState([rng.uniform(-2.0, 2.0)], [rng.uniform(-2.0, 2.0)])
-        dt = 0.1 - rng.uniform(0.0, 0.1)
-        dl = rng.uniform(-1.0, 1.0)
-        cases.append((state, dt, dl))
-    max_sym = 0.0
-    max_exp = 0.0
-    for state, dt, dl in cases:
-        d_sym = symplectic_defect(
-            one_step_jacobian(system, "symplectic", state, dt, [dl], controls)
-        )
-        d_exp = symplectic_defect(
-            one_step_jacobian(system, "explicit", state, dt, [dl], controls)
+        dt, dl = (0.1 - rng.uniform(0.0, 0.1), rng.uniform(-1.0, 1.0)) if k >= 5 else (0.0, 0.0)
+        d_sym, d_exp = (
+            symplectic_defect(one_step_jacobian(system, scheme, state, dt, [dl], controls))
+            for scheme in _SCHEMES
         )
         if dt > 0.0:
             max_sym = max(max_sym, d_sym)
             max_exp = max(max_exp, d_exp)
-        rows.append(
-            [
-                fmt(state.p[0]),
-                fmt(state.q[0]),
-                fmt(dt),
-                fmt(dl),
-                fmt(d_sym),
-                fmt(d_exp),
-            ]
-        )
-    csv_path = _out_path(settings, "symplectic_check.csv")
-    write_csv(csv_path, "p,q,dt,dL,defect_symplectic,defect_explicit", rows)
-    print(f"wrote {csv_path}")
+        rows.append([fmt(x) for x in (state.p[0], state.q[0], dt, dl, d_sym, d_exp)])
+    header = "p,q,dt,dL,defect_symplectic,defect_explicit"
+    _write(settings, "symplectic_check.csv", lambda file_path: write_csv(file_path, header, rows))
     print(f"max defect symplectic={max_sym:.3e} explicit={max_exp:.3e}")
-    if settings["svg"]:
-        svg_path = _out_path(settings, "symplectic_check.svg")
-        index = np.arange(len(rows))
-        line_chart(
-            svg_path,
-            [
-                (index, [float(r[4]) for r in rows], "symplectic"),
-                (index, [float(r[5]) for r in rows], "explicit"),
-            ],
-            "symplectic defect per sample",
-            "sample",
-            "defect",
-        )
-        print(f"wrote {svg_path}")
+    index = np.arange(len(rows))
+    series = [
+        (index, [float(r[4]) for r in rows], "symplectic"),
+        (index, [float(r[5]) for r in rows], "explicit"),
+    ]
+    _chart(settings, "symplectic_check.svg", series, "symplectic defect per sample", "sample",
+           "defect")
     return 0
 
 
-_HANDLERS = {
-    "sample-path": _cmd_sample_path,
-    "orbit": _cmd_orbit,
-    "hamiltonian": _cmd_hamiltonian,
-    "converge": _cmd_converge,
-    "symplectic-check": _cmd_symplectic_check,
+_COMMANDS = {
+    "sample-path": (_cmd_sample_path, "write one compound Poisson event CSV"),
+    "orbit": (_cmd_orbit, "exact vs numerical phase-plane orbits on one path"),
+    "hamiltonian": (_cmd_hamiltonian, "energy along exact and numerical solutions"),
+    "converge": (_cmd_converge, "mean-square error order fit over a dt grid"),
+    "symplectic-check": (_cmd_symplectic_check, "finite-difference symplectic defect report"),
 }
-
-
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None, help="reproducibility seed (default 0)")
-    parser.add_argument(
-        "--out-dir", dest="out_dir", default=None, help="directory for output files (default .)"
-    )
-    parser.add_argument("--config", default=None, help="JSON file with flag-named settings")
-    parser.add_argument(
-        "--svg", action="store_true", default=None, help="also write SVG line charts"
-    )
-
-
-def _add_model(parser, with_dt):
-    parser.add_argument("--alpha", type=float, default=None, help="drift frequency (default 0.1)")
-    parser.add_argument("--beta", type=float, default=None, help="noise coupling (default 0.1)")
-    if with_dt:
-        parser.add_argument("--dt", type=float, default=None, help="step size (default 0.08)")
-    parser.add_argument("--T", type=float, default=None, help="end time")
-    parser.add_argument("--lambda", dest="lambda_", type=float, default=None,
-                        help="jump rate per unit time (default 5.0)")
-    parser.add_argument("--sigma", type=float, default=None,
-                        help="mark standard deviation (default 0.2)")
 
 
 def _build_parser():
@@ -503,44 +386,15 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
-
-    p = sub.add_parser("sample-path", help="write one compound Poisson event CSV")
-    p.add_argument("--lambda", dest="lambda_", type=float, default=None,
-                   help="jump rate per unit time (default 5.0)")
-    p.add_argument("--sigma", type=float, default=None,
-                   help="mark standard deviation (default 0.2)")
-    p.add_argument("--horizon", type=float, default=None, help="path horizon (default 200)")
-    _add_common(p)
-    subparsers["sample-path"] = p
-
-    p = sub.add_parser("orbit", help="exact vs numerical phase-plane orbits on one path")
-    _add_model(p, with_dt=True)
-    _add_common(p)
-    subparsers["orbit"] = p
-
-    p = sub.add_parser("hamiltonian", help="energy along exact and numerical solutions")
-    _add_model(p, with_dt=True)
-    _add_common(p)
-    subparsers["hamiltonian"] = p
-
-    p = sub.add_parser("converge", help="mean-square error order fit over a dt grid")
-    _add_model(p, with_dt=False)
-    p.add_argument("--samples", type=int, default=None,
-                   help="Monte-Carlo sample count (default 500)")
-    p.add_argument("--dts", default=None,
-                   help="comma-separated step sizes (default 0.08,0.04,0.02,0.01,0.005)")
-    p.add_argument("--scheme", default=None, help="symplectic or explicit (default symplectic)")
-    _add_common(p)
-    subparsers["converge"] = p
-
-    p = sub.add_parser("symplectic-check", help="finite-difference symplectic defect report")
-    p.add_argument("--alpha", type=float, default=None, help="drift frequency (default 0.1)")
-    p.add_argument("--beta", type=float, default=None, help="noise coupling (default 0.1)")
-    p.add_argument("--samples", type=int, default=None,
-                   help="random sample count (default 1000)")
-    _add_common(p)
-    subparsers["symplectic-check"] = p
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, row in _rows(command).items():
+            default = row.defaults[command]
+            extra = {"action": "store_true"} if row.parse is _switch else {}
+            p.add_argument(f"--{name}", dest=name, default=None,
+                           help=f"{row.help} (default {default})", **extra)
+        p.add_argument("--config", default=None, help="JSON file with flag-named settings")
+        subparsers[command] = p
     return parser, subparsers
 
 
@@ -552,14 +406,10 @@ def main(argv=None):
         return int(err.code) if err.code else 0
     try:
         settings = _resolve(args)
-        return _HANDLERS[args.command](settings)
-    except CliUsageError as err:
-        sub = subparsers.get(args.command)
-        if sub is not None:
-            print(sub.format_usage(), end="", file=sys.stderr)
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (InvalidSpecError, DomainError) as err:
+        return _COMMANDS[args.command][0](settings)
+    except (CliUsageError, InvalidSpecError, DomainError) as err:
+        if isinstance(err, CliUsageError):
+            print(subparsers[args.command].format_usage(), end="", file=sys.stderr)
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (DivergenceError, NonConvergenceError) as err:
@@ -572,4 +422,4 @@ def run():
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    run()

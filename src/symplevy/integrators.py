@@ -50,6 +50,10 @@ __all__ = [
 # up numerically.
 DIVERGENCE_LIMIT = 1e12
 
+# Most steps one grid may hold; a longer grid is refused before its
+# nodes are allocated.
+MAX_GRID_STEPS = 1e7
+
 _SCHEMES = ("symplectic", "explicit")
 
 
@@ -207,6 +211,10 @@ def _grid_times(t0, T, dt):
     span = T - t0
     if span == 0.0:
         return np.array([float(t0)])
+    if span / dt > MAX_GRID_STEPS:
+        raise InvalidSpecError(
+            f"(T - t0) / dt = {span / dt:g} steps exceeds the limit MAX_GRID_STEPS = {MAX_GRID_STEPS:g}"
+        )
     n = max(1, int(math.ceil(span / dt - 1e-12)))
     times = t0 + dt * np.arange(n + 1, dtype=float)
     times[-1] = T

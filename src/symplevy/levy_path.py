@@ -42,6 +42,11 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# Largest expected event count (rate * horizon) per channel that
+# sample_path accepts; beyond it the first block of waiting times alone
+# would not fit in memory.
+MAX_EXPECTED_EVENTS = 1e7
+
 PATH_CSV_HEADER = "time,channel,mark"
 
 
@@ -170,13 +175,19 @@ def sample_path(spec, horizon):
 
     For each channel independently, inter-arrival times are i.i.d.
     exponential with mean 1/rate and marks are i.i.d. N(0, mark_sigma^2).
-    The result is a pure function of (spec, horizon).
+    The result is a pure function of (spec, horizon). A rate*horizon
+    above MAX_EXPECTED_EVENTS raises InvalidSpecError before any draw.
     """
     if not isinstance(spec, LevyPathSpec):
         raise InvalidSpecError(f"spec must be a LevyPathSpec, got {type(spec).__name__}")
     if not (isinstance(horizon, (int, float)) and math.isfinite(horizon) and horizon > 0):
         raise DomainError(f"horizon must be a finite positive number, got {horizon!r}")
     horizon = float(horizon)
+    if spec.rate * horizon > MAX_EXPECTED_EVENTS:
+        raise InvalidSpecError(
+            f"rate*horizon = {spec.rate * horizon:g} expected events exceeds the limit "
+            f"MAX_EXPECTED_EVENTS = {MAX_EXPECTED_EVENTS:g}"
+        )
     events = []
     for channel in range(1, spec.noise_count + 1):
         rng = _channel_generator(spec.seed, channel)
@@ -227,7 +238,8 @@ def jumps_in(path, t0, t1):
 def grid_increments(path, channel, grid):
     """Per-step increments of one channel over a strictly increasing grid.
 
-    Element j equals increment(path, channel, grid[j], grid[j+1]).
+    Element j equals increment(path, channel, grid[j], grid[j+1]); one
+    search places every node among the event times.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -238,9 +250,14 @@ def grid_increments(path, channel, grid):
         raise DomainError("grid must be strictly increasing")
     if grid[0] < 0 or grid[-1] > path.horizon:
         raise DomainError(f"grid must lie within [0, horizon={path.horizon}]")
-    return np.array(
-        [increment(path, channel, grid[j], grid[j + 1]) for j in range(grid.size - 1)]
-    )
+    if channel not in path._by_channel:
+        raise DomainError(f"channel {channel!r} outside 1..{path.spec.noise_count}")
+    times, marks = path._by_channel[channel]
+    ends = np.searchsorted(times, grid, side="right")
+    out = np.zeros(grid.size - 1)
+    for j in np.flatnonzero(ends[1:] > ends[:-1]):
+        out[j] = math.fsum(marks[ends[j] : ends[j + 1]])
+    return out
 
 
 def write_path_csv(path, file_path):

@@ -9,9 +9,22 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from symplevy import cli
+from symplevy import cli, levy_path
+from symplevy.hamiltonian import KuboParams, PhaseState, kubo_exact
+from symplevy.levy_path import JumpEvent, LevyPath, LevyPathSpec, increment, sample_path
+
+# Every setting each subcommand takes, as flag and as config key.
+SETTINGS = {
+    "sample-path": {"lambda", "sigma", "horizon", "seed", "out-dir", "svg"},
+    "orbit": {"alpha", "beta", "dt", "T", "lambda", "sigma", "seed", "out-dir", "svg"},
+    "hamiltonian": {"alpha", "beta", "dt", "T", "lambda", "sigma", "seed", "out-dir", "svg"},
+    "converge": {"alpha", "beta", "T", "lambda", "sigma", "samples", "dts", "scheme", "seed",
+                 "out-dir", "svg"},
+    "symplectic-check": {"alpha", "beta", "samples", "seed", "out-dir", "svg"},
+}
 
 
 def run_cli(args):
@@ -66,6 +79,32 @@ class TestSamplePath:
         assert text.rstrip().endswith("</svg>")
 
 
+class TestSettingsTable:
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_flag_set_is_pinned(self, command):
+        _, subparsers = cli._build_parser()
+        flags = {
+            option
+            for action in subparsers[command]._actions
+            for option in action.option_strings
+        }
+        assert flags == {f"--{name}" for name in SETTINGS[command]} | {"--config", "-h", "--help"}
+
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_config_accepts_exactly_the_flag_names(self, command, tmp_path, capsys):
+        # a negative seed stops the run after every key has been accepted
+        values = {"svg": False, "out-dir": str(tmp_path), "dts": [0.2, 0.1, 0.05],
+                  "scheme": "explicit", "seed": -1}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: values.get(name, 2) for name in SETTINGS[command]}))
+        assert run_cli([command, "--config", cfg]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        for other in set().union(*SETTINGS.values()) - SETTINGS[command]:
+            cfg.write_text(json.dumps({other: 1}))
+            assert run_cli([command, "--config", cfg, "--out-dir", tmp_path]) == 2
+            assert f"unknown config key {other!r}" in capsys.readouterr().err
+
+
 class TestConfigMerging:
     def test_config_overrides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -110,6 +149,22 @@ class TestConfigMerging:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         assert run_cli(["sample-path", "--config", tmp_path / "nope.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("sample-path", {"lambda": True}),
+            ("sample-path", {"seed": True}),
+            ("sample-path", {"horizon": False}),
+            ("converge", {"samples": True}),
+            ("converge", {"dts": [0.2, True, 0.05]}),
+            ("sample-path", {"svg": 1}),
+        ],
+    )
+    def test_boolean_and_number_do_not_mix(self, command, config, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli([command, "--config", cfg, "--out-dir", tmp_path]) == 2
+
 
 class TestUsageErrors:
     def test_negative_rate(self, tmp_path):
@@ -142,6 +197,29 @@ class TestUsageErrors:
             ["converge", "--samples", 2, "--dts", "0.2,0.1,0.05", "--scheme", "magic",
              "--out-dir", tmp_path]
         ) == 2
+
+    def test_converge_needs_positive_end_time(self, tmp_path):
+        assert run_cli(
+            ["converge", "--T", 0, "--samples", 2, "--dts", "0.2,0.1,0.05", "--out-dir", tmp_path]
+        ) == 2
+
+    def test_oversized_path_exits_2_without_drawing(self, tmp_path, monkeypatch):
+        def refuse(seed, channel):
+            raise AssertionError("a channel generator was built before the size check")
+
+        monkeypatch.setattr(levy_path, "_channel_generator", refuse)
+        code = run_cli(["sample-path", "--lambda", 1e12, "--horizon", 1000, "--out-dir", tmp_path])
+        assert code == 2
+
+    @pytest.mark.parametrize("T, dt", [(1e6, 1e-6), (1e300, 1e-300)])
+    def test_oversized_grid_exits_2(self, T, dt, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid nodes allocated before the size check")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        code = run_cli(["orbit", "--lambda", 0, "--T", T, "--dt", dt, "--out-dir", tmp_path])
+        assert code == 2
+        assert "MAX_GRID_STEPS" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 2
@@ -190,6 +268,30 @@ class TestOrbit:
         code = run_cli(["orbit", "--T", 10, "--svg", "--out-dir", tmp_path])
         assert code == 0
         assert (tmp_path / "orbit.svg").read_text().startswith("<svg")
+
+
+class TestExactTrajectory:
+    @pytest.mark.parametrize("case", ["events-on-nodes", "sampled"])
+    def test_one_pass_levels_equal_increment(self, case):
+        if case == "events-on-nodes":
+            # a running float sum of these marks would round differently
+            marks = [(0.25, 1e16), (0.5, 1.0), (0.5, -1e16), (0.6, 0.1), (1.0, 0.2), (1.0, 0.3),
+                     (1.75, -0.7), (2.0, 1e-17)]
+            events = tuple(JumpEvent(t, 1, m) for t, m in marks)
+            path = LevyPath(spec=LevyPathSpec(rate=1.0, mark_sigma=1.0), horizon=2.0, events=events)
+            times = np.linspace(0.0, 2.0, 9)
+        else:
+            path = sample_path(LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=1), 30.0)
+            times = np.sort(np.concatenate([np.linspace(0.0, 30.0, 376),
+                                            [ev.time for ev in path.events]]))
+        levels = [increment(path, 1, 0.0, float(t)) for t in times]
+        assert cli._levels(path, times) == levels
+        params = KuboParams(0.1, 0.1)
+        start = PhaseState([0.0], [1.0])
+        exact = cli._exact_trajectory(params, path, times)
+        for j, (t, level) in enumerate(zip(times, levels)):
+            state = kubo_exact(params, start, float(t), level)
+            assert exact.ps[j, 0] == state.p[0] and exact.qs[j, 0] == state.q[0]
 
 
 class TestHamiltonianCommand:

@@ -222,6 +222,24 @@ class TestFixedGridNodes:
         assert traj.qs[0, 0] == 1.0
 
 
+class TestGridSizeLimit:
+    def test_oversized_grid_fails_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid nodes allocated before the size check")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        controls = sl.StepControls(dt=1e-6)
+        with pytest.raises(InvalidSpecError, match="MAX_GRID_STEPS"):
+            sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 1e6,
+                                    empty_path(1e6), controls)
+
+    def test_infinite_step_count_is_refused(self):
+        controls = sl.StepControls(dt=1e-300)
+        with pytest.raises(InvalidSpecError, match="MAX_GRID_STEPS"):
+            sl.integrate_fixed_grid(kubo(), "explicit", unit_start(), 0.0, 1e300,
+                                    empty_path(1e300), controls)
+
+
 class TestRunValidation:
     def test_requires_a_path(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from symplevy import (
     grid_increments,
     increment,
     jumps_in,
+    levy_path,
     read_path_csv,
     sample_path,
     write_path_csv,
@@ -22,6 +23,19 @@ def two_event_path():
     spec = LevyPathSpec(rate=2.0, mark_sigma=1.0, seed=0)
     events = (JumpEvent(0.3, 1, 0.5), JumpEvent(0.7, 1, -0.2))
     return LevyPath(spec=spec, horizon=1.0, events=events)
+
+
+class RefusingGenerator:
+    """Stands in for a channel generator; any draw fails the test."""
+
+    def exponential(self, *args, **kwargs):
+        raise AssertionError("sample_path drew before checking its size limit")
+
+    normal = exponential
+
+
+def refusing_generator(seed, channel):
+    return RefusingGenerator()
 
 
 class TestSpecValidation:
@@ -80,6 +94,13 @@ class TestSamplePath:
             sample_path(LevyPathSpec(rate=1.0, mark_sigma=0.2), 0.0)
         with pytest.raises(DomainError):
             sample_path(LevyPathSpec(rate=1.0, mark_sigma=0.2), -3.0)
+
+    def test_oversized_expected_count_fails_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(levy_path, "_channel_generator", refusing_generator)
+        with pytest.raises(InvalidSpecError, match="MAX_EXPECTED_EVENTS"):
+            sample_path(LevyPathSpec(rate=1e12, mark_sigma=0.2), 1000.0)
+        with pytest.raises(InvalidSpecError, match="MAX_EXPECTED_EVENTS"):
+            sample_path(LevyPathSpec(rate=1e300, mark_sigma=0.2), 1e300)
 
     def test_event_count_statistics(self):
         # Poisson(1000) count: within 3 standard deviations for at
@@ -196,6 +217,23 @@ class TestGridIncrements:
         fine_inc = grid_increments(path, 1, fine)
         resummed = fine_inc.reshape(10, 4).sum(axis=1)
         np.testing.assert_allclose(resummed, coarse_inc, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["sampled", "ties-on-nodes"])
+    def test_each_step_equals_increment_on_grid_through_events(self, case):
+        if case == "sampled":
+            path = sample_path(LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=16), 10.0)
+            event_times = [ev.time for ev in path.events]
+            grid = np.unique(np.concatenate([np.linspace(0.0, 10.0, 51), event_times]))
+        else:
+            # a cancelling pair and a tie sitting exactly on grid nodes
+            marks = [(0.25, 1e16), (0.5, 1.0), (0.5, -1e16), (0.75, 0.1)]
+            events = tuple(JumpEvent(t, 1, m) for t, m in marks)
+            path = LevyPath(spec=LevyPathSpec(rate=2.0, mark_sigma=1.0), horizon=1.0, events=events)
+            grid = np.array([0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
+        inc = grid_increments(path, 1, grid)
+        assert inc.shape == (grid.size - 1,)
+        for j in range(grid.size - 1):
+            assert inc[j] == increment(path, 1, grid[j], grid[j + 1])
 
     def test_zero_rate_grid_is_zero(self):
         path = sample_path(LevyPathSpec(rate=0.0, mark_sigma=0.2, seed=15), 5.0)
