@@ -53,6 +53,7 @@ from .integrators import (
     explicit_euler_step,
     integrate_fixed_grid,
     integrate_pathwise,
+    integrate_pathwise_batch,
     symplectic_euler_step,
     write_trajectory_csv,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "explicit_euler_step",
     "integrate_fixed_grid",
     "integrate_pathwise",
+    "integrate_pathwise_batch",
     "write_trajectory_csv",
     "DIVERGENCE_LIMIT",
     "OrderFit",

@@ -53,7 +53,7 @@ from .integrators import (
     StepControls,
     Trajectory,
     integrate_fixed_grid,
-    integrate_pathwise,
+    integrate_pathwise_batch,
     write_trajectory_csv,
 )
 from .levy_path import LevyPathSpec, increment, sample_path, write_path_csv
@@ -306,22 +306,28 @@ def _cell_seed(seed, dt_index, sample_index):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _end_error(settings, params, system, dt_index, dt):
+    """RMS end-state error of one dt's samples against the exact solution."""
+    T = settings["T"]
+    controls = StepControls(dt=dt)
+    seeds = [_cell_seed(settings["seed"], dt_index, s) for s in range(settings["samples"])]
+    paths = [_sample(settings, T, seed) for seed in seeds]
+    if settings["scheme"] == "symplectic":
+        trajs = integrate_pathwise_batch(system, _START, 0.0, T, paths, controls)
+    else:
+        trajs = [
+            integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, controls)
+            for path in paths
+        ]
+    refs = [kubo_exact(params, _START, T, increment(path, 1, 0.0, T)) for path in paths]
+    diffs = [traj.final_state().as_vector() - ref.as_vector() for traj, ref in zip(trajs, refs)]
+    return ms_error(diffs)
+
+
 def _cmd_converge(settings):
     params, system = _kubo(settings)
-    T = settings["T"]
-    errors = []
-    for i, dt in enumerate(settings["dts"]):
-        controls = StepControls(dt=dt)
-        diffs = np.empty((settings["samples"], 2))
-        for s in range(settings["samples"]):
-            path = _sample(settings, T, _cell_seed(settings["seed"], i, s))
-            if settings["scheme"] == "symplectic":
-                traj = integrate_pathwise(system, _START, 0.0, T, path, controls)
-            else:
-                traj = integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, controls)
-            ref = kubo_exact(params, _START, T, increment(path, 1, 0.0, T))
-            diffs[s] = traj.final_state().as_vector() - ref.as_vector()
-        errors.append(ms_error(diffs))
+    # one dt's trajectories are released before the next dt runs
+    errors = [_end_error(settings, params, system, i, dt) for i, dt in enumerate(settings["dts"])]
     fit = estimate_order(settings["dts"], errors)
     _write(settings, "convergence.csv", lambda file_path: write_order_fit_csv(fit, file_path))
     print(

@@ -83,7 +83,13 @@ class HamiltonianSystem:
         Noise channel count (entries 1..m of the evaluator tuples).
     sigma, gamma : tuple of callables
         Each maps (p, q) arrays of length n to an array of length n;
-        sigma[r] must be dH_r/dQ and gamma[r] must be dH_r/dP.
+        sigma[r] must be dH_r/dQ and gamma[r] must be dH_r/dP. The
+        jump-adapted driver and the jump flow evaluate many paths at
+        once, so each must also map (B, n) lane arrays to a (B, n)
+        array whose row b depends only on row b of p and q. Elementwise
+        numpy expressions such as ``lambda p, q: alpha * q`` do both;
+        indexing such as ``q[0]`` does neither and is refused by
+        ``integrate_pathwise_batch`` with DomainError.
     hamiltonians : tuple of callables
         Each maps (p, q) to a float.
     monitored : callable or None

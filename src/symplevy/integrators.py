@@ -9,16 +9,18 @@ Two one-step maps act on a HamiltonianSystem state:
 * ``explicit_euler_step``: both updates evaluated at the current state;
   cheap, not symplectic, used as the comparison scheme.
 
-Two drivers build trajectories on one noise realization:
+Two drivers build trajectories on noise realizations:
 
 * ``integrate_fixed_grid``: uniform grid with the final step truncated
   to land on T, feeding each step the raw path increment over that step
   (jumps are linearized into the increments).
-* ``integrate_pathwise``: jump-adapted stepping. Between jumps it
-  substeps the drift ODE with the symplectic Euler map; at each jump
-  time it applies the Marcus jump flow with that event's mark. Both the
-  pre-jump state (the last drift substep) and the post-jump state are
-  recorded at the jump time, so trajectory times repeat exactly there.
+* ``integrate_pathwise_batch``: jump-adapted stepping of several paths
+  at once, one lane per path. Between jumps it substeps the drift ODE
+  with the symplectic Euler map; at each jump time it applies the Marcus
+  jump flow with that event's mark. Both the pre-jump state (the last
+  drift substep) and the post-jump state are recorded at the jump time,
+  so trajectory times repeat exactly there. ``integrate_pathwise`` is
+  the same driver on one path.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ._csv import fmt, write_csv
 from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from .hamiltonian import PhaseState
 from .levy_path import grid_increments, jumps_in
-from .marcus import DEFAULT_SUBSTEPS, _flow_raw
+from .marcus import DEFAULT_SUBSTEPS, _flow_error, _flow_raw
 
 __all__ = [
     "StepControls",
@@ -41,6 +43,7 @@ __all__ = [
     "explicit_euler_step",
     "integrate_fixed_grid",
     "integrate_pathwise",
+    "integrate_pathwise_batch",
     "write_trajectory_csv",
     "DIVERGENCE_LIMIT",
 ]
@@ -142,6 +145,13 @@ def _check_dl(system, dL):
     return dL
 
 
+def _stalled(residual, max_iters):
+    return NonConvergenceError(
+        f"implicit momentum solve stalled at residual {residual:.3e} after {max_iters} iterations",
+        residual=residual,
+    )
+
+
 def _symplectic_raw(system, p0, q0, dt, dL, tol, max_iters):
     # Fixed-point iteration for the implicit momentum equation, seeded
     # at p0. The update residual equals the equation residual at the
@@ -160,11 +170,7 @@ def _symplectic_raw(system, p0, q0, dt, dL, tol, max_iters):
         if residual <= tol:
             break
     else:
-        raise NonConvergenceError(
-            f"implicit momentum solve stalled at residual {residual:.3e} "
-            f"after {max_iters} iterations",
-            residual=residual,
-        )
+        raise _stalled(residual, max_iters)
     q = q0 + system.gamma[0](p, q0) * dt
     for r in range(1, system.m + 1):
         if dL[r - 1] != 0.0:
@@ -243,14 +249,20 @@ def _validate_run(system, initial, t0, T, path):
         raise DomainError(f"[t0, T]=[{t0}, {T}] must lie within [0, horizon={path.horizon}]")
 
 
-def _guard(p, q, step_index, t, times, ps, qs, scheme_tag):
+def _in_range(p, q):
     # NaN comparisons are False, so non-finite states fail this test too
-    if np.abs(p).max() <= DIVERGENCE_LIMIT and np.abs(q).max() <= DIVERGENCE_LIMIT:
-        return
-    partial = Trajectory(np.array(times), np.array(ps), np.array(qs), scheme_tag)
-    raise DivergenceError(
-        f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at step {step_index} (t={t:g})",
-        step=step_index,
+    return np.abs(p).max() <= DIVERGENCE_LIMIT and np.abs(q).max() <= DIVERGENCE_LIMIT
+
+
+def _lanes_in_range(p, q):
+    in_range = (np.abs(p) <= DIVERGENCE_LIMIT).all(axis=1)
+    return in_range & (np.abs(q) <= DIVERGENCE_LIMIT).all(axis=1)
+
+
+def _diverged(step, t, partial):
+    return DivergenceError(
+        f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at step {step} (t={t:g})",
+        step=step,
         time=t,
         partial=partial,
     )
@@ -273,9 +285,10 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     if n_steps > 0:
         for r in range(1, system.m + 1):
             dls[r - 1] = grid_increments(path, r, times)
+    ps = np.empty((times.size, system.n))
+    qs = np.empty((times.size, system.n))
     p, q = initial.p, initial.q
-    ps = [p]
-    qs = [q]
+    ps[0], qs[0] = p, q
     for j in range(n_steps):
         dtj = times[j + 1] - times[j]
         try:
@@ -289,83 +302,290 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
             raise NonConvergenceError(
                 f"step {j} (t={times[j]:g}): {err}", residual=err.residual, step=j
             ) from err
-        _guard(p, q, j, times[j + 1], times[: j + 1], ps, qs, scheme)
-        ps.append(p)
-        qs.append(q)
-    return Trajectory(times, np.array(ps), np.array(qs), scheme)
+        if not _in_range(p, q):
+            partial = Trajectory(times[: j + 1], ps[: j + 1], qs[: j + 1], scheme)
+            raise _diverged(j, times[j + 1], partial)
+        ps[j + 1] = p
+        qs[j + 1] = q
+    return Trajectory(times, ps, qs, scheme)
 
 
 def integrate_pathwise(system, initial, t0, T, path, controls):
-    """Jump-adapted run: drift substeps between jumps, jump flow at jumps.
+    """Jump-adapted run of one path: ``integrate_pathwise_batch`` on [path]."""
+    return integrate_pathwise_batch(system, initial, t0, T, [path], controls)[0]
 
-    Between consecutive jump times the drift ODE is advanced with the
-    symplectic Euler map using step controls.dt (final substep truncated
-    to the interval end). At each jump time the Marcus jump flow is
-    applied with that event's mark; simultaneous events are combined
-    into one flow. The output records every substep state and, at each
-    jump time, both the pre-jump and post-jump states.
-    """
-    _validate_run(system, initial, t0, T, path)
-    t0 = float(t0)
-    T = float(T)
-    dt = controls.dt
-    zero_dl = np.zeros(system.m)
-    times = [t0]
-    ps = [initial.p]
-    qs = [initial.q]
-    p, q = initial.p, initial.q
-    step_count = 0
 
-    def drift_to(t_start, t_end):
-        nonlocal p, q, step_count
-        if t_end - t_start <= 0.0:
-            return
-        # Same node construction as the fixed-grid driver so that runs
-        # without jumps agree with it bit for bit.
-        nodes = _grid_times(t_start, t_end, dt)
-        for j in range(nodes.size - 1):
-            t_next = nodes[j + 1]
-            dtj = t_next - nodes[j]
-            try:
-                p, q = _symplectic_raw(
-                    system, p, q, dtj, zero_dl, controls.implicit_tol, controls.implicit_max_iters
+def _check_lane_shapes(system, p, q):
+    for name, evaluators in (("sigma", system.sigma), ("gamma", system.gamma)):
+        for r, evaluate in enumerate(evaluators):
+            shape = np.shape(evaluate(p, q))
+            if shape != p.shape:
+                raise DomainError(
+                    f"{name}[{r}] maps lane arrays of shape {p.shape} to shape {shape}; "
+                    "coefficient evaluators must map (B, n) arrays to (B, n)"
                 )
-            except NonConvergenceError as err:
-                raise NonConvergenceError(
-                    f"drift substep at t={times[-1]:g}: {err}",
-                    residual=err.residual,
-                    step=step_count,
-                ) from err
-            _guard(p, q, step_count, t_next, times, ps, qs, "pathwise")
-            times.append(t_next)
-            ps.append(p)
-            qs.append(q)
-            step_count += 1
 
+
+def _lane_grid(system, path, t0, T, dt):
+    """One lane's record times, drift ticks per segment and jump marks.
+
+    Segment k drifts on the _grid_times nodes from the previous jump (or
+    t0) to jump k (or T), so its last drift row is the pre-jump state;
+    the post-jump state takes one more row at the same time. Events at
+    one time are combined into one mark vector.
+    """
     events = jumps_in(path, t0, T) if T > t0 else []
+    ends = []
+    marks = []
     i = 0
     while i < len(events):
         tau = events[i].time
-        marks = np.zeros(system.m)
+        mark = np.zeros(system.m)
         while i < len(events) and events[i].time == tau:
-            marks[events[i].channel - 1] += events[i].mark
+            mark[events[i].channel - 1] += events[i].mark
             i += 1
-        drift_to(times[-1], tau)
-        try:
-            p, q = _flow_raw(system, p, q, marks, controls.jump_substeps)
-        except DivergenceError as err:
-            raise DivergenceError(
-                f"jump flow diverged at t={tau:g} (substep {err.step})",
-                step=err.step,
-                time=tau,
-                partial=Trajectory(np.array(times), np.array(ps), np.array(qs), "pathwise"),
-            ) from err
-        _guard(p, q, step_count, tau, times, ps, qs, "pathwise")
-        times.append(tau)
-        ps.append(p)
-        qs.append(q)
-    drift_to(times[-1], T)
-    return Trajectory(np.array(times), np.array(ps), np.array(qs), "pathwise")
+        ends.append(tau)
+        marks.append(mark)
+    pieces = [np.array([t0])]
+    ticks = []
+    start = t0
+    for k, end in enumerate(ends + [T]):
+        # Same node construction as the fixed-grid driver so that runs
+        # without jumps agree with it bit for bit.
+        nodes = _grid_times(start, end, dt)[1:] if end - start > 0.0 else np.empty(0)
+        ticks.append(nodes.size)
+        pieces.append(nodes)
+        if k < len(ends):
+            pieces.append(np.array([end]))
+        start = end
+    return np.concatenate(pieces), ticks, marks
+
+
+def _drift_lanes(system, p0, q0, dt, tol, max_iters):
+    """The symplectic Euler map with dL = 0 on (B, n) lanes.
+
+    Each lane stops its fixed-point iteration at the sweep where
+    _symplectic_raw would stop on that lane alone, so every row is the
+    single-state result bit for bit. Returns (p, q, stalled): stalled is
+    None, or the indices and residuals of the lanes that did not settle.
+    """
+    sigma0 = system.sigma[0]
+    p = p0
+    pa, qa, dta = p0, q0, dt  # the lanes still iterating
+    settled = None
+    left = None
+    stalled = None
+    for _ in range(max_iters):
+        rhs = pa - sigma0(p, qa) * dta
+        diff = np.abs(rhs - p)
+        p = rhs
+        if diff.max() <= tol:
+            break
+        if len(p) > 1:
+            done = diff.max(axis=1) <= tol
+            if done.any():
+                if settled is None:
+                    settled = np.empty_like(p0)
+                    left = np.arange(len(p0))
+                settled[left[done]] = p[done]
+                keep = ~done
+                left, p, pa, qa, dta = left[keep], p[keep], pa[keep], qa[keep], dta[keep]
+    else:
+        stalled = (np.arange(len(p)) if left is None else left, diff.max(axis=1))
+    if settled is not None:
+        settled[left] = p
+        p = settled
+    q = q0 + system.gamma[0](p, q0) * dt
+    return p, q, stalled
+
+
+class _Record:
+    """Every lane's rows in one flat array; lane b owns rows lo[b]:hi[b].
+
+    The failure constructors build the error a lane raises at a global
+    row of segment k, as that lane's run alone raises it.
+    """
+
+    def __init__(self, times, offsets, n):
+        self.times = times
+        self.steps = np.diff(times, prepend=times[0])[:, None]
+        self.lo = offsets[:-1]
+        self.hi = offsets[1:]
+        self.ps = np.empty((times.size, n))
+        self.qs = np.empty((times.size, n))
+
+    def trajectory(self, lane, end=None):
+        lo = self.lo[lane]
+        hi = self.hi[lane] if end is None else end
+        return Trajectory(self.times[lo:hi], self.ps[lo:hi], self.qs[lo:hi], "pathwise")
+
+    def _step(self, lane, row, k):
+        # rows before `row` are the start, the drift steps and k jumps
+        return int(row - self.lo[lane]) - 1 - k
+
+    def diverged(self, lane, row, k):
+        partial = self.trajectory(lane, row)
+        return _diverged(self._step(lane, row, k), float(self.times[row]), partial)
+
+    def stalled(self, lane, row, k, residual, max_iters):
+        inner = _stalled(float(residual), max_iters)
+        err = NonConvergenceError(
+            f"drift substep at t={self.times[row - 1]:g}: {inner}",
+            residual=inner.residual,
+            step=self._step(lane, row, k),
+        )
+        err.__cause__ = inner
+        return err
+
+    def flow_failed(self, lane, row, substep):
+        tau = float(self.times[row])
+        err = DivergenceError(
+            f"jump flow diverged at t={tau:g} (substep {substep})",
+            step=substep,
+            time=tau,
+            partial=self.trajectory(lane, row),
+        )
+        err.__cause__ = _flow_error(substep)
+        return err
+
+
+def _lane_record(system, paths, t0, T, dt):
+    """The record of every lane, plus per-lane jump counts, ticks and marks.
+
+    ticks[b, k] and marks[b, k] are lane b's drift ticks in segment k and
+    its marks at jump k, zero past the lane's last segment.
+    """
+    grids = [_lane_grid(system, path, t0, T, dt) for path in paths]
+    offsets = np.cumsum([0] + [times.size for times, _, _ in grids])
+    rec = _Record(np.concatenate([times for times, _, _ in grids]), offsets, system.n)
+    jumps = np.array([len(lane_marks) for _, _, lane_marks in grids])
+    ticks = np.zeros((len(grids), jumps.max() + 1), dtype=np.int64)
+    marks = np.zeros((len(grids), max(jumps.max(), 1), system.m))
+    for b, (_, lane_ticks, lane_marks) in enumerate(grids):
+        ticks[b, : len(lane_ticks)] = lane_ticks
+        if lane_marks:
+            marks[b, : len(lane_marks)] = lane_marks
+    return rec, jumps, ticks, marks
+
+
+def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures):
+    """Drift each lane through its ticks of segment k, from record row `rows`.
+
+    Lanes come sorted by tick count, largest first, so the lanes still
+    drifting at tick j are always the first c of them. A lane that fails
+    is entered in `failures`, and it and every lane above the lowest
+    failed lane stop. Returns the lanes that finished the segment.
+    """
+    remaining = ticks.tolist()
+    p = rec.ps[rows]
+    q = rec.qs[rows]
+    c = len(remaining)
+    j = 0
+    while True:
+        while c and remaining[c - 1] <= j:
+            c -= 1
+        if not c:
+            return lanes
+        if c < len(p):
+            p, q = p[:c], q[:c]
+        live = rows[:c]
+        live += 1
+        p, q, stalled = _drift_lanes(
+            system, p, q, rec.steps[live], controls.implicit_tol, controls.implicit_max_iters
+        )
+        if stalled is not None or not _in_range(p, q):
+            bad = ~_lanes_in_range(p, q)
+            if stalled is not None:
+                bad[stalled[0]] = False
+                for i, residual in zip(*stalled):
+                    failures[lanes[i]] = rec.stalled(
+                        lanes[i], live[i], k, residual, controls.implicit_max_iters
+                    )
+            for i in np.flatnonzero(bad):
+                failures[lanes[i]] = rec.diverged(lanes[i], live[i], k)
+            keep = lanes < min(failures)
+            lanes, rows = lanes[keep], rows[keep]
+            remaining = [n for n, kept in zip(remaining, keep) if kept]
+            p, q = p[keep[:c]], q[keep[:c]]
+            c = len(p)
+            live = rows[:c]
+        rec.ps[live] = p
+        rec.qs[live] = q
+        j += 1
+
+
+def _jump_segment(system, controls, rec, lanes, post, marks, k, failures):
+    """Apply jump k of each lane, from the row before `post` into `post`."""
+    p, q, failed = _flow_raw(
+        system, rec.ps[post - 1], rec.qs[post - 1], marks, controls.jump_substeps
+    )
+    if failed is not None:
+        for i in np.flatnonzero(failed >= 0):
+            failures[lanes[i]] = rec.flow_failed(lanes[i], post[i], int(failed[i]))
+    if not _in_range(p, q):
+        bad = ~_lanes_in_range(p, q)
+        if failed is not None:
+            bad &= failed < 0
+        for i in np.flatnonzero(bad):
+            failures[lanes[i]] = rec.diverged(lanes[i], post[i], k)
+    rec.ps[post] = p
+    rec.qs[post] = q
+
+
+def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
+    """Jump-adapted runs of several paths from one initial state, as lanes.
+
+    Each path is one lane of (B, n) state arrays, so every coefficient
+    evaluator is called with (B, n) arrays and must return (B, n), row b
+    depending only on row b; a wrong shape raises DomainError. Lanes
+    advance together segment by segment: each drifts on its own nodes up
+    to its k-th jump time, then one jump-flow call applies the k-th jump
+    of every lane that has one. Between jumps the drift ODE is advanced
+    with the symplectic Euler map using step controls.dt (final substep
+    truncated to the interval end); simultaneous events are combined
+    into one flow. Each trajectory records every substep state and, at
+    each jump time, both the pre-jump and post-jump states, and equals
+    the same path run alone bit for bit.
+
+    Returns one Trajectory per path, in order. Invalid input (DomainError,
+    or InvalidSpecError for a segment over MAX_GRID_STEPS steps) is
+    refused before any lane runs. If lanes fail numerically, the error
+    of the lowest-index failing lane is raised, exactly as that path
+    raises it alone.
+    """
+    paths = list(paths)
+    if not paths:
+        raise DomainError("paths must hold at least one path")
+    for path in paths:
+        _validate_run(system, initial, t0, T, path)
+    t0 = float(t0)
+    T = float(T)
+    lanes_total = len(paths)
+    p_start = np.tile(initial.p, (lanes_total, 1))
+    q_start = np.tile(initial.q, (lanes_total, 1))
+    _check_lane_shapes(system, p_start, q_start)
+    rec, jumps, ticks, marks = _lane_record(system, paths, t0, T, controls.dt)
+    rec.ps[rec.lo] = p_start
+    rec.qs[rec.lo] = q_start
+    # first[b, k]: the row holding the state segment k of lane b starts from
+    first = rec.lo[:, None] + np.cumsum(ticks + 1, axis=1) - (ticks + 1)
+    failures = {}
+    for k in range(ticks.shape[1]):
+        # lanes above the lowest failed lane can no longer change the result
+        lanes = np.flatnonzero(jumps[: min(failures, default=lanes_total)] >= k)
+        if lanes.size == 0:
+            break
+        lanes = lanes[np.argsort(-ticks[lanes, k], kind="stable")]
+        lanes = _drift_segment(
+            system, controls, rec, lanes, first[lanes, k], ticks[lanes, k], k, failures
+        )
+        lanes = lanes[jumps[lanes] > k]
+        if lanes.size:
+            post = first[lanes, k] + ticks[lanes, k] + 1
+            _jump_segment(system, controls, rec, lanes, post, marks[lanes, k], k, failures)
+    if failures:
+        raise failures[min(failures)]
+    return [rec.trajectory(b) for b in range(lanes_total)]
 
 
 def write_trajectory_csv(trajectory, file_path):

@@ -185,10 +185,13 @@ def test_criterion_5_pathwise_oracle_coupling(capsys):
     with capsys.disabled():
         system = kubo()
         controls = sl.StepControls(dt=1e-3)
+        paths = [
+            sl.sample_path(sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=seed), 10.0)
+            for seed in range(20)
+        ]
+        trajs = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 10.0, paths, controls)
         worst = 0.0
-        for seed in range(20):
-            path = sl.sample_path(sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=seed), 10.0)
-            traj = sl.integrate_pathwise(system, unit_start(), 0.0, 10.0, path, controls)
+        for path, traj in zip(paths, trajs):
             exact = sl.kubo_exact(KUBO, unit_start(), 10.0, sl.increment(path, 1, 0.0, 10.0))
             worst = max(
                 worst,

@@ -1,13 +1,16 @@
-"""Tests for the one-step maps and the two trajectory drivers."""
+"""Tests for the one-step maps and the trajectory drivers."""
 
 import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symplevy as sl
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
+from symplevy.integrators import _grid_times
 
 
 KUBO = sl.KuboParams(alpha=0.1, beta=0.1)
@@ -469,3 +472,264 @@ class TestTrajectoryCsv:
             assert float(row[0]) == traj.times[i]
             assert float(row[1]) == traj.ps[i, 0]
             assert float(row[2]) == traj.qs[i, 0]
+
+
+def scalar_pathwise(system, initial, t0, T, path, controls):
+    """The jump-adapted scheme one state at a time, as the lane driver's reference.
+
+    Drift steps are the public symplectic step with zero increments on
+    the driver's grid nodes; each jump instant applies ``jump_flow`` to
+    the marks of all events at that time.
+    """
+    times, states = [t0], [initial]
+
+    def drift_to(t_end):
+        if t_end - times[-1] <= 0.0:
+            return
+        nodes = _grid_times(times[-1], t_end, controls.dt)
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            states.append(
+                sl.symplectic_euler_step(system, states[-1], b - a, np.zeros(system.m), controls)
+            )
+            times.append(b)
+
+    events = sl.jumps_in(path, t0, T) if T > t0 else []
+    for tau in sorted({ev.time for ev in events}):
+        marks = np.zeros(system.m)
+        for ev in events:
+            if ev.time == tau:
+                marks[ev.channel - 1] += ev.mark
+        drift_to(tau)
+        states.append(sl.jump_flow(system, states[-1], marks, controls.jump_substeps))
+        times.append(tau)
+    drift_to(T)
+    return sl.Trajectory(times, [s.p for s in states], [s.q for s in states], "pathwise")
+
+
+def assert_same_run(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.ps, b.ps)
+    assert np.array_equal(a.qs, b.qs)
+
+
+def anharmonic():
+    # H0 = 0.3 (p^2+q^2)^2 / 4: sigma_0 depends on p, so the implicit
+    # solve takes a state-dependent number of sweeps and lanes disagree
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: 0.3 * q * (p * p + q * q), lambda p, q: 0.1 * q),
+        gamma=(lambda p, q: 0.3 * p * (p * p + q * q), lambda p, q: 0.1 * p),
+        hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+    )
+
+
+def two_channel():
+    # channel fields that do not commute, so combining simultaneous
+    # marks into one flow differs from applying them one by one
+    return sl.HamiltonianSystem(
+        n=1,
+        m=2,
+        sigma=(lambda p, q: 0.1 * q, lambda p, q: 0.3 * q, lambda p, q: 0.2 * p),
+        gamma=(lambda p, q: 0.1 * p, lambda p, q: 0.3 * p, lambda p, q: 0.2 * q),
+        hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0, lambda p, q: 0.0),
+    )
+
+
+def event_path(events, horizon, channels=1):
+    spec = sl.LevyPathSpec(rate=1.0, mark_sigma=1.0, noise_count=channels, seed=0)
+    return sl.LevyPath(
+        spec=spec, horizon=horizon, events=tuple(sl.JumpEvent(*ev) for ev in events)
+    )
+
+
+def sampled(seed, horizon=10.0):
+    return sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=seed), horizon)
+
+
+class TestPathwiseLanes:
+    @pytest.mark.parametrize("system", [kubo(), anharmonic()], ids=["kubo", "anharmonic"])
+    def test_each_lane_equals_its_path_alone(self, system):
+        paths = [sampled(seed) for seed in range(6)] + [empty_path(10.0)]
+        controls = sl.StepControls(dt=0.05)
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 10.0, paths, controls)
+        assert len(lanes) == len(paths)
+        for path, lane in zip(paths, lanes):
+            alone = sl.integrate_pathwise(system, unit_start(), 0.0, 10.0, path, controls)
+            assert_same_run(lane, alone)
+            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 10.0, path, controls))
+        order = [3, 6, 0, 5, 1, 4, 2]
+        permuted = sl.integrate_pathwise_batch(
+            system, unit_start(), 0.0, 10.0, [paths[i] for i in order], controls
+        )
+        for i, lane in zip(order, permuted):
+            assert_same_run(lane, lanes[i])
+
+    def test_events_on_grid_nodes_and_lanes_without_events(self):
+        controls = sl.StepControls(dt=0.25)
+        paths = [
+            event_path([(0.25, 1, 0.4), (0.5, 1, -0.3), (1.75, 1, 0.2)], 2.0),
+            empty_path(2.0),
+            event_path([(2.0, 1, 0.5)], 2.0),  # a jump at T ends the run
+            event_path([(0.1, 1, 0.3)], 2.0),
+        ]
+        lanes = sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 2.0, paths, controls)
+        for path, lane in zip(paths, lanes):
+            assert_same_run(lane, scalar_pathwise(kubo(), unit_start(), 0.0, 2.0, path, controls))
+        assert np.count_nonzero(lanes[0].times == 0.5) == 2
+        assert len(lanes[1]) == 9
+        assert lanes[2].times[-2] == lanes[2].times[-1] == 2.0
+
+    def test_simultaneous_events_on_two_channels(self):
+        controls = sl.StepControls(dt=0.1)
+        paths = [
+            event_path([(0.3, 1, 0.5), (0.3, 2, -0.7), (0.6, 2, 0.4)], 1.0, channels=2),
+            event_path([(0.3, 2, 0.9), (0.45, 1, 0.2)], 1.0, channels=2),
+            event_path([(0.3, 1, 0.0), (0.6, 1, 0.25), (0.6, 1, 0.5)], 1.0, channels=2),
+            event_path([(0.3, 1, 0.6), (0.3, 2, 0.0)], 1.0, channels=2),
+        ]
+        system = two_channel()
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 1.0, paths, controls)
+        for path, lane in zip(paths, lanes):
+            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 1.0, path, controls))
+            assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 1.0, path, controls))
+
+    def test_evaluator_that_mixes_lanes_is_refused(self):
+        mixing = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: np.array([q[0]]), lambda p, q: 0.1 * q),
+            gamma=(lambda p, q: p, lambda p, q: 0.1 * p),
+            hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+        )
+        paths = [sampled(0, 1.0), sampled(1, 1.0)]
+        with pytest.raises(DomainError, match=r"sigma\[0\]"):
+            sl.integrate_pathwise_batch(
+                mixing, unit_start(), 0.0, 1.0, paths, sl.StepControls(dt=0.1)
+            )
+
+    def test_rejects_an_empty_batch(self):
+        with pytest.raises(DomainError):
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, [], sl.StepControls(dt=0.1))
+
+
+def run_error(system, paths, T, controls):
+    with pytest.raises((DivergenceError, NonConvergenceError)) as info:
+        sl.integrate_pathwise_batch(system, unit_start(), 0.0, T, paths, controls)
+    return info.value
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert got.step == want.step
+    assert getattr(got, "time", None) == getattr(want, "time", None)
+    assert type(got.__cause__) is type(want.__cause__)
+    if getattr(want, "partial", None) is None:
+        assert getattr(got, "partial", None) is None
+    else:
+        assert_same_run(got.partial, want.partial)
+
+
+class TestPathwiseLaneFailures:
+    def test_lowest_failing_lane_raises_its_own_divergence(self):
+        # P' = q, Q' = p grows like e^t and trips the 1e12 guard near
+        # t = 28; sigma_1 = -p^2 makes a huge mark overflow the jump flow.
+        blow = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: -q, lambda p, q: -(p * p)),
+            gamma=(lambda p, q: p, lambda p, q: 0.0 * p),
+            hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+        )
+        controls = sl.StepControls(dt=0.5)
+        paths = {
+            "drift": empty_path(40.0),
+            "early flow": event_path([(1.0, 1, 1e200)], 40.0),
+            "late flow": event_path([(5.25, 1, 1e200)], 40.0),
+            "drift after jumps": event_path([(2.0, 1, 1e-3), (3.3, 1, 1e-3)], 40.0),
+            "healthy": event_path([(0.7, 1, 1e-3)], 20.0),
+        }
+        T = 40.0
+        alone = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, path in paths.items():
+                if name != "healthy":
+                    alone[name] = run_error(blow, [path], T, controls)
+            assert isinstance(alone["drift"], DivergenceError)
+            assert alone["early flow"].partial.times[-1] == 1.0
+            orders = [
+                ["drift", "early flow", "late flow"],
+                ["late flow", "drift after jumps", "early flow"],
+                ["drift after jumps", "drift", "late flow"],
+                ["early flow", "late flow", "drift"],
+            ]
+            for order in orders:
+                got = run_error(blow, [paths[name] for name in order], T, controls)
+                assert_same_error(got, alone[order[0]])
+            healthy = sl.integrate_pathwise_batch(
+                blow, unit_start(), 0.0, 20.0, [paths["healthy"]] * 2, sl.StepControls(dt=0.5)
+            )
+            assert_same_run(healthy[0], healthy[1])
+
+    def test_post_jump_state_out_of_range_fails_its_lane(self):
+        # sigma_1 = -1 makes a jump add its mark to P: a finite post-jump
+        # state beyond the divergence limit trips the guard at the jump
+        kick = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: 0.0 * q, lambda p, q: 0.0 * p - 1.0),
+            gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.0 * p),
+            hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+        )
+        controls = sl.StepControls(dt=0.25)
+        paths = [
+            event_path([(0.3, 1, 0.5), (1.6, 1, 3e12)], 2.0),
+            event_path([(0.5, 1, 2e12)], 2.0),
+            event_path([(0.9, 1, 0.5)], 2.0),
+        ]
+        first, second = (run_error(kick, [path], 2.0, controls) for path in paths[:2])
+        assert (first.time, first.step) == (1.6, 8)
+        assert (second.time, second.step) == (0.5, 2)
+        for order, want in (([0, 1, 2], first), ([1, 0], second), ([2, 1, 0], second)):
+            got = run_error(kick, [paths[i] for i in order], 2.0, controls)
+            assert_same_error(got, want)
+
+    def test_lowest_failing_lane_raises_its_own_non_convergence(self):
+        # sigma_0 = 30 p + q: the fixed-point sweep contracts only for
+        # dt < 1/30, so a lane stalls at its first full-size drift step
+        stiff = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: 30.0 * p + q, lambda p, q: 0.1 * q),
+            gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.1 * p),
+            hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+        )
+        controls = sl.StepControls(dt=0.1)
+        paths = [
+            empty_path(1.0),
+            event_path([(0.01, 1, 0.3)], 1.0),
+            event_path([(0.02, 1, 0.3), (0.04, 1, -0.2)], 1.0),
+        ]
+        alone = [run_error(stiff, [path], 1.0, controls) for path in paths]
+        assert [err.step for err in alone] == [0, 1, 2]
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0], [2, 0]):
+            got = run_error(stiff, [paths[i] for i in order], 1.0, controls)
+            assert_same_error(got, alone[order[0]])
+            assert got.residual == alone[order[0]].residual
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    dt=st.floats(0.01, 0.5),
+    anharmonic_drift=st.booleans(),
+)
+def test_every_lane_equals_its_path_alone(seeds, dt, anharmonic_drift):
+    system = anharmonic() if anharmonic_drift else kubo()
+    controls = sl.StepControls(dt=dt)
+    paths = [sampled(seed, 3.0) for seed in seeds]
+    lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 3.0, paths, controls)
+    for path, lane in zip(paths, lanes):
+        assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 3.0, path, controls))
+        assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 3.0, path, controls))

@@ -13,6 +13,7 @@ from symplevy import (
     kubo_jump_closed_form,
     kubo_system,
 )
+from symplevy.marcus import _flow_raw
 
 PARAMS = KuboParams(alpha=0.1, beta=0.1)
 SYSTEM = kubo_system(PARAMS)
@@ -163,3 +164,31 @@ def test_closed_form_examples():
     half_turn = kubo_jump_closed_form(PARAMS, st, math.pi / PARAMS.beta)
     assert half_turn.p[0] == pytest.approx(-st.p[0], abs=1e-12)
     assert half_turn.q[0] == pytest.approx(-st.q[0], abs=1e-12)
+
+
+def test_lane_flow_equals_each_lane_alone():
+    # lanes drive different channel sets (one, both, none); channel 2's
+    # field is undefined where Q < 0, which a lane that drives only
+    # channel 1 never evaluates; one lane overflows and is reported with
+    # its substep, the others are the single-state flows bit for bit
+    two = HamiltonianSystem(
+        n=1,
+        m=2,
+        sigma=(lambda p, q: 0.0 * q, lambda p, q: -(p * p), lambda p, q: 0.2 * np.sqrt(q)),
+        gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.3 * p, lambda p, q: 0.2 * q),
+        hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0, lambda p, q: 0.0),
+    )
+    p = np.array([[0.5], [0.4], [1e160], [0.3], [-0.2], [0.2]])
+    q = np.array([[0.1], [0.7], [0.0], [0.9], [0.6], [-0.5]])
+    marks = np.array([[0.8, 0.0], [0.5, -0.4], [1.0, 0.0], [0.0, 0.0], [0.0, 1.1], [0.5, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_p, out_q, failed = _flow_raw(two, p, q, marks, 8)
+        with pytest.raises(DivergenceError) as info:
+            jump_flow(two, PhaseState(p[2], q[2]), marks[2], substeps=8)
+    assert failed[2] == info.value.step
+    fine = [0, 1, 3, 4, 5]
+    assert list(failed[fine]) == [-1] * len(fine)
+    for i in fine:
+        alone = jump_flow(two, PhaseState(p[i], q[i]), marks[i], substeps=8)
+        assert out_p[i, 0] == alone.p[0] and out_q[i, 0] == alone.q[0]
+    assert out_p[3, 0] == p[3, 0] and out_q[3, 0] == q[3, 0]
