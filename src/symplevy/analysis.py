@@ -17,8 +17,8 @@ import numpy as np
 
 from ._csv import fmt, write_csv
 from .errors import DomainError
-from .hamiltonian import PhaseState, hamiltonian_value
-from .integrators import explicit_euler_step, symplectic_euler_step
+from .hamiltonian import _hamiltonian_lanes
+from .integrators import _one_step
 
 __all__ = [
     "OrderFit",
@@ -102,39 +102,29 @@ def reference_residual(fit, slope=0.5):
 
 def hamiltonian_series(system, trajectory, r=None):
     """Energy along a trajectory as an (N, 2) array of (time, value)."""
-    out = np.empty((len(trajectory), 2))
-    for j in range(len(trajectory)):
-        out[j, 0] = trajectory.times[j]
-        out[j, 1] = hamiltonian_value(system, r, trajectory.state(j))
-    return out
-
-
-def _apply_step(system, scheme, state, dt, dL, controls):
-    if scheme == "symplectic":
-        return symplectic_euler_step(system, state, dt, dL, controls)
-    if scheme == "explicit":
-        return explicit_euler_step(system, state, dt, dL, controls)
-    raise DomainError(f"scheme must be 'symplectic' or 'explicit', got {scheme!r}")
+    values = _hamiltonian_lanes(system, r, trajectory.ps, trajectory.qs)
+    return np.column_stack([trajectory.times, values])
 
 
 def one_step_jacobian(system, scheme, state, dt, dL, controls, step=FD_STEP):
     """Central finite-difference Jacobian of one step of a scheme.
 
     Coordinates are ordered (p_1..p_n, q_1..q_n); column k differentiates
-    with respect to the k-th coordinate of the input state.
+    with respect to the k-th coordinate of the input state. The 2n
+    perturbed states take one step together, as lanes.
     """
     x0 = state.as_vector()
     dim = x0.size
-    jac = np.empty((dim, dim))
-    for k in range(dim):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[k] += step
-        xm[k] -= step
-        sp = _apply_step(system, scheme, PhaseState.from_vector(xp), dt, dL, controls)
-        sm = _apply_step(system, scheme, PhaseState.from_vector(xm), dt, dL, controls)
-        jac[:, k] = (sp.as_vector() - sm.as_vector()) / (2.0 * step)
-    return jac
+    # lanes 2k and 2k + 1 move coordinate k by +step and -step
+    x = np.tile(x0, (2 * dim, 1))
+    k = np.arange(dim)
+    x[2 * k, k] += step
+    x[2 * k + 1, k] -= step
+    p, q = _one_step(system, scheme, x[:, : dim // 2], x[:, dim // 2 :], dt, dL, controls)
+    out = np.hstack([p, q])
+    if not np.isfinite(out).all():
+        raise DomainError("phase-space entries must be finite")
+    return ((out[0::2] - out[1::2]) / (2.0 * step)).T
 
 
 def symplectic_defect(jacobian):

@@ -48,8 +48,9 @@ from .analysis import (
     write_order_fit_csv,
 )
 from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
-from .hamiltonian import KuboParams, PhaseState, kubo_exact, kubo_system
+from .hamiltonian import KuboParams, PhaseState, _kubo_rotation, kubo_exact, kubo_system
 from .integrators import (
+    MAX_GRID_STEPS,
     StepControls,
     Trajectory,
     integrate_fixed_grid,
@@ -226,10 +227,9 @@ def _levels(path, times):
 
 
 def _exact_trajectory(params, path, times):
-    states = [
-        kubo_exact(params, _START, float(t), level) for t, level in zip(times, _levels(path, times))
-    ]
-    return Trajectory(times, [s.p for s in states], [s.q for s in states], "exact")
+    levels = np.array(_levels(path, times))[:, None]
+    p, q = _kubo_rotation(params, _START.p, _START.q, times[:, None], levels)
+    return Trajectory(times, p, q, "exact")
 
 
 def _fixed_grid_runs(settings):
@@ -306,21 +306,37 @@ def _cell_seed(seed, dt_index, sample_index):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _end_error(settings, params, system, dt_index, dt):
-    """RMS end-state error of one dt's samples against the exact solution."""
+def _end_differences(settings, params, system, paths, controls):
+    """Final state minus exact final state of each path, in path order."""
     T = settings["T"]
-    controls = StepControls(dt=dt)
-    seeds = [_cell_seed(settings["seed"], dt_index, s) for s in range(settings["samples"])]
-    paths = [_sample(settings, T, seed) for seed in seeds]
     if settings["scheme"] == "symplectic":
         trajs = integrate_pathwise_batch(system, _START, 0.0, T, paths, controls)
     else:
-        trajs = [
-            integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, controls)
-            for path in paths
-        ]
+        trajs = [integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, controls) for path in paths]
     refs = [kubo_exact(params, _START, T, increment(path, 1, 0.0, T)) for path in paths]
-    diffs = [traj.final_state().as_vector() - ref.as_vector() for traj, ref in zip(trajs, refs)]
+    return [traj.final_state().as_vector() - ref.as_vector() for traj, ref in zip(trajs, refs)]
+
+
+def _end_error(settings, params, system, dt_index, dt):
+    """RMS end-state error of one dt's samples against the exact solution.
+
+    Samples run in consecutive chunks of at most MAX_GRID_STEPS estimated
+    record rows (at least one path each), so memory does not grow with
+    the sample count; only final-state differences are kept.
+    """
+    T = settings["T"]
+    controls = StepControls(dt=dt)
+    diffs, chunk, rows = [], [], 0.0
+    for s in range(settings["samples"]):
+        path = _sample(settings, T, _cell_seed(settings["seed"], dt_index, s))
+        # drift rows, a pre-jump and a post-jump row per event, and the ends
+        lane_rows = np.ceil(T / dt) + 2 * len(path) + 2
+        if chunk and rows + lane_rows > MAX_GRID_STEPS:
+            diffs += _end_differences(settings, params, system, chunk, controls)
+            chunk, rows = [], 0.0
+        chunk.append(path)
+        rows += lane_rows
+    diffs += _end_differences(settings, params, system, chunk, controls)
     return ms_error(diffs)
 
 

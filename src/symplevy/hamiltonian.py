@@ -75,6 +75,11 @@ class PhaseState:
 class HamiltonianSystem:
     """Coefficient evaluators sigma_r, gamma_r and Hamiltonians H_r, r = 0..m.
 
+    Every evaluator takes lanes: p and q are (B, n) arrays, one state per
+    row, and a single state is B = 1. Row b of a result may depend only
+    on row b of p and q, as in elementwise numpy expressions such as
+    ``lambda p, q: alpha * q``; a wrong result shape raises DomainError.
+
     Parameters
     ----------
     n : int
@@ -82,19 +87,14 @@ class HamiltonianSystem:
     m : int
         Noise channel count (entries 1..m of the evaluator tuples).
     sigma, gamma : tuple of callables
-        Each maps (p, q) arrays of length n to an array of length n;
-        sigma[r] must be dH_r/dQ and gamma[r] must be dH_r/dP. The
-        jump-adapted driver and the jump flow evaluate many paths at
-        once, so each must also map (B, n) lane arrays to a (B, n)
-        array whose row b depends only on row b of p and q. Elementwise
-        numpy expressions such as ``lambda p, q: alpha * q`` do both;
-        indexing such as ``q[0]`` does neither and is refused by
-        ``integrate_pathwise_batch`` with DomainError.
+        Each maps (B, n) to (B, n); sigma[r] must be dH_r/dQ and
+        gamma[r] must be dH_r/dP.
     hamiltonians : tuple of callables
-        Each maps (p, q) to a float.
+        Each maps (B, n) to (B,).
     monitored : callable or None
-        Optional scalar invariant reported by the analysis module when
-        no index is given (the Kubo system monitors (P^2+Q^2)/2).
+        Optional invariant, (B, n) to (B,), reported by the analysis
+        module when no index is given (the Kubo system monitors
+        (P^2+Q^2)/2).
     """
 
     n: int
@@ -105,9 +105,9 @@ class HamiltonianSystem:
     monitored: object = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (type(self.n) is int and self.n >= 1):
             raise InvalidSpecError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.m, int) and self.m >= 0):
+        if not (type(self.m) is int and self.m >= 0):
             raise InvalidSpecError(f"m must be an integer >= 0, got {self.m!r}")
         for name, evaluators in (("sigma", self.sigma), ("gamma", self.gamma), ("hamiltonians", self.hamiltonians)):
             if len(evaluators) != self.m + 1:
@@ -145,23 +145,27 @@ def kubo_system(params):
     alpha = float(params.alpha)
     beta = float(params.beta)
 
-    def h0(p, q):
-        return 0.5 * alpha * (float(p[0]) ** 2 + float(q[0]) ** 2)
-
-    def h1(p, q):
-        return 0.5 * beta * (float(p[0]) ** 2 + float(q[0]) ** 2)
-
-    def energy(p, q):
-        return 0.5 * (float(p[0]) ** 2 + float(q[0]) ** 2)
+    def radius2(p, q):
+        # float_power is C pow, which rounds like float(x) ** 2; x * x and
+        # x ** 2 differ from it in the last bit on some doubles
+        return np.float_power(p[:, 0], 2.0) + np.float_power(q[:, 0], 2.0)
 
     return HamiltonianSystem(
         n=1,
         m=1,
         sigma=(lambda p, q: alpha * q, lambda p, q: beta * q),
         gamma=(lambda p, q: alpha * p, lambda p, q: beta * p),
-        hamiltonians=(h0, h1),
-        monitored=energy,
+        hamiltonians=(lambda p, q: 0.5 * alpha * radius2(p, q),
+                      lambda p, q: 0.5 * beta * radius2(p, q)),
+        monitored=lambda p, q: 0.5 * radius2(p, q),
     )
+
+
+def _kubo_rotation(params, p, q, t, L_t):
+    """(p, q) rotated by alpha*t + beta*L_t; t and L_t may be (B, 1) columns for (B, n) lanes."""
+    theta = params.alpha * t + params.beta * L_t
+    c, s = np.cos(theta), np.sin(theta)
+    return p * c - q * s, p * s + q * c
 
 
 def kubo_exact(params, initial, t, L_t):
@@ -171,23 +175,29 @@ def kubo_exact(params, initial, t, L_t):
     The rotation preserves p^2 + q^2 exactly, which is what makes this
     the oracle for energy and convergence tests.
     """
-    theta = params.alpha * t + params.beta * L_t
-    c = math.cos(theta)
-    s = math.sin(theta)
-    p = initial.p
-    q = initial.q
-    return PhaseState(p * c - q * s, p * s + q * c)
+    return PhaseState(*_kubo_rotation(params, initial.p, initial.q, t, L_t))
+
+
+def _hamiltonian_lanes(system, r, p, q):
+    """H_r, or the monitored invariant for r = None, at each row of (B, n) lanes, as (B,)."""
+    if r is None:
+        if system.monitored is None:
+            raise DomainError("system registers no monitored invariant")
+        evaluate = system.monitored
+    elif isinstance(r, int) and 0 <= r <= system.m:
+        evaluate = system.hamiltonians[r]
+    else:
+        raise DomainError(f"Hamiltonian index {r!r} outside 0..{system.m}")
+    values = np.asarray(evaluate(p, q), dtype=float)
+    if values.shape != (len(p),):
+        raise DomainError(f"Hamiltonian evaluators must map (B, n) lanes to (B,), got "
+                          f"shape {values.shape} from lanes of shape {p.shape}")
+    return values
 
 
 def hamiltonian_value(system, r, state):
     """Evaluate H_r at a state; r = None selects the monitored invariant."""
-    if r is None:
-        if system.monitored is None:
-            raise DomainError("system registers no monitored invariant")
-        return float(system.monitored(state.p, state.q))
-    if not (isinstance(r, int) and 0 <= r <= system.m):
-        raise DomainError(f"Hamiltonian index {r!r} outside 0..{system.m}")
-    return float(system.hamiltonians[r](state.p, state.q))
+    return float(_hamiltonian_lanes(system, r, state.p[None], state.q[None])[0])
 
 
 def gradient_defect(system, state, step=1e-5):
@@ -198,20 +208,20 @@ def gradient_defect(system, state, step=1e-5):
     every r; the relative scale is max(1, |coefficient|) so states with
     vanishing gradients do not inflate the measure.
     """
-    p = np.asarray(state.p, dtype=float)
-    q = np.asarray(state.q, dtype=float)
+    p = np.asarray(state.p, dtype=float)[None]
+    q = np.asarray(state.q, dtype=float)[None]
     worst = 0.0
     for r in range(system.m + 1):
-        h = system.hamiltonians[r]
-        sig = np.asarray(system.sigma[r](p, q), dtype=float)
-        gam = np.asarray(system.gamma[r](p, q), dtype=float)
+        sig = np.asarray(system.sigma[r](p, q), dtype=float)[0]
+        gam = np.asarray(system.gamma[r](p, q), dtype=float)[0]
         for i in range(system.n):
-            dq = np.zeros(system.n)
-            dq[i] = step
-            fd_q = (h(p, q + dq) - h(p, q - dq)) / (2.0 * step)
-            dp = np.zeros(system.n)
-            dp[i] = step
-            fd_p = (h(p + dp, q) - h(p - dp, q)) / (2.0 * step)
+            d = np.zeros((1, system.n))
+            d[0, i] = step
+            h = _hamiltonian_lanes(
+                system, r, np.concatenate([p, p, p + d, p - d]), np.concatenate([q + d, q - d, q, q])
+            )
+            fd_q = (h[0] - h[1]) / (2.0 * step)
+            fd_p = (h[2] - h[3]) / (2.0 * step)
             worst = max(worst, abs(fd_q - sig[i]) / max(1.0, abs(sig[i])))
             worst = max(worst, abs(fd_p - gam[i]) / max(1.0, abs(gam[i])))
     return worst

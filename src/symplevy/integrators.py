@@ -9,6 +9,11 @@ Two one-step maps act on a HamiltonianSystem state:
 * ``explicit_euler_step``: both updates evaluated at the current state;
   cheap, not symplectic, used as the comparison scheme.
 
+Both maps run in one lane kernel that steps (B, n) state arrays, one
+state per row; a single state is B = 1. The public steps, every step
+of both drivers and ``analysis.one_step_jacobian`` call it, so each
+row is the single-state map bit for bit.
+
 Two drivers build trajectories on noise realizations:
 
 * ``integrate_fixed_grid``: uniform grid with the final step truncated
@@ -75,18 +80,15 @@ class StepControls:
     jump_substeps: int = DEFAULT_SUBSTEPS
 
     def __post_init__(self):
-        if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0):
-            raise InvalidSpecError(f"dt must be a finite positive number, got {self.dt!r}")
-        if not (math.isfinite(self.implicit_tol) and self.implicit_tol > 0):
-            raise InvalidSpecError(f"implicit_tol must be positive, got {self.implicit_tol!r}")
-        if not (isinstance(self.implicit_max_iters, int) and self.implicit_max_iters >= 1):
-            raise InvalidSpecError(
-                f"implicit_max_iters must be an integer >= 1, got {self.implicit_max_iters!r}"
-            )
-        if not (isinstance(self.jump_substeps, int) and self.jump_substeps >= 1):
-            raise InvalidSpecError(
-                f"jump_substeps must be an integer >= 1, got {self.jump_substeps!r}"
-            )
+        for name in ("dt", "implicit_tol"):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and value > 0):
+                raise InvalidSpecError(f"{name} must be a finite positive number, got {value!r}")
+        for name in ("implicit_max_iters", "jump_substeps"):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= 1):
+                raise InvalidSpecError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,13 +140,6 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _check_dl(system, dL):
-    dL = np.atleast_1d(np.asarray(dL, dtype=float))
-    if dL.shape != (system.m,):
-        raise DomainError(f"dL must have length m={system.m}, got shape {dL.shape}")
-    return dL
-
-
 def _stalled(residual, max_iters):
     return NonConvergenceError(
         f"implicit momentum solve stalled at residual {residual:.3e} after {max_iters} iterations",
@@ -152,39 +147,77 @@ def _stalled(residual, max_iters):
     )
 
 
-def _symplectic_raw(system, p0, q0, dt, dL, tol, max_iters):
-    # Fixed-point iteration for the implicit momentum equation, seeded
-    # at p0. The update residual equals the equation residual at the
-    # previous iterate, so convergence is declared when an update moves
-    # by at most tol in the max norm.
-    sigma0 = system.sigma[0]
-    p = p0
-    residual = math.inf
-    for _ in range(max_iters):
-        rhs = p0 - sigma0(p, q0) * dt
-        for r in range(1, system.m + 1):
-            if dL[r - 1] != 0.0:
-                rhs = rhs - system.sigma[r](p, q0) * dL[r - 1]
-        residual = float(np.abs(rhs - p).max())
-        p = rhs
-        if residual <= tol:
-            break
+def _step_lanes(system, scheme, p0, q0, dt, dl, tol, max_iters):
+    """One step of `scheme` on (B, n) lanes: (p, q, stalled).
+
+    dt is a (B, 1) array of steps and dl a (B, m) array of increments,
+    or None for a pure drift. A channel's term is skipped only when its
+    increment is zero on every lane, so one lane, lanes sharing one dl
+    and lanes with nonzero increments each get the single-state map bit
+    for bit. The momentum solve is a fixed-point iteration seeded at p0
+    whose update residual is the equation residual at the previous
+    iterate; each lane stops at the first update of max-norm <= tol, as
+    it would alone. stalled is None, or the ascending indices and last
+    residuals of the lanes still moving after max_iters sweeps.
+    """
+    sigma, gamma = system.sigma, system.gamma
+    terms = [] if dl is None else [
+        (r, dl[:, r - 1 : r]) for r in range(1, system.m + 1) if dl[:, r - 1].any()
+    ]
+    stalled = None
+    if scheme == "explicit":
+        p = p0 - sigma[0](p0, q0) * dt
+        for r, d in terms:
+            p = p - sigma[r](p0, q0) * d
+        at = p0
     else:
-        raise _stalled(residual, max_iters)
-    q = q0 + system.gamma[0](p, q0) * dt
-    for r in range(1, system.m + 1):
-        if dL[r - 1] != 0.0:
-            q = q + system.gamma[r](p, q0) * dL[r - 1]
-    return p, q
+        p = p0
+        pa, qa, dta, live = p0, q0, dt, terms  # the lanes still iterating
+        settled = left = None
+        for _ in range(max_iters):
+            rhs = pa - sigma[0](p, qa) * dta
+            for r, d in live:
+                rhs = rhs - sigma[r](p, qa) * d
+            diff = np.abs(rhs - p)
+            p = rhs
+            if diff.max() <= tol:
+                break
+            if len(p) > 1:
+                done = diff.max(axis=1) <= tol
+                if done.any():
+                    if settled is None:
+                        settled = np.empty_like(p0)
+                        left = np.arange(len(p0))
+                    settled[left[done]] = p[done]
+                    keep = ~done
+                    left, p, pa, qa, dta = left[keep], p[keep], pa[keep], qa[keep], dta[keep]
+                    live = [(r, d[keep]) for r, d in live]
+        else:
+            stalled = (np.arange(len(p)) if left is None else left, diff.max(axis=1))
+        if settled is not None:
+            settled[left] = p
+            p = settled
+        at = p
+    q = q0 + gamma[0](at, q0) * dt
+    for r, d in terms:
+        q = q + gamma[r](at, q0) * d
+    return p, q, stalled
 
 
-def _explicit_raw(system, p0, q0, dt, dL):
-    p = p0 - system.sigma[0](p0, q0) * dt
-    q = q0 + system.gamma[0](p0, q0) * dt
-    for r in range(1, system.m + 1):
-        if dL[r - 1] != 0.0:
-            p = p - system.sigma[r](p0, q0) * dL[r - 1]
-            q = q + system.gamma[r](p0, q0) * dL[r - 1]
+def _one_step(system, scheme, p, q, dt, dL, controls):
+    """`scheme` from (B, n) lanes sharing dt and dL; a stall raises the lowest stalled lane's."""
+    if scheme not in _SCHEMES:
+        raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    if dt < 0:
+        raise DomainError(f"dt must be >= 0, got {dt}")
+    dL = np.atleast_1d(np.asarray(dL, dtype=float))
+    if dL.shape != (system.m,):
+        raise DomainError(f"dL must have length m={system.m}, got shape {dL.shape}")
+    lanes = len(p)
+    p, q, stalled = _step_lanes(system, scheme, p, q, np.full((lanes, 1), dt), np.tile(dL, (lanes, 1)),
+                                controls.implicit_tol, controls.implicit_max_iters)
+    if stalled is not None:
+        raise _stalled(float(stalled[1][0]), controls.implicit_max_iters)
     return p, q
 
 
@@ -195,22 +228,14 @@ def symplectic_euler_step(system, state, dt, dL, controls):
     fixed-point iteration to controls.implicit_tol in the max norm, then
     sets Q1 = Q0 + gamma_0(P1,Q0) dt + sum_r gamma_r(P1,Q0) dL_r.
     """
-    if dt < 0:
-        raise DomainError(f"dt must be >= 0, got {dt}")
-    dL = _check_dl(system, dL)
-    p, q = _symplectic_raw(
-        system, state.p, state.q, dt, dL, controls.implicit_tol, controls.implicit_max_iters
-    )
-    return PhaseState(p, q)
+    p, q = _one_step(system, "symplectic", state.p[None], state.q[None], dt, dL, controls)
+    return PhaseState(p[0], q[0])
 
 
 def explicit_euler_step(system, state, dt, dL, controls):
     """Explicit Euler step: both updates evaluated at (P0, Q0)."""
-    if dt < 0:
-        raise DomainError(f"dt must be >= 0, got {dt}")
-    dL = _check_dl(system, dL)
-    p, q = _explicit_raw(system, state.p, state.q, dt, dL)
-    return PhaseState(p, q)
+    p, q = _one_step(system, "explicit", state.p[None], state.q[None], dt, dL, controls)
+    return PhaseState(p[0], q[0])
 
 
 def _grid_times(t0, T, dt):
@@ -281,27 +306,25 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     _validate_run(system, initial, t0, T, path)
     times = _grid_times(float(t0), float(T), controls.dt)
     n_steps = times.size - 1
-    dls = np.zeros((system.m, max(n_steps, 1)))
+    dls = np.zeros((max(n_steps, 1), system.m))
     if n_steps > 0:
         for r in range(1, system.m + 1):
-            dls[r - 1] = grid_increments(path, r, times)
+            dls[:, r - 1] = grid_increments(path, r, times)
+    steps = np.diff(times)[:, None]
+    moving = dls.any(axis=1).tolist()  # a step without increments is a pure drift
     ps = np.empty((times.size, system.n))
     qs = np.empty((times.size, system.n))
-    p, q = initial.p, initial.q
-    ps[0], qs[0] = p, q
+    ps[0], qs[0] = initial.p, initial.q
+    p, q = ps[:1], qs[:1]
+    tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
     for j in range(n_steps):
-        dtj = times[j + 1] - times[j]
-        try:
-            if scheme == "symplectic":
-                p, q = _symplectic_raw(
-                    system, p, q, dtj, dls[:, j], controls.implicit_tol, controls.implicit_max_iters
-                )
-            else:
-                p, q = _explicit_raw(system, p, q, dtj, dls[:, j])
-        except NonConvergenceError as err:
+        dl = dls[j : j + 1] if moving[j] else None
+        p, q, stalled = _step_lanes(system, scheme, p, q, steps[j : j + 1], dl, tol, max_iters)
+        if stalled is not None:
+            inner = _stalled(float(stalled[1][0]), max_iters)
             raise NonConvergenceError(
-                f"step {j} (t={times[j]:g}): {err}", residual=err.residual, step=j
-            ) from err
+                f"step {j} (t={times[j]:g}): {inner}", residual=inner.residual, step=j
+            ) from inner
         if not _in_range(p, q):
             partial = Trajectory(times[: j + 1], ps[: j + 1], qs[: j + 1], scheme)
             raise _diverged(j, times[j + 1], partial)
@@ -359,44 +382,6 @@ def _lane_grid(system, path, t0, T, dt):
             pieces.append(np.array([end]))
         start = end
     return np.concatenate(pieces), ticks, marks
-
-
-def _drift_lanes(system, p0, q0, dt, tol, max_iters):
-    """The symplectic Euler map with dL = 0 on (B, n) lanes.
-
-    Each lane stops its fixed-point iteration at the sweep where
-    _symplectic_raw would stop on that lane alone, so every row is the
-    single-state result bit for bit. Returns (p, q, stalled): stalled is
-    None, or the indices and residuals of the lanes that did not settle.
-    """
-    sigma0 = system.sigma[0]
-    p = p0
-    pa, qa, dta = p0, q0, dt  # the lanes still iterating
-    settled = None
-    left = None
-    stalled = None
-    for _ in range(max_iters):
-        rhs = pa - sigma0(p, qa) * dta
-        diff = np.abs(rhs - p)
-        p = rhs
-        if diff.max() <= tol:
-            break
-        if len(p) > 1:
-            done = diff.max(axis=1) <= tol
-            if done.any():
-                if settled is None:
-                    settled = np.empty_like(p0)
-                    left = np.arange(len(p0))
-                settled[left[done]] = p[done]
-                keep = ~done
-                left, p, pa, qa, dta = left[keep], p[keep], pa[keep], qa[keep], dta[keep]
-    else:
-        stalled = (np.arange(len(p)) if left is None else left, diff.max(axis=1))
-    if settled is not None:
-        settled[left] = p
-        p = settled
-    q = q0 + system.gamma[0](p, q0) * dt
-    return p, q, stalled
 
 
 class _Record:
@@ -490,9 +475,8 @@ def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures):
             p, q = p[:c], q[:c]
         live = rows[:c]
         live += 1
-        p, q, stalled = _drift_lanes(
-            system, p, q, rec.steps[live], controls.implicit_tol, controls.implicit_max_iters
-        )
+        p, q, stalled = _step_lanes(system, "symplectic", p, q, rec.steps[live], None,
+                                    controls.implicit_tol, controls.implicit_max_iters)
         if stalled is not None or not _in_range(p, q):
             bad = ~_lanes_in_range(p, q)
             if stalled is not None:

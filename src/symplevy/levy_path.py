@@ -85,9 +85,9 @@ class LevyPathSpec:
             raise InvalidSpecError(f"rate must be >= 0, got {self.rate}")
         if self.mark_sigma < 0:
             raise InvalidSpecError(f"mark_sigma must be >= 0, got {self.mark_sigma}")
-        if not isinstance(self.noise_count, int) or self.noise_count < 1:
+        if type(self.noise_count) is not int or self.noise_count < 1:
             raise InvalidSpecError(f"noise_count must be an integer >= 1, got {self.noise_count!r}")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise InvalidSpecError(f"seed must be an integer, got {self.seed!r}")
 
 

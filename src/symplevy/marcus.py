@@ -24,12 +24,10 @@ paths in one call; ``jump_flow`` is the one-lane case.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .hamiltonian import PhaseState
+from .hamiltonian import PhaseState, _kubo_rotation
 
 __all__ = ["jump_flow", "kubo_jump_closed_form"]
 
@@ -138,7 +136,7 @@ def jump_flow(system, state, marks, substeps=DEFAULT_SUBSTEPS):
     PhaseState
         xi(1), the post-jump state.
     """
-    if not (isinstance(substeps, int) and substeps >= 1):
+    if not (type(substeps) is int and substeps >= 1):
         raise DomainError(f"substeps must be an integer >= 1, got {substeps!r}")
     marks = np.atleast_1d(np.asarray(marks, dtype=float))
     if marks.shape != (system.m,):
@@ -157,7 +155,4 @@ def kubo_jump_closed_form(params, state, mark):
     Serves as the oracle for jump_flow on the Kubo system, where the
     jump field is the rotation generator scaled by beta.
     """
-    theta = params.beta * mark
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return PhaseState(state.p * c - state.q * s, state.p * s + state.q * c)
+    return PhaseState(*_kubo_rotation(params, state.p, state.q, 0.0, mark))

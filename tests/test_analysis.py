@@ -8,7 +8,7 @@ import pytest
 
 import symplevy as sl
 from symplevy.analysis import FD_STEP
-from symplevy.errors import DomainError
+from symplevy.errors import DomainError, NonConvergenceError
 
 
 KUBO = sl.KuboParams(alpha=0.1, beta=0.1)
@@ -128,6 +128,18 @@ class TestHamiltonianSeries:
         assert series0[0, 1] == pytest.approx(0.1 * 2.5, abs=1e-15)
         assert series1[0, 1] == pytest.approx(0.1 * 2.5, abs=1e-15)
 
+    def test_equals_per_row_hamiltonian_value(self):
+        path = sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=4), 20.0)
+        traj = sl.integrate_fixed_grid(
+            kubo(), "explicit", sl.PhaseState([0.0], [1.0]), 0.0, 20.0, path,
+            sl.StepControls(dt=0.08),
+        )
+        for r in (None, 0, 1):
+            series = sl.hamiltonian_series(kubo(), traj, r)
+            rows = [sl.hamiltonian_value(kubo(), r, traj.state(j)) for j in range(len(traj))]
+            assert np.array_equal(series[:, 0], traj.times)
+            assert np.array_equal(series[:, 1], rows)
+
     def test_monitored_energy_grows_along_explicit_run(self):
         path = sl.LevyPath(
             spec=sl.LevyPathSpec(rate=0.0, mark_sigma=0.0), horizon=20.0, events=()
@@ -140,7 +152,74 @@ class TestHamiltonianSeries:
         assert np.all(np.diff(series[:, 1]) > 0)
 
 
+def anharmonic():
+    # sigma_0 depends on p, so the implicit solve takes a state-dependent
+    # number of sweeps and the perturbed lanes stop at different sweeps
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: 0.3 * q * (p * p + q * q), lambda p, q: 0.1 * q),
+        gamma=(lambda p, q: 0.3 * p * (p * p + q * q), lambda p, q: 0.1 * p),
+        hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
+    )
+
+
+def column_jacobian(system, scheme, state, dt, dL, controls, step=FD_STEP):
+    """The Jacobian one perturbed state at a time through the public steps."""
+    one_step = sl.symplectic_euler_step if scheme == "symplectic" else sl.explicit_euler_step
+    x0 = state.as_vector()
+    jac = np.empty((x0.size, x0.size))
+    for k in range(x0.size):
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[k] += step
+        xm[k] -= step
+        sp = one_step(system, sl.PhaseState.from_vector(xp), dt, dL, controls)
+        sm = one_step(system, sl.PhaseState.from_vector(xm), dt, dL, controls)
+        jac[:, k] = (sp.as_vector() - sm.as_vector()) / (2.0 * step)
+    return jac
+
+
 class TestOneStepJacobian:
+    @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
+    @pytest.mark.parametrize("system", [kubo(), anharmonic()], ids=["kubo", "anharmonic"])
+    def test_equals_column_by_column_public_steps(self, system, scheme):
+        controls = sl.StepControls(dt=1.0)
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            state = sl.PhaseState([rng.uniform(-2, 2)], [rng.uniform(-2, 2)])
+            dt = rng.uniform(0.0, 0.1)
+            dl = np.array([rng.choice([0.0, rng.uniform(-1, 1)])])
+            jac = sl.one_step_jacobian(system, scheme, state, dt, dl, controls)
+            assert np.array_equal(jac, column_jacobian(system, scheme, state, dt, dl, controls))
+
+    def test_stall_is_the_first_failing_column_error(self):
+        # The sweep expands only off q = 0.7: the +q and -q perturbed
+        # states (columns 2 and 3 of the old column order, after +p and
+        # -p) stall with different residuals, and the +q one comes first.
+        stiff = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: np.where(np.abs(q - 0.7) > 5e-7, 30.0 * p + q, 0.1 * p),
+                   lambda p, q: 0.1 * q),
+            gamma=(lambda p, q: 0.1 * p, lambda p, q: 0.1 * p),
+            hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
+        )
+        controls = sl.StepControls(dt=0.1)
+        state = sl.PhaseState([0.4], [0.7])
+        errors = []
+        for q in (0.7 + FD_STEP, 0.7 - FD_STEP):
+            with pytest.raises(NonConvergenceError) as info:
+                sl.symplectic_euler_step(stiff, sl.PhaseState([0.4], [q]), 0.1, [0.2], controls)
+            errors.append(info.value)
+        assert errors[0].residual != errors[1].residual
+        with pytest.raises(NonConvergenceError) as info:
+            column_jacobian(stiff, "symplectic", state, 0.1, [0.2], controls)
+        assert (str(info.value), info.value.residual) == (str(errors[0]), errors[0].residual)
+        with pytest.raises(NonConvergenceError) as info:
+            sl.one_step_jacobian(stiff, "symplectic", state, 0.1, [0.2], controls)
+        assert (str(info.value), info.value.residual) == (str(errors[0]), errors[0].residual)
+
     def test_zero_step_gives_identity(self):
         controls = sl.StepControls(dt=0.1)
         state = sl.PhaseState([0.4], [-0.2])

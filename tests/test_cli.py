@@ -341,6 +341,34 @@ class TestConverge:
         slope = float(capsys.readouterr().out.split("slope=")[1].split()[0])
         assert 0.9 < slope < 1.1
 
+    @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
+    def test_samples_run_in_chunks_under_the_row_budget(self, tmp_path, capsys, monkeypatch, scheme):
+        argv = ["converge", "--samples", 7, "--dts", "0.2,0.1,0.05", "--T", 2, "--scheme", scheme,
+                "--seed", 3, "--out-dir"]
+        assert run_cli(argv + [tmp_path / "whole"]) == 0
+        whole = capsys.readouterr().out.splitlines()[1:]
+        chunks = []
+        real = cli._end_differences
+
+        def spy(settings, params, system, paths, controls):
+            rows = sum(math.ceil(2 / controls.dt) + 2 * len(path) + 2 for path in paths)
+            chunks.append((controls.dt, len(paths), rows))
+            return real(settings, params, system, paths, controls)
+
+        monkeypatch.setattr(cli, "_end_differences", spy)
+        monkeypatch.setattr(cli, "MAX_GRID_STEPS", 65)
+        assert run_cli(argv + [tmp_path / "chunked"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == whole
+        assert (tmp_path / "chunked" / "convergence.csv").read_bytes() == (
+            tmp_path / "whole" / "convergence.csv"
+        ).read_bytes()
+        for dt in (0.2, 0.1, 0.05):
+            sizes = [size for chunk_dt, size, _ in chunks if chunk_dt == dt]
+            assert sum(sizes) == 7
+        assert all(rows <= 65 or size == 1 for _, size, rows in chunks)
+        assert any(size > 1 for _, size, _ in chunks)
+        assert any(size == 1 and rows > 65 for _, size, rows in chunks)
+
     def test_dts_accepts_json_list_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

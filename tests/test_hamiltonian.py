@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import symplevy as sl
 from symplevy import (
     DomainError,
     HamiltonianSystem,
@@ -112,9 +113,43 @@ def test_gradient_defect_detects_wrong_coefficient():
         m=0,
         sigma=(lambda p, q: 2.0 * q,),
         gamma=(lambda p, q: p,),
-        hamiltonians=(lambda p, q: 0.5 * (float(p[0]) ** 2 + float(q[0]) ** 2),),
+        hamiltonians=(lambda p, q: 0.5 * (p[:, 0] ** 2 + q[:, 0] ** 2),),
     )
     assert gradient_defect(bad, PhaseState([0.5], [1.0])) > 0.1
+
+
+def test_kubo_evaluators_round_like_scalar_squares():
+    # the rows must match the scalar formula float(p) ** 2 + float(q) ** 2
+    # bit for bit, which x * x does not on every double
+    system = kubo_system(KuboParams(alpha=0.7, beta=-0.4))
+    rng = np.random.default_rng(31)
+    p = rng.standard_normal((20000, 1)) * rng.choice([1e-3, 1.0, 1e3], (20000, 1))
+    q = rng.standard_normal((20000, 1)) * rng.choice([1e-3, 1.0, 1e3], (20000, 1))
+    squares = [float(a) ** 2 + float(b) ** 2 for a, b in zip(p[:, 0], q[:, 0])]
+    for evaluate, scale in ((system.monitored, 0.5), (system.hamiltonians[0], 0.5 * 0.7),
+                            (system.hamiltonians[1], 0.5 * -0.4)):
+        assert np.array_equal(evaluate(p, q), [scale * s for s in squares])
+
+
+@pytest.mark.parametrize(
+    "wrong", [lambda p, q: 0.0, lambda p, q: p], ids=["scalar", "lane-rows"]
+)
+def test_hamiltonian_of_wrong_shape_is_refused(wrong):
+    system = HamiltonianSystem(
+        n=1, m=0, sigma=(lambda p, q: q,), gamma=(lambda p, q: p,), hamiltonians=(wrong,),
+        monitored=wrong,
+    )
+    state = PhaseState([0.3], [0.4])
+    traj = sl.Trajectory(times=[0.0, 1.0], ps=[[0.3], [0.2]], qs=[[0.4], [0.5]], scheme_tag="x")
+    checks = [
+        lambda: hamiltonian_value(system, None, state),
+        lambda: hamiltonian_value(system, 0, state),
+        lambda: sl.hamiltonian_series(system, traj),
+        lambda: gradient_defect(system, state),
+    ]
+    for check in checks:
+        with pytest.raises(DomainError, match=r"\(B,\)"):
+            check()
 
 
 class TestKuboExact:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import symplevy as sl
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
-from symplevy.integrators import _grid_times
+from symplevy.integrators import _grid_times, _step_lanes
 
 
 KUBO = sl.KuboParams(alpha=0.1, beta=0.1)
@@ -474,10 +474,72 @@ class TestTrajectoryCsv:
             assert float(row[2]) == traj.qs[i, 0]
 
 
+def symplectic_raw(system, p0, q0, dt, dL, tol, max_iters):
+    """The symplectic Euler map on one state, as the lane kernel's reference.
+
+    Fixed-point iteration for the implicit momentum equation, seeded at
+    p0; a channel term is skipped when its increment is zero.
+    """
+    sigma0 = system.sigma[0]
+    p = p0
+    residual = math.inf
+    for _ in range(max_iters):
+        rhs = p0 - sigma0(p, q0) * dt
+        for r in range(1, system.m + 1):
+            if dL[r - 1] != 0.0:
+                rhs = rhs - system.sigma[r](p, q0) * dL[r - 1]
+        residual = float(np.abs(rhs - p).max())
+        p = rhs
+        if residual <= tol:
+            break
+    else:
+        raise NonConvergenceError(
+            f"implicit momentum solve stalled at residual {residual:.3e} after {max_iters} iterations",
+            residual=residual,
+        )
+    q = q0 + system.gamma[0](p, q0) * dt
+    for r in range(1, system.m + 1):
+        if dL[r - 1] != 0.0:
+            q = q + system.gamma[r](p, q0) * dL[r - 1]
+    return p, q
+
+
+def explicit_raw(system, p0, q0, dt, dL):
+    """The explicit Euler map on one state, as the lane kernel's reference."""
+    p = p0 - system.sigma[0](p0, q0) * dt
+    q = q0 + system.gamma[0](p0, q0) * dt
+    for r in range(1, system.m + 1):
+        if dL[r - 1] != 0.0:
+            p = p - system.sigma[r](p0, q0) * dL[r - 1]
+            q = q + system.gamma[r](p0, q0) * dL[r - 1]
+    return p, q
+
+
+def raw_step(system, scheme, p, q, dt, dL, controls):
+    if scheme == "symplectic":
+        return symplectic_raw(
+            system, p, q, dt, dL, controls.implicit_tol, controls.implicit_max_iters
+        )
+    return explicit_raw(system, p, q, dt, dL)
+
+
+def scalar_fixed_grid(system, scheme, initial, t0, T, path, controls):
+    """The fixed-grid driver one state at a time, on the reference maps."""
+    times = _grid_times(t0, T, controls.dt)
+    dls = [sl.grid_increments(path, r, times) for r in range(1, system.m + 1)]
+    ps, qs = [initial.p], [initial.q]
+    for j in range(times.size - 1):
+        dL = np.array([dl[j] for dl in dls])
+        p, q = raw_step(system, scheme, ps[-1], qs[-1], times[j + 1] - times[j], dL, controls)
+        ps.append(p)
+        qs.append(q)
+    return sl.Trajectory(times, ps, qs, scheme)
+
+
 def scalar_pathwise(system, initial, t0, T, path, controls):
     """The jump-adapted scheme one state at a time, as the lane driver's reference.
 
-    Drift steps are the public symplectic step with zero increments on
+    Drift steps are the reference symplectic map with zero increments on
     the driver's grid nodes; each jump instant applies ``jump_flow`` to
     the marks of all events at that time.
     """
@@ -488,9 +550,10 @@ def scalar_pathwise(system, initial, t0, T, path, controls):
             return
         nodes = _grid_times(times[-1], t_end, controls.dt)
         for a, b in zip(nodes[:-1], nodes[1:]):
-            states.append(
-                sl.symplectic_euler_step(system, states[-1], b - a, np.zeros(system.m), controls)
+            p, q = raw_step(
+                system, "symplectic", states[-1].p, states[-1].q, b - a, np.zeros(system.m), controls
             )
+            states.append(sl.PhaseState(p, q))
             times.append(b)
 
     events = sl.jumps_in(path, t0, T) if T > t0 else []
@@ -545,6 +608,102 @@ def event_path(events, horizon, channels=1):
 
 def sampled(seed, horizon=10.0):
     return sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=seed), horizon)
+
+
+def stiff_where_q_positive():
+    # the fixed-point sweep expands (30 dt > 1) only on states with q > 0
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: np.where(q > 0.0, 30.0 * p + q, 0.1 * p), lambda p, q: 0.1 * q),
+        gamma=(lambda p, q: 0.1 * p, lambda p, q: 0.1 * p),
+        hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
+    )
+
+
+def raw_error(system, p, q, dt, dL, controls):
+    with pytest.raises(NonConvergenceError) as info:
+        raw_step(system, "symplectic", p, q, dt, dL, controls)
+    return info.value
+
+
+class TestStepLanes:
+    @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
+    @pytest.mark.parametrize(
+        "system", [kubo(), anharmonic(), two_channel()], ids=["kubo", "anharmonic", "two-channel"]
+    )
+    def test_every_lane_equals_the_scalar_reference(self, system, scheme):
+        rng = np.random.default_rng(3)
+        lanes = 40
+        p = rng.uniform(-1.5, 1.5, (lanes, 1))
+        q = rng.uniform(-1.5, 1.5, (lanes, 1))
+        dt = rng.uniform(0.0, 0.1, (lanes, 1))
+        dl = rng.uniform(-1.0, 1.0, (lanes, system.m))  # nonzero on every lane
+        # zero on some lanes: those get a zero term the reference skips,
+        # equal up to the sign of a zero
+        mixed = np.where(rng.uniform(size=dl.shape) < 0.5, 0.0, dl)
+        controls = sl.StepControls(dt=0.1)
+        for increments in (dl, mixed, None):
+            got_p, got_q, stalled = _step_lanes(
+                system, scheme, p, q, dt, increments, controls.implicit_tol, controls.implicit_max_iters
+            )
+            assert stalled is None
+            for b in range(lanes):
+                dL = np.zeros(system.m) if increments is None else increments[b]
+                want_p, want_q = raw_step(system, scheme, p[b], q[b], dt[b, 0], dL, controls)
+                assert np.array_equal(got_p[b], want_p)
+                assert np.array_equal(got_q[b], want_q)
+
+    def test_stalled_lanes_report_their_own_residuals(self):
+        system = stiff_where_q_positive()
+        rng = np.random.default_rng(4)
+        p = rng.uniform(-1.0, 1.0, (12, 1))
+        q = rng.uniform(-1.0, 1.0, (12, 1))
+        dt = np.full((12, 1), 0.1)
+        dl = rng.uniform(-1.0, 1.0, (12, 1))
+        controls = sl.StepControls(dt=0.1)
+        got_p, _, stalled = _step_lanes(
+            system, "symplectic", p, q, dt, dl, controls.implicit_tol, controls.implicit_max_iters
+        )
+        assert np.array_equal(stalled[0], np.flatnonzero(q[:, 0] > 0.0))
+        for b, residual in zip(*stalled):
+            assert residual == raw_error(system, p[b], q[b], 0.1, dl[b], controls).residual
+        for b in np.flatnonzero(q[:, 0] <= 0.0):
+            assert np.array_equal(got_p[b], raw_step(system, "symplectic", p[b], q[b], 0.1, dl[b], controls)[0])
+
+    def test_fixed_grid_stall_raises_the_reference_error(self):
+        controls = sl.StepControls(dt=0.1)
+        start = sl.PhaseState([0.5], [0.25])
+        want = raw_error(stiff_where_q_positive(), start.p, start.q, 0.1, np.zeros(1), controls)
+        with pytest.raises(NonConvergenceError) as info:
+            sl.integrate_fixed_grid(
+                stiff_where_q_positive(), "symplectic", start, 0.0, 1.0, empty_path(1.0), controls
+            )
+        assert str(info.value) == f"step 0 (t=0): {want}"
+        assert (info.value.step, info.value.residual) == (0, want.residual)
+        assert isinstance(info.value.__cause__, NonConvergenceError)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sl.StepControls(dt=True),
+        lambda: sl.StepControls(dt=0.1, implicit_tol="x"),
+        lambda: sl.StepControls(dt=0.1, implicit_tol=True),
+        lambda: sl.StepControls(dt=0.1, implicit_max_iters=True),
+        lambda: sl.StepControls(dt=0.1, jump_substeps=True),
+        lambda: sl.StepControls(dt="0.1"),
+        lambda: sl.jump_flow(kubo(), unit_start(), [0.1], substeps=True),
+        lambda: sl.HamiltonianSystem(n=True, m=False, sigma=(abs,), gamma=(abs,), hamiltonians=(abs,)),
+        lambda: sl.HamiltonianSystem(n=1, m=False, sigma=(abs,), gamma=(abs,), hamiltonians=(abs,)),
+        lambda: sl.LevyPathSpec(rate=1.0, mark_sigma=0.1, noise_count=True),
+        lambda: sl.LevyPathSpec(rate=1.0, mark_sigma=0.1, seed=True),
+        lambda: sl.LevyPathSpec(rate=1.0, mark_sigma=0.1, seed="0"),
+    ],
+)
+def test_specs_refuse_booleans_and_non_numbers(build):
+    with pytest.raises((InvalidSpecError, DomainError)):
+        build()
 
 
 class TestPathwiseLanes:
@@ -724,8 +883,10 @@ class TestPathwiseLaneFailures:
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
     dt=st.floats(0.01, 0.5),
     anharmonic_drift=st.booleans(),
+    scheme=st.sampled_from(["symplectic", "explicit"]),
+    marks=st.lists(st.floats(-1.0, 1.0).filter(lambda x: x != 0.0), min_size=1, max_size=6),
 )
-def test_every_lane_equals_its_path_alone(seeds, dt, anharmonic_drift):
+def test_every_lane_equals_its_path_alone(seeds, dt, anharmonic_drift, scheme, marks):
     system = anharmonic() if anharmonic_drift else kubo()
     controls = sl.StepControls(dt=dt)
     paths = [sampled(seed, 3.0) for seed in seeds]
@@ -733,3 +894,21 @@ def test_every_lane_equals_its_path_alone(seeds, dt, anharmonic_drift):
     for path, lane in zip(paths, lanes):
         assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 3.0, path, controls))
         assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 3.0, path, controls))
+        assert_same_run(
+            sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, controls),
+            scalar_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, controls),
+        )
+    # one kernel step from every lane's end state, each lane with its own
+    # step and a nonzero increment
+    p = np.array([lane.ps[-1] for lane in lanes])
+    q = np.array([lane.qs[-1] for lane in lanes])
+    steps = dt * np.arange(1, len(lanes) + 1)[:, None] / len(lanes)
+    dl = np.resize(marks, (len(lanes), 1))
+    got_p, got_q, stalled = _step_lanes(
+        system, scheme, p, q, steps, dl, controls.implicit_tol, controls.implicit_max_iters
+    )
+    assert stalled is None
+    for b in range(len(lanes)):
+        want_p, want_q = raw_step(system, scheme, p[b], q[b], steps[b, 0], dl[b], controls)
+        assert np.array_equal(got_p[b], want_p)
+        assert np.array_equal(got_q[b], want_q)

@@ -119,8 +119,8 @@ def test_simultaneous_channels_use_summed_field():
         gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.1 * p, lambda p, q: 0.1 * p),
         hamiltonians=(
             lambda p, q: 0.0,
-            lambda p, q: 0.05 * (float(p[0]) ** 2 + float(q[0]) ** 2),
-            lambda p, q: 0.05 * (float(p[0]) ** 2 + float(q[0]) ** 2),
+            lambda p, q: 0.05 * (p[:, 0] ** 2 + q[:, 0] ** 2),
+            lambda p, q: 0.05 * (p[:, 0] ** 2 + q[:, 0] ** 2),
         ),
     )
     st = PhaseState([0.7], [-0.4])
