@@ -307,43 +307,52 @@ def _cell_seed(seed, dt_index, sample_index):
 
 
 def _end_differences(settings, params, system, paths, controls):
-    """Final state minus exact final state of each path, in path order."""
+    """Final state minus exact final state of each path, in path order.
+
+    controls holds each path's StepControls.
+    """
     T = settings["T"]
     if settings["scheme"] == "symplectic":
         trajs = integrate_pathwise_batch(system, _START, 0.0, T, paths, controls)
     else:
-        trajs = [integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, controls) for path in paths]
+        trajs = [integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, step)
+                 for path, step in zip(paths, controls)]
     refs = [kubo_exact(params, _START, T, increment(path, 1, 0.0, T)) for path in paths]
     return [traj.final_state().as_vector() - ref.as_vector() for traj, ref in zip(trajs, refs)]
 
 
-def _end_error(settings, params, system, dt_index, dt):
-    """RMS end-state error of one dt's samples against the exact solution.
+def _end_errors(settings, params, system):
+    """RMS end-state error of each dt's samples against the exact solution.
 
-    Samples run in consecutive chunks of at most MAX_GRID_STEPS estimated
-    record rows (at least one path each), so memory does not grow with
-    the sample count; only final-state differences are kept.
+    Every (dt, sample) cell is one lane at its own dt. Cells run in
+    dt-major order, in consecutive chunks of at most MAX_GRID_STEPS
+    estimated record rows (at least one cell each), so the budget bounds
+    memory whatever the sample count, and a failure raises the error of
+    the first failing cell in that order; only final-state differences
+    are kept.
     """
     T = settings["T"]
-    controls = StepControls(dt=dt)
-    diffs, chunk, rows = [], [], 0.0
-    for s in range(settings["samples"]):
-        path = _sample(settings, T, _cell_seed(settings["seed"], dt_index, s))
-        # drift rows, a pre-jump and a post-jump row per event, and the ends
-        lane_rows = np.ceil(T / dt) + 2 * len(path) + 2
-        if chunk and rows + lane_rows > MAX_GRID_STEPS:
-            diffs += _end_differences(settings, params, system, chunk, controls)
-            chunk, rows = [], 0.0
-        chunk.append(path)
-        rows += lane_rows
-    diffs += _end_differences(settings, params, system, chunk, controls)
-    return ms_error(diffs)
+    samples = settings["samples"]
+    diffs, paths, controls, rows = [], [], [], 0.0
+    for i, dt in enumerate(settings["dts"]):
+        step = StepControls(dt=dt)
+        for s in range(samples):
+            path = _sample(settings, T, _cell_seed(settings["seed"], i, s))
+            # drift rows, a pre-jump and a post-jump row per event, and the ends
+            lane_rows = np.ceil(T / dt) + 2 * len(path) + 2
+            if paths and rows + lane_rows > MAX_GRID_STEPS:
+                diffs += _end_differences(settings, params, system, paths, controls)
+                paths, controls, rows = [], [], 0.0
+            paths.append(path)
+            controls.append(step)
+            rows += lane_rows
+    diffs += _end_differences(settings, params, system, paths, controls)
+    return [ms_error(diffs[i : i + samples]) for i in range(0, len(diffs), samples)]
 
 
 def _cmd_converge(settings):
     params, system = _kubo(settings)
-    # one dt's trajectories are released before the next dt runs
-    errors = [_end_error(settings, params, system, i, dt) for i, dt in enumerate(settings["dts"])]
+    errors = _end_errors(settings, params, system)
     fit = estimate_order(settings["dts"], errors)
     _write(settings, "convergence.csv", lambda file_path: write_order_fit_csv(fit, file_path))
     print(

@@ -131,7 +131,8 @@ class KuboParams:
     def __post_init__(self):
         for name in ("alpha", "beta"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
                 raise InvalidSpecError(f"{name} must be a finite real, got {value!r}")
 
 

@@ -24,8 +24,10 @@ Two drivers build trajectories on noise realizations:
   with the symplectic Euler map; at each jump time it applies the Marcus
   jump flow with that event's mark. Both the pre-jump state (the last
   drift substep) and the post-jump state are recorded at the jump time,
-  so trajectory times repeat exactly there. ``integrate_pathwise`` is
-  the same driver on one path.
+  so trajectory times repeat exactly there. Its controls are one
+  StepControls for every lane or one per path; per-path controls may
+  differ in dt only, so lanes at different step sizes share one batch.
+  ``integrate_pathwise`` is the same driver on one path.
 """
 
 from __future__ import annotations
@@ -238,21 +240,39 @@ def explicit_euler_step(system, state, dt, dL, controls):
     return PhaseState(p[0], q[0])
 
 
-def _grid_times(t0, T, dt):
-    span = T - t0
-    if span == 0.0:
-        return np.array([float(t0)])
-    if span / dt > MAX_GRID_STEPS:
+def _segment_grids(starts, ends, dts):
+    """The drift nodes of every segment [starts[s], ends[s]] at step dts[s].
+
+    Returns (times, ticks): segment s owns ticks[s] + 1 consecutive rows
+    of the flat times, its start and then ticks[s] nodes. The nodes are
+    start + k * dt for k = 1 .. ceil(span / dt) - 1 and then the end; a
+    last such node that rounding puts at or past the end is dropped, and
+    an empty segment has no nodes. A segment over MAX_GRID_STEPS steps
+    raises InvalidSpecError, for the first such segment, before any row
+    is allocated.
+    """
+    span = ends - starts
+    with np.errstate(over="ignore"):  # an infinite count is refused below
+        steps = span / dts
+    over = np.flatnonzero(steps > MAX_GRID_STEPS)
+    if over.size:
         raise InvalidSpecError(
-            f"(T - t0) / dt = {span / dt:g} steps exceeds the limit MAX_GRID_STEPS = {MAX_GRID_STEPS:g}"
+            f"(T - t0) / dt = {float(steps[over[0]]):g} steps exceeds the limit "
+            f"MAX_GRID_STEPS = {MAX_GRID_STEPS:g}"
         )
-    n = max(1, int(math.ceil(span / dt - 1e-12)))
-    times = t0 + dt * np.arange(n + 1, dtype=float)
-    times[-1] = T
-    if times[-1] <= times[-2]:
-        # The nominal count overshot T by rounding; drop the empty step.
-        times = np.delete(times, -2)
-    return times
+    nominal = np.maximum(1.0, np.ceil(steps - 1e-12))
+    overshot = starts + dts * (nominal - 1.0) >= ends
+    ticks = np.where(span > 0.0, nominal - overshot, 0.0).astype(np.int64)
+    counts = ticks + 1
+    last = np.cumsum(counts) - 1
+    lead = last - ticks
+    times = np.arange(last[-1] + 1, dtype=float)
+    times -= np.repeat(lead, counts)
+    times *= np.repeat(dts, counts)
+    times += np.repeat(starts, counts)
+    times[last] = ends
+    times[lead] = starts
+    return times, ticks
 
 
 def _validate_run(system, initial, t0, T, path):
@@ -260,6 +280,8 @@ def _validate_run(system, initial, t0, T, path):
         raise DomainError(f"initial must be a PhaseState, got {type(initial).__name__}")
     if initial.n != system.n:
         raise DomainError(f"initial state has n={initial.n}, system has n={system.n}")
+    if isinstance(t0, (bool, np.bool_)) or isinstance(T, (bool, np.bool_)):
+        raise DomainError(f"t0 and T must be numbers, not booleans; got t0={t0!r}, T={T!r}")
     if not (math.isfinite(t0) and math.isfinite(T)):
         raise DomainError("t0 and T must be finite")
     if T < t0:
@@ -304,7 +326,7 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     _validate_run(system, initial, t0, T, path)
-    times = _grid_times(float(t0), float(T), controls.dt)
+    times = _segment_grids(np.array([float(t0)]), np.array([float(T)]), np.array([controls.dt]))[0]
     n_steps = times.size - 1
     dls = np.zeros((max(n_steps, 1), system.m))
     if n_steps > 0:
@@ -349,39 +371,23 @@ def _check_lane_shapes(system, p, q):
                 )
 
 
-def _lane_grid(system, path, t0, T, dt):
-    """One lane's record times, drift ticks per segment and jump marks.
+def _lane_jumps(system, paths, t0, T):
+    """Every lane's jump instants in (t0, T], lane by lane, in time order.
 
-    Segment k drifts on the _grid_times nodes from the previous jump (or
-    t0) to jump k (or T), so its last drift row is the pre-jump state;
-    the post-jump state takes one more row at the same time. Events at
-    one time are combined into one mark vector.
+    Returns the lane and time of each instant and its (m,) mark vector:
+    the marks of that instant's events, summed per channel in event
+    order.
     """
-    events = jumps_in(path, t0, T) if T > t0 else []
-    ends = []
-    marks = []
-    i = 0
-    while i < len(events):
-        tau = events[i].time
-        mark = np.zeros(system.m)
-        while i < len(events) and events[i].time == tau:
-            mark[events[i].channel - 1] += events[i].mark
-            i += 1
-        ends.append(tau)
-        marks.append(mark)
-    pieces = [np.array([t0])]
-    ticks = []
-    start = t0
-    for k, end in enumerate(ends + [T]):
-        # Same node construction as the fixed-grid driver so that runs
-        # without jumps agree with it bit for bit.
-        nodes = _grid_times(start, end, dt)[1:] if end - start > 0.0 else np.empty(0)
-        ticks.append(nodes.size)
-        pieces.append(nodes)
-        if k < len(ends):
-            pieces.append(np.array([end]))
-        start = end
-    return np.concatenate(pieces), ticks, marks
+    events = [jumps_in(path, t0, T) for path in paths]
+    lane = np.repeat(np.arange(len(paths)), [len(lane_events) for lane_events in events])
+    flat = [ev for lane_events in events for ev in lane_events]
+    times = np.array([ev.time for ev in flat], dtype=float)
+    new = np.ones(times.size, dtype=bool)
+    new[1:] = (times[1:] != times[:-1]) | (lane[1:] != lane[:-1])
+    channels = np.array([ev.channel - 1 for ev in flat], dtype=np.intp)
+    marks = np.zeros((np.count_nonzero(new), system.m))
+    np.add.at(marks, (np.cumsum(new) - 1, channels), [ev.mark for ev in flat])
+    return lane[new], times[new], marks
 
 
 class _Record:
@@ -434,22 +440,33 @@ class _Record:
         return err
 
 
-def _lane_record(system, paths, t0, T, dt):
+def _lane_record(system, paths, t0, T, dts):
     """The record of every lane, plus per-lane jump counts, ticks and marks.
 
-    ticks[b, k] and marks[b, k] are lane b's drift ticks in segment k and
-    its marks at jump k, zero past the lane's last segment.
+    Lane b's segment k drifts at step dts[b] from its (k-1)-th jump (or
+    t0) to its k-th jump (or T), so the segment's last row is the
+    pre-jump state and the next segment's first row the post-jump state,
+    at the same time. ticks[b, k] and marks[b, k] are lane b's drift
+    ticks in segment k and its marks at jump k, zero past the lane's
+    last segment.
     """
-    grids = [_lane_grid(system, path, t0, T, dt) for path in paths]
-    offsets = np.cumsum([0] + [times.size for times, _, _ in grids])
-    rec = _Record(np.concatenate([times for times, _, _ in grids]), offsets, system.n)
-    jumps = np.array([len(lane_marks) for _, _, lane_marks in grids])
-    ticks = np.zeros((len(grids), jumps.max() + 1), dtype=np.int64)
-    marks = np.zeros((len(grids), max(jumps.max(), 1), system.m))
-    for b, (_, lane_ticks, lane_marks) in enumerate(grids):
-        ticks[b, : len(lane_ticks)] = lane_ticks
-        if lane_marks:
-            marks[b, : len(lane_marks)] = lane_marks
+    lane, jump_times, jump_marks = _lane_jumps(system, paths, t0, T)
+    jumps = np.bincount(lane, minlength=len(paths))
+    segments = jumps + 1
+    opening = np.cumsum(segments) - segments  # each lane's first segment
+    k = np.arange(lane.size) - (np.cumsum(jumps) - jumps)[lane]  # each jump's index in its lane
+    starts = np.full(segments.sum(), t0)
+    ends = np.full(segments.sum(), T)
+    ends[opening[lane] + k] = jump_times
+    starts[opening[lane] + k + 1] = jump_times
+    segment_lane = np.repeat(np.arange(len(paths)), segments)
+    times, segment_ticks = _segment_grids(starts, ends, dts[segment_lane])
+    offsets = np.concatenate([[0], np.cumsum(np.add.reduceat(segment_ticks + 1, opening))])
+    rec = _Record(times, offsets, system.n)
+    ticks = np.zeros((len(paths), jumps.max() + 1), dtype=np.int64)
+    ticks[segment_lane, np.arange(segment_lane.size) - opening[segment_lane]] = segment_ticks
+    marks = np.zeros((len(paths), max(jumps.max(), 1), system.m))
+    marks[lane, k] = jump_marks
     return rec, jumps, ticks, marks
 
 
@@ -516,6 +533,25 @@ def _jump_segment(system, controls, rec, lanes, post, marks, k, failures):
     rec.qs[post] = q
 
 
+def _lane_controls(controls, lanes):
+    """Each lane's step, and the controls whose solver settings all lanes share."""
+    if isinstance(controls, StepControls):
+        return np.full(lanes, controls.dt), controls
+    if not isinstance(controls, (list, tuple)) or len(controls) != lanes:
+        raise DomainError(f"controls must be one StepControls or a list of {lanes}, one per path")
+    if not all(isinstance(c, StepControls) for c in controls):
+        raise DomainError("every entry of controls must be a StepControls")
+    shared = controls[0]
+    settings = (shared.implicit_tol, shared.implicit_max_iters, shared.jump_substeps)
+    for c in controls:
+        if (c.implicit_tol, c.implicit_max_iters, c.jump_substeps) != settings:
+            raise DomainError(
+                "per-path controls may differ only in dt; implicit_tol, implicit_max_iters "
+                f"and jump_substeps must be shared, got {shared} and {c}"
+            )
+    return np.array([c.dt for c in controls]), shared
+
+
 def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
     """Jump-adapted runs of several paths from one initial state, as lanes.
 
@@ -525,11 +561,15 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
     advance together segment by segment: each drifts on its own nodes up
     to its k-th jump time, then one jump-flow call applies the k-th jump
     of every lane that has one. Between jumps the drift ODE is advanced
-    with the symplectic Euler map using step controls.dt (final substep
+    with the symplectic Euler map at the lane's step dt (final substep
     truncated to the interval end); simultaneous events are combined
     into one flow. Each trajectory records every substep state and, at
     each jump time, both the pre-jump and post-jump states, and equals
     the same path run alone bit for bit.
+
+    controls is one StepControls for every path, or a list with one per
+    path. Entries of a list may differ in dt only: implicit_tol,
+    implicit_max_iters and jump_substeps must be equal, else DomainError.
 
     Returns one Trajectory per path, in order. Invalid input (DomainError,
     or InvalidSpecError for a segment over MAX_GRID_STEPS steps) is
@@ -542,13 +582,12 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
         raise DomainError("paths must hold at least one path")
     for path in paths:
         _validate_run(system, initial, t0, T, path)
-    t0 = float(t0)
-    T = float(T)
     lanes_total = len(paths)
+    dts, controls = _lane_controls(controls, lanes_total)
     p_start = np.tile(initial.p, (lanes_total, 1))
     q_start = np.tile(initial.q, (lanes_total, 1))
     _check_lane_shapes(system, p_start, q_start)
-    rec, jumps, ticks, marks = _lane_record(system, paths, t0, T, controls.dt)
+    rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
     rec.ps[rec.lo] = p_start
     rec.qs[rec.lo] = q_start
     # first[b, k]: the row holding the state segment k of lane b starts from

@@ -57,6 +57,11 @@ def _require_finite_number(name, value):
         raise InvalidSpecError(f"{name} must be finite, got {value!r}")
 
 
+def _positive_horizon(horizon):
+    real = isinstance(horizon, (int, float)) and not isinstance(horizon, bool)
+    return real and math.isfinite(horizon) and horizon > 0
+
+
 @dataclass(frozen=True)
 class LevyPathSpec:
     """Distribution parameters for one compound Poisson realization.
@@ -116,7 +121,7 @@ class LevyPath:
     _by_channel: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon) and self.horizon > 0):
+        if not _positive_horizon(self.horizon):
             raise InvalidSpecError(f"horizon must be a finite positive number, got {self.horizon!r}")
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
@@ -180,7 +185,7 @@ def sample_path(spec, horizon):
     """
     if not isinstance(spec, LevyPathSpec):
         raise InvalidSpecError(f"spec must be a LevyPathSpec, got {type(spec).__name__}")
-    if not (isinstance(horizon, (int, float)) and math.isfinite(horizon) and horizon > 0):
+    if not _positive_horizon(horizon):
         raise DomainError(f"horizon must be a finite positive number, got {horizon!r}")
     horizon = float(horizon)
     if spec.rate * horizon > MAX_EXPECTED_EVENTS:

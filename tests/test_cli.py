@@ -26,6 +26,17 @@ SETTINGS = {
     "symplectic-check": {"alpha", "beta", "samples", "seed", "out-dir", "svg"},
 }
 
+CONVERGE_SEED_1 = """\
+dt,ms_error,log_dt,log_error
+0.080000000000000002,0.0031898810960333882,-2.5257286443082556,-5.7477716368507998
+0.040000000000000001,0.0016234449632780278,-3.2188758248682006,-6.4232048670403241
+0.02,0.00081176183943576594,-3.912023005428146,-7.1163035620112822
+0.01,0.00041301003226679308,-4.6051701859880909,-7.7920386740953793
+0.0050000000000000001,0.00020933726696845549,-5.2983173665480363,-8.4715638890901541
+slope,intercept,residual
+0.98340128946744898,-3.2630880578532224,0.0061270361936962559
+"""
+
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
@@ -345,29 +356,46 @@ class TestConverge:
     def test_samples_run_in_chunks_under_the_row_budget(self, tmp_path, capsys, monkeypatch, scheme):
         argv = ["converge", "--samples", 7, "--dts", "0.2,0.1,0.05", "--T", 2, "--scheme", scheme,
                 "--seed", 3, "--out-dir"]
-        assert run_cli(argv + [tmp_path / "whole"]) == 0
-        whole = capsys.readouterr().out.splitlines()[1:]
+        cells_in_order = [(dt, cli._cell_seed(3, i, s))
+                          for i, dt in enumerate((0.2, 0.1, 0.05)) for s in range(7)]
         chunks = []
         real = cli._end_differences
 
         def spy(settings, params, system, paths, controls):
-            rows = sum(math.ceil(2 / controls.dt) + 2 * len(path) + 2 for path in paths)
-            chunks.append((controls.dt, len(paths), rows))
+            cells = [(step.dt, path) for path, step in zip(paths, controls, strict=True)]
+            rows = sum(math.ceil(2 / dt) + 2 * len(path) + 2 for dt, path in cells)
+            chunks.append((cells, rows))
             return real(settings, params, system, paths, controls)
 
         monkeypatch.setattr(cli, "_end_differences", spy)
+        assert run_cli(argv + [tmp_path / "whole"]) == 0
+        whole = capsys.readouterr().out.splitlines()[1:]
+        # under the real budget every cell of every dt is one batch
+        assert [[(dt, path.spec.seed) for dt, path in cells] for cells, _ in chunks] == [cells_in_order]
+        chunks.clear()
         monkeypatch.setattr(cli, "MAX_GRID_STEPS", 65)
         assert run_cli(argv + [tmp_path / "chunked"]) == 0
         assert capsys.readouterr().out.splitlines()[1:] == whole
         assert (tmp_path / "chunked" / "convergence.csv").read_bytes() == (
             tmp_path / "whole" / "convergence.csv"
         ).read_bytes()
-        for dt in (0.2, 0.1, 0.05):
-            sizes = [size for chunk_dt, size, _ in chunks if chunk_dt == dt]
-            assert sum(sizes) == 7
-        assert all(rows <= 65 or size == 1 for _, size, rows in chunks)
-        assert any(size > 1 for _, size, _ in chunks)
-        assert any(size == 1 and rows > 65 for _, size, rows in chunks)
+        # every (dt, sample) cell runs exactly once, in dt-major order
+        assert [(dt, path.spec.seed) for cells, _ in chunks for dt, path in cells] == cells_in_order
+        assert all(rows <= 65 or len(cells) == 1 for cells, rows in chunks)
+        assert any(len(cells) > 1 for cells, _ in chunks)
+        assert any(len(cells) == 1 and rows > 65 for cells, rows in chunks)
+
+    def test_benchmark_flags_write_the_pinned_bytes(self, tmp_path, capsys):
+        # the benchmark's converge operation at seed 1: how the cells are
+        # batched must not change a digit
+        argv = ["converge", "--alpha", 0.1, "--beta", 0.1, "--lambda", 5.0, "--sigma", 0.2,
+                "--T", 10.0, "--samples", 5, "--dts", "0.08,0.04,0.02,0.01,0.005",
+                "--scheme", "symplectic", "--seed", 1, "--out-dir", tmp_path]
+        assert run_cli(argv) == 0
+        assert (tmp_path / "convergence.csv").read_text() == CONVERGE_SEED_1
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "slope=0.983401 intercept=-3.263088 residual=0.006127 half-order-residual=0.668749"
+        )
 
     def test_dts_accepts_json_list_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

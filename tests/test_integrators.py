@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import symplevy as sl
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
-from symplevy.integrators import _grid_times, _step_lanes
+from symplevy.integrators import MAX_GRID_STEPS, _lane_record, _step_lanes
 
 
 KUBO = sl.KuboParams(alpha=0.1, beta=0.1)
@@ -523,9 +523,59 @@ def raw_step(system, scheme, p, q, dt, dL, controls):
     return explicit_raw(system, p, q, dt, dL)
 
 
+def grid_times(t0, T, dt):
+    """Uniform nodes from t0 to T, one segment at a time, as the node builder's reference.
+
+    ceil((T - t0) / dt) nominal steps, the last node replaced by T and
+    the node before it dropped when rounding puts it at or past T.
+    """
+    span = T - t0
+    if span == 0.0:
+        return np.array([float(t0)])
+    if span / dt > MAX_GRID_STEPS:
+        raise InvalidSpecError(
+            f"(T - t0) / dt = {span / dt:g} steps exceeds the limit MAX_GRID_STEPS = {MAX_GRID_STEPS:g}"
+        )
+    n = max(1, int(math.ceil(span / dt - 1e-12)))
+    times = t0 + dt * np.arange(n + 1, dtype=float)
+    times[-1] = T
+    if times[-1] <= times[-2]:
+        times = np.delete(times, -2)
+    return times
+
+
+def lane_grid(system, path, t0, T, dt):
+    """One lane's record times, ticks per segment and jump marks, segment by segment.
+
+    The reference for ``_lane_record``: segment k drifts on the
+    grid_times nodes from the previous jump (or t0) to jump k (or T),
+    and the post-jump state takes one more row at the jump time.
+    """
+    events = sl.jumps_in(path, t0, T) if T > t0 else []
+    ends, marks = [], []
+    i = 0
+    while i < len(events):
+        tau = events[i].time
+        mark = np.zeros(system.m)
+        while i < len(events) and events[i].time == tau:
+            mark[events[i].channel - 1] += events[i].mark
+            i += 1
+        ends.append(tau)
+        marks.append(mark)
+    pieces, ticks, start = [np.array([t0])], [], t0
+    for k, end in enumerate(ends + [T]):
+        nodes = grid_times(start, end, dt)[1:] if end - start > 0.0 else np.empty(0)
+        ticks.append(nodes.size)
+        pieces.append(nodes)
+        if k < len(ends):
+            pieces.append(np.array([end]))
+        start = end
+    return np.concatenate(pieces), ticks, marks
+
+
 def scalar_fixed_grid(system, scheme, initial, t0, T, path, controls):
     """The fixed-grid driver one state at a time, on the reference maps."""
-    times = _grid_times(t0, T, controls.dt)
+    times = grid_times(t0, T, controls.dt)
     dls = [sl.grid_increments(path, r, times) for r in range(1, system.m + 1)]
     ps, qs = [initial.p], [initial.q]
     for j in range(times.size - 1):
@@ -548,7 +598,7 @@ def scalar_pathwise(system, initial, t0, T, path, controls):
     def drift_to(t_end):
         if t_end - times[-1] <= 0.0:
             return
-        nodes = _grid_times(times[-1], t_end, controls.dt)
+        nodes = grid_times(times[-1], t_end, controls.dt)
         for a, b in zip(nodes[:-1], nodes[1:]):
             p, q = raw_step(
                 system, "symplectic", states[-1].p, states[-1].q, b - a, np.zeros(system.m), controls
@@ -699,6 +749,18 @@ class TestStepLanes:
         lambda: sl.LevyPathSpec(rate=1.0, mark_sigma=0.1, noise_count=True),
         lambda: sl.LevyPathSpec(rate=1.0, mark_sigma=0.1, seed=True),
         lambda: sl.LevyPathSpec(rate=1.0, mark_sigma=0.1, seed="0"),
+        lambda: sl.KuboParams(alpha=True, beta=0.1),
+        lambda: sl.KuboParams(alpha=0.1, beta=False),
+        lambda: sl.LevyPath(spec=sl.LevyPathSpec(rate=1.0, mark_sigma=0.1), horizon=True, events=()),
+        lambda: sl.sample_path(sl.LevyPathSpec(rate=1.0, mark_sigma=0.1), True),
+        lambda: sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, True, empty_path(2.0),
+                                        sl.StepControls(dt=0.1)),
+        lambda: sl.integrate_fixed_grid(kubo(), "explicit", unit_start(), False, 1.0, empty_path(2.0),
+                                        sl.StepControls(dt=0.1)),
+        lambda: sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, True, [empty_path(2.0)],
+                                            sl.StepControls(dt=0.1)),
+        lambda: sl.integrate_pathwise_batch(kubo(), unit_start(), False, 1.0, [empty_path(2.0)],
+                                            sl.StepControls(dt=0.1)),
     ],
 )
 def test_specs_refuse_booleans_and_non_numbers(build):
@@ -770,6 +832,153 @@ class TestPathwiseLanes:
     def test_rejects_an_empty_batch(self):
         with pytest.raises(DomainError):
             sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, [], sl.StepControls(dt=0.1))
+
+
+def assert_record_matches_reference(system, paths, t0, T, dts):
+    rec, jumps, ticks, marks = _lane_record(system, paths, t0, T, np.array(dts))
+    for b, (path, dt) in enumerate(zip(paths, dts)):
+        times, lane_ticks, lane_marks = lane_grid(system, path, t0, T, dt)
+        assert np.array_equal(rec.times[rec.lo[b] : rec.hi[b]], times)
+        assert jumps[b] == len(lane_marks)
+        assert np.array_equal(ticks[b, : len(lane_ticks)], lane_ticks)
+        assert not ticks[b, len(lane_ticks) :].any()
+        assert np.array_equal(marks[b, : len(lane_marks)], np.reshape(lane_marks, (-1, system.m)))
+        assert not marks[b, len(lane_marks) :].any()
+    assert rec.hi[-1] == rec.times.size
+
+
+class TestLaneRecord:
+    def test_matches_the_per_segment_reference_on_random_paths(self):
+        rng = np.random.default_rng(5)
+        paths = [sampled(seed) for seed in range(12)] + [empty_path(10.0)]
+        for t0, T in ((0.0, 10.0), (1.3, 7.9), (0.0, 0.0), (4.0, 4.0)):
+            dts = rng.choice([0.3, 0.08, 0.05, 0.013, 0.5], size=len(paths))
+            assert_record_matches_reference(kubo(), paths, t0, T, list(dts))
+        two = [sl.sample_path(sl.LevyPathSpec(rate=4.0, mark_sigma=0.3, noise_count=2, seed=s), 5.0)
+               for s in range(6)]
+        assert_record_matches_reference(two_channel(), two, 0.0, 5.0, [0.1, 0.07, 0.1, 0.25, 0.03, 0.1])
+
+    def test_events_on_grid_nodes_and_at_the_end(self):
+        paths = [
+            event_path([(0.25, 1, 0.4), (0.5, 1, -0.3), (1.75, 1, 0.2)], 2.0),
+            event_path([(2.0, 1, 0.5)], 2.0),
+            event_path([(0.5, 1, 0.1), (0.5, 1, 0.2), (2.0, 1, 0.3), (2.0, 1, -0.3)], 2.0),
+            event_path([(0.1, 1, 0.3)], 2.0),
+        ]
+        assert_record_matches_reference(kubo(), paths, 0.0, 2.0, [0.25, 0.25, 0.125, 0.1])
+        assert_record_matches_reference(kubo(), paths, 0.5, 2.0, [0.25, 0.5, 0.25, 0.3])
+        assert_record_matches_reference(kubo(), paths[1:2], 0.0, 2.0, [2.0])
+
+    def test_a_node_that_rounding_puts_at_the_end_is_dropped(self):
+        # (5000 - 4999.95) / 0.05 = 1.0000000000036 asks for 2 steps, but
+        # 4999.95 + 0.05 rounds to 5000: the segment has one tick, not two
+        assert np.array_equal(grid_times(4999.95, 5000.0, 0.05), [4999.95, 5000.0])
+        paths = [
+            event_path([(4999.95, 1, 0.2)], 5000.0),
+            event_path([(4998.7, 1, -0.1), (4999.24, 1, 0.3)], 5000.0),
+            event_path([(4952.9, 1, 0.1)], 5000.0),
+        ]
+        for dts in ([0.05, 0.01, 0.3], [0.01, 0.05, 0.05]):
+            assert_record_matches_reference(kubo(), paths, 4940.0, 5000.0, dts)
+        rec, _, ticks, _ = _lane_record(kubo(), paths[:1], 4999.0, 5000.0, np.array([0.05]))
+        assert ticks[0, 1] == 1
+
+    def test_an_over_budget_segment_is_refused_with_the_reference_message(self, monkeypatch):
+        # lane 1's second segment is the first over budget (8.99e7 steps);
+        # lane 2's first one is over budget too (2.4e7 steps)
+        paths = [sampled(0), event_path([(0.01, 1, 0.1), (9.0, 1, 0.1)], 10.0), sampled(2)]
+        with pytest.raises(InvalidSpecError) as want:
+            lane_grid(kubo(), paths[1], 0.0, 10.0, 1e-7)
+        assert "8.99e+07" in str(want.value)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("record rows allocated before the size check")
+
+        monkeypatch.setattr(sl.integrators, "_Record", refuse)
+        with pytest.raises(InvalidSpecError) as got:
+            _lane_record(kubo(), paths, 0.0, 10.0, np.array([0.1, 1e-7, 1e-8]))
+        assert str(got.value) == str(want.value)
+
+
+def sampled_on(system, seed, horizon):
+    spec = sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, noise_count=system.m, seed=seed)
+    return sl.sample_path(spec, horizon)
+
+
+class TestPerLaneControls:
+    @pytest.mark.parametrize(
+        "system", [kubo(), anharmonic(), two_channel()], ids=["kubo", "anharmonic", "two-channel"]
+    )
+    def test_each_lane_equals_its_path_alone_at_its_own_dt(self, system):
+        dts = [0.08, 0.01, 0.05, 0.08, 0.3, 0.02, 0.013]
+        paths = [sampled_on(system, seed, 4.0) for seed in range(6)] + [empty_path(4.0)]
+        if system.m == 2:
+            paths[-1] = sampled_on(system, 99, 4.0)
+        controls = [sl.StepControls(dt=dt) for dt in dts]
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, controls)
+        for path, step, lane in zip(paths, controls, lanes):
+            alone = sl.integrate_pathwise(system, unit_start(), 0.0, 4.0, path, step)
+            assert_same_run(lane, alone)
+            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 4.0, path, step))
+        # a list of equal controls runs as the one StepControls does
+        listed = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, [controls[0]] * 7)
+        single = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, controls[0])
+        for a, b in zip(listed, single, strict=True):
+            assert_same_run(a, b)
+
+    @pytest.mark.parametrize(
+        "controls",
+        [
+            [sl.StepControls(dt=0.1), sl.StepControls(dt=0.05, implicit_tol=1e-10)],
+            [sl.StepControls(dt=0.1), sl.StepControls(dt=0.1, implicit_max_iters=20)],
+            [sl.StepControls(dt=0.1), sl.StepControls(dt=0.2, jump_substeps=8)],
+            [sl.StepControls(dt=0.1)],
+            [sl.StepControls(dt=0.1)] * 3,
+            (sl.StepControls(dt=0.1), 0.1),
+            None,
+        ],
+        ids=["tol", "max-iters", "substeps", "too-short", "too-long", "not-controls", "none"],
+    )
+    def test_controls_that_do_not_fit_the_batch_are_refused(self, controls):
+        paths = [sampled(0, 1.0), sampled(1, 1.0)]
+        with pytest.raises(DomainError):
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, controls)
+
+    def test_lowest_failing_lane_of_a_mixed_dt_batch_raises_its_error(self):
+        # a rotation at rate 30 diverges for 30 dt > 2 (symplectic Euler's
+        # stability bound), and sigma_0 = 30 p + q stalls the solve for
+        # 30 dt > 1: in both systems the lanes with 30 dt <= 1 finish and
+        # the others fail, each at its own step
+        spin = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: 30.0 * q, lambda p, q: 0.1 * q),
+            gamma=(lambda p, q: 30.0 * p, lambda p, q: 0.1 * p),
+            hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+        )
+        stiff = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: 30.0 * p + q, lambda p, q: 0.1 * q),
+            gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.1 * p),
+            hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+        )
+        paths = [sampled(seed, 3.0) for seed in range(5)]
+        cases = ((spin, [0.01, 0.09, 0.01, 0.1, 0.08]), (stiff, [0.01, 0.04, 0.02, 0.05, 0.01]))
+        for system, dts in cases:
+            controls = [sl.StepControls(dt=dt) for dt in dts]
+            alone = {}
+            for b, dt in enumerate(dts):
+                if 30.0 * dt > 1.0:
+                    alone[b] = run_error(system, [paths[b]], 3.0, controls[b])
+                else:
+                    sl.integrate_pathwise(system, unit_start(), 0.0, 3.0, paths[b], controls[b])
+            assert len({(err.step, str(err)) for err in alone.values()}) == len(alone)
+            for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [0, 2, 3, 4], [2, 0, 4, 1], [3, 1]):
+                got = run_error(system, [paths[b] for b in order], 3.0, [controls[b] for b in order])
+                want = alone[next(b for b in order if b in alone)]
+                assert_same_error(got, want)
+                assert getattr(got, "residual", None) == getattr(want, "residual", None)
 
 
 def run_error(system, paths, T, controls):
@@ -881,34 +1090,33 @@ class TestPathwiseLaneFailures:
 @settings(max_examples=30, deadline=None)
 @given(
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-    dt=st.floats(0.01, 0.5),
+    dts=st.lists(st.floats(0.01, 0.5), min_size=6, max_size=6),
     anharmonic_drift=st.booleans(),
     scheme=st.sampled_from(["symplectic", "explicit"]),
     marks=st.lists(st.floats(-1.0, 1.0).filter(lambda x: x != 0.0), min_size=1, max_size=6),
 )
-def test_every_lane_equals_its_path_alone(seeds, dt, anharmonic_drift, scheme, marks):
+def test_every_lane_equals_its_path_alone(seeds, dts, anharmonic_drift, scheme, marks):
     system = anharmonic() if anharmonic_drift else kubo()
-    controls = sl.StepControls(dt=dt)
+    controls = [sl.StepControls(dt=dt) for dt in dts[: len(seeds)]]
     paths = [sampled(seed, 3.0) for seed in seeds]
     lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 3.0, paths, controls)
-    for path, lane in zip(paths, lanes):
-        assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 3.0, path, controls))
-        assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 3.0, path, controls))
+    for path, step, lane in zip(paths, controls, lanes):
+        assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 3.0, path, step))
+        assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 3.0, path, step))
         assert_same_run(
-            sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, controls),
-            scalar_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, controls),
+            sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, step),
+            scalar_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, step),
         )
     # one kernel step from every lane's end state, each lane with its own
     # step and a nonzero increment
     p = np.array([lane.ps[-1] for lane in lanes])
     q = np.array([lane.qs[-1] for lane in lanes])
-    steps = dt * np.arange(1, len(lanes) + 1)[:, None] / len(lanes)
+    steps = np.array([[step.dt * (b + 1) / len(lanes)] for b, step in enumerate(controls)])
     dl = np.resize(marks, (len(lanes), 1))
-    got_p, got_q, stalled = _step_lanes(
-        system, scheme, p, q, steps, dl, controls.implicit_tol, controls.implicit_max_iters
-    )
+    tol, max_iters = controls[0].implicit_tol, controls[0].implicit_max_iters
+    got_p, got_q, stalled = _step_lanes(system, scheme, p, q, steps, dl, tol, max_iters)
     assert stalled is None
     for b in range(len(lanes)):
-        want_p, want_q = raw_step(system, scheme, p[b], q[b], steps[b, 0], dl[b], controls)
+        want_p, want_q = raw_step(system, scheme, p[b], q[b], steps[b, 0], dl[b], controls[b])
         assert np.array_equal(got_p[b], want_p)
         assert np.array_equal(got_q[b], want_q)
