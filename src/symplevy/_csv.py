@@ -3,10 +3,19 @@
 import os
 import tempfile
 
+import numpy as np
+
 
 def fmt(x):
     """Format a float with 17 significant digits (round-trip safe)."""
     return format(float(x), ".17g")
+
+
+def fmt_rows(array):
+    """Each row of a 2-D float array as one CSV line of ``fmt``-formatted values."""
+    array = np.asarray(array, dtype=float)
+    template = ",".join(["%.17g"] * array.shape[1])
+    return [template % tuple(row) for row in array.tolist()]
 
 
 def atomic_write_text(file_path, text):
@@ -28,10 +37,9 @@ def atomic_write_text(file_path, text):
         raise
 
 
-def write_csv(file_path, header, rows, trailer=None):
-    """Write a header line, formatted data rows, and an optional trailer."""
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
+def write_csv(file_path, header, lines, trailer=None):
+    """Write a header line, formatted data lines, and an optional trailer."""
+    lines = [header, *lines]
     if trailer is not None:
         lines.append(trailer)
     atomic_write_text(file_path, "\n".join(lines) + "\n")

@@ -6,6 +6,13 @@ the slope of an ordinary least-squares line through (log dt, log error).
 Symplecticity of a one-step map is measured through the defect
 ``J^T Jc J - Jc`` of its finite-difference Jacobian, reported in the
 spectral norm.
+
+Both run on lanes: ``_jacobian_lanes`` steps the perturbed copies of B
+states in one kernel call and returns (B, 2n, 2n) Jacobians, with the
+lowest failing state's error instead of raising it, and
+``_defect_lanes`` takes the defects of a (B, 2n, 2n) stack in one
+batched SVD. ``one_step_jacobian`` and ``symplectic_defect`` are their
+B = 1 cases.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from ._csv import fmt, write_csv
 from .errors import DomainError
 from .hamiltonian import _hamiltonian_lanes
-from .integrators import _one_step
+from .integrators import _one_step, _stalled
 
 __all__ = [
     "OrderFit",
@@ -106,25 +113,68 @@ def hamiltonian_series(system, trajectory, r=None):
     return np.column_stack([trajectory.times, values])
 
 
+def _jacobian_lanes(system, scheme, p, q, dt, dl, controls, step=FD_STEP):
+    """Central finite-difference Jacobians of one step from each of B states.
+
+    p and q are (B, n), dt is (B,) and dl (B, m). The 2·2n perturbed
+    copies of every state take one step together, as lanes of one
+    kernel call, so each Jacobian is that of the state alone, bit for bit
+    wherever the kernel's lanes are (see ``integrators._step_lanes``).
+    Returns (jacobians, failure). failure is None, or (b, error) for the
+    lowest-index state b whose step fails, with the error
+    one_step_jacobian raises for b alone: the stall of its lowest stalled
+    copy, else non-finite entries. jacobians is (b, 2n, 2n), of the
+    states before the failing one, or (B, 2n, 2n) of all of them.
+    """
+    x0 = np.hstack([p, q])
+    states, dim = x0.shape
+    copies = 2 * dim
+    # copies 2k and 2k + 1 of a state move its coordinate k by +step and -step
+    x = np.repeat(x0[:, None, :], copies, axis=1)
+    k = np.arange(dim)
+    x[:, 2 * k, k] += step
+    x[:, 2 * k + 1, k] -= step
+    x = x.reshape(-1, dim)
+    n = dim // 2
+    p1, q1, stalled = _one_step(system, scheme, x[:, :n], x[:, n:], dt, dl, controls)
+    out = np.hstack([p1, q1]).reshape(states, copies, dim)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
+    first = bad[0] if bad.size else states
+    failure = None
+    if stalled is not None and stalled[0][0] // copies <= first:
+        first = stalled[0][0] // copies
+        failure = (first, _stalled(float(stalled[1][0]), controls.implicit_max_iters))
+    elif bad.size:
+        failure = (first, DomainError("phase-space entries must be finite"))
+    # only finite states are differenced
+    out = out[:first]
+    return ((out[:, 0::2] - out[:, 1::2]) / (2.0 * step)).swapaxes(1, 2), failure
+
+
 def one_step_jacobian(system, scheme, state, dt, dL, controls, step=FD_STEP):
     """Central finite-difference Jacobian of one step of a scheme.
 
     Coordinates are ordered (p_1..p_n, q_1..q_n); column k differentiates
-    with respect to the k-th coordinate of the input state. The 2n
-    perturbed states take one step together, as lanes.
+    with respect to the k-th coordinate of the input state. This is the
+    B = 1 case of the lane Jacobians.
     """
     x0 = state.as_vector()
-    dim = x0.size
-    # lanes 2k and 2k + 1 move coordinate k by +step and -step
-    x = np.tile(x0, (2 * dim, 1))
-    k = np.arange(dim)
-    x[2 * k, k] += step
-    x[2 * k + 1, k] -= step
-    p, q = _one_step(system, scheme, x[:, : dim // 2], x[:, dim // 2 :], dt, dL, controls)
-    out = np.hstack([p, q])
-    if not np.isfinite(out).all():
-        raise DomainError("phase-space entries must be finite")
-    return ((out[0::2] - out[1::2]) / (2.0 * step)).T
+    n = x0.size // 2
+    dL = np.atleast_1d(np.asarray(dL, dtype=float))
+    jac, failure = _jacobian_lanes(system, scheme, x0[None, :n], x0[None, n:], [dt], dL[None],
+                                   controls, step)
+    if failure is not None:
+        raise failure[1]
+    return jac[0]
+
+
+def _defect_lanes(jacobians):
+    """Spectral norms of J^T Jc J - Jc over a (B, 2n, 2n) stack, as (B,)."""
+    n = jacobians.shape[-1] // 2
+    eye = np.eye(n)
+    jc = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
+    defect = np.swapaxes(jacobians, -1, -2) @ jc @ jacobians - jc
+    return np.linalg.svd(defect, compute_uv=False).max(-1)
 
 
 def symplectic_defect(jacobian):
@@ -135,19 +185,16 @@ def symplectic_defect(jacobian):
     dim = jac.shape[0]
     if dim % 2 != 0 or dim == 0:
         raise DomainError(f"jacobian dimension must be even and positive, got {dim}")
-    n = dim // 2
-    eye = np.eye(n)
-    jc = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
-    defect = jac.T @ jc @ jac - jc
-    return float(np.linalg.norm(defect, ord=2))
+    return float(_defect_lanes(jac[None])[0])
 
 
 def write_order_fit_csv(fit, file_path):
     """CSV with per-dt rows and a trailing slope,intercept,residual line."""
-    rows = []
-    for dt, err in zip(fit.dts, fit.errors):
-        rows.append([fmt(dt), fmt(err), fmt(math.log(dt)), fmt(math.log(err))])
+    lines = [
+        ",".join([fmt(dt), fmt(err), fmt(math.log(dt)), fmt(math.log(err))])
+        for dt, err in zip(fit.dts, fit.errors)
+    ]
     trailer = "slope,intercept,residual\n" + ",".join(
         [fmt(fit.slope), fmt(fit.intercept), fmt(fit.residual)]
     )
-    write_csv(file_path, "dt,ms_error,log_dt,log_error", rows, trailer=trailer)
+    write_csv(file_path, "dt,ms_error,log_dt,log_error", lines, trailer=trailer)

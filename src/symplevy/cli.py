@@ -26,35 +26,35 @@ Exit codes: 0 success, 2 usage or config error, 3 numerical divergence
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from ._csv import fmt, write_csv
+from ._csv import fmt_rows, write_csv
 from ._svg import line_chart
 from .analysis import (
+    _defect_lanes,
+    _jacobian_lanes,
     estimate_order,
     hamiltonian_series,
     ms_error,
-    one_step_jacobian,
     reference_residual,
-    symplectic_defect,
     write_order_fit_csv,
 )
 from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
-from .hamiltonian import KuboParams, PhaseState, _kubo_rotation, kubo_exact, kubo_system
+from .hamiltonian import KuboParams, PhaseState, _kubo_rotation, kubo_system
 from .integrators import (
     MAX_GRID_STEPS,
     StepControls,
     Trajectory,
+    _pathwise_record,
     integrate_fixed_grid,
-    integrate_pathwise_batch,
     write_trajectory_csv,
 )
 from .levy_path import LevyPathSpec, increment, sample_path, write_path_csv
@@ -186,6 +186,9 @@ def _resolve(args):
 
 _START = PhaseState([0.0], [1.0])
 
+# samples of symplectic-check per lane call, so memory does not grow with --samples
+_CHECK_CHUNK = 4096
+
 
 def _write(settings, name, write):
     """Write one output file with ``write(file_path)`` and report it."""
@@ -215,13 +218,14 @@ def _levels(path, times):
     """L(t) of the one-channel path at each sorted time, in one pass.
 
     Each level is the correctly rounded exact sum of the marks up to t,
-    so it equals ``increment(path, 1, 0, t)`` bit for bit.
+    so it equals ``increment(path, 1, 0, t)`` bit for bit: the marks are
+    integer multiples of one power-of-two unit, their prefix sums exact
+    integers, and int / int rounds correctly.
     """
-    total = Fraction(0)
-    levels = [0.0]
-    for ev in path.events:
-        total += Fraction(ev.mark)
-        levels.append(float(total))
+    ratios = [ev.mark.as_integer_ratio() for ev in path.events]
+    unit = max((den for _, den in ratios), default=1)
+    sums = itertools.accumulate(num * (unit // den) for num, den in ratios)
+    levels = [0.0] + [total / unit for total in sums]
     counts = np.searchsorted([ev.time for ev in path.events], times, side="right")
     return [levels[k] for k in counts]
 
@@ -285,11 +289,11 @@ def _cmd_hamiltonian(settings):
     h_exact = hamiltonian_series(system, _exact_trajectory(params, path, times))[:, 1]
     h_sym = hamiltonian_series(system, runs["symplectic"])[:rows_len, 1]
     h_exp = hamiltonian_series(system, runs["explicit"])[:rows_len, 1]
-    rows = [[fmt(t), fmt(a), fmt(b), fmt(c)] for t, a, b, c in zip(times, h_exact, h_sym, h_exp)]
+    lines = fmt_rows(np.column_stack([times, h_exact, h_sym, h_exp]))
     _write(
         settings,
         "hamiltonian.csv",
-        lambda file_path: write_csv(file_path, "t,H_exact,H_symplectic,H_explicit", rows),
+        lambda file_path: write_csv(file_path, "t,H_exact,H_symplectic,H_explicit", lines),
     )
     print(
         f"H symplectic range=[{h_sym.min():.6f}, {h_sym.max():.6f}] "
@@ -307,18 +311,21 @@ def _cell_seed(seed, dt_index, sample_index):
 
 
 def _end_differences(settings, params, system, paths, controls):
-    """Final state minus exact final state of each path, in path order.
+    """Final state minus exact final state of each path, as (B, 2n) rows in path order.
 
     controls holds each path's StepControls.
     """
     T = settings["T"]
     if settings["scheme"] == "symplectic":
-        trajs = integrate_pathwise_batch(system, _START, 0.0, T, paths, controls)
+        rec = _pathwise_record(system, _START, 0.0, T, paths, controls)
+        ends = np.hstack([rec.ps[rec.hi - 1], rec.qs[rec.hi - 1]])
     else:
-        trajs = [integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, step)
-                 for path, step in zip(paths, controls)]
-    refs = [kubo_exact(params, _START, T, increment(path, 1, 0.0, T)) for path in paths]
-    return [traj.final_state().as_vector() - ref.as_vector() for traj, ref in zip(trajs, refs)]
+        runs = (integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, step)
+                for path, step in zip(paths, controls))
+        ends = np.array([run.final_state().as_vector() for run in runs])
+    levels = np.array([[increment(path, 1, 0.0, T)] for path in paths])
+    exact = _kubo_rotation(params, _START.p, _START.q, T, levels)
+    return ends - np.hstack(exact)
 
 
 def _end_errors(settings, params, system):
@@ -333,7 +340,7 @@ def _end_errors(settings, params, system):
     """
     T = settings["T"]
     samples = settings["samples"]
-    diffs, paths, controls, rows = [], [], [], 0.0
+    chunks, paths, controls, rows = [], [], [], 0.0
     for i, dt in enumerate(settings["dts"]):
         step = StepControls(dt=dt)
         for s in range(samples):
@@ -341,12 +348,13 @@ def _end_errors(settings, params, system):
             # drift rows, a pre-jump and a post-jump row per event, and the ends
             lane_rows = np.ceil(T / dt) + 2 * len(path) + 2
             if paths and rows + lane_rows > MAX_GRID_STEPS:
-                diffs += _end_differences(settings, params, system, paths, controls)
+                chunks.append(_end_differences(settings, params, system, paths, controls))
                 paths, controls, rows = [], [], 0.0
             paths.append(path)
             controls.append(step)
             rows += lane_rows
-    diffs += _end_differences(settings, params, system, paths, controls)
+    chunks.append(_end_differences(settings, params, system, paths, controls))
+    diffs = np.concatenate(chunks)
     return [ms_error(diffs[i : i + samples]) for i in range(0, len(diffs), samples)]
 
 
@@ -369,32 +377,60 @@ def _cmd_converge(settings):
     return 0
 
 
+def _defects(system, controls, samples):
+    """Both schemes' defects at sample rows (p, q, dt, dL), as (B, 2).
+
+    A failure raises the error of the first failing sample, its
+    symplectic Jacobian's before its explicit one's, as checking the
+    samples one at a time does.
+    """
+    p, q, dt, dl = samples[:, 0:1], samples[:, 1:2], samples[:, 2], samples[:, 3:4]
+    jacobians, stop, failed = [], len(samples), None
+    # quiet, since lanes past the first failure may warn, and one sample at
+    # a time stops there
+    with np.errstate(all="ignore"):
+        for scheme in _SCHEMES:
+            if stop == 0:
+                break
+            # past a failure only the earlier samples can fail first
+            jac, failure = _jacobian_lanes(system, scheme, p[:stop], q[:stop], dt[:stop],
+                                           dl[:stop], controls)
+            jacobians.append(jac)
+            if failure is not None:
+                stop, failed = failure[0], scheme
+    if failed is not None:
+        # the failing sample alone raises its error with its own warnings
+        one = slice(stop, stop + 1)
+        _, failure = _jacobian_lanes(system, failed, p[one], q[one], dt[one], dl[one], controls)
+        raise failure[1]
+    return np.column_stack([_defect_lanes(jac) for jac in jacobians])
+
+
 def _cmd_symplectic_check(settings):
     _, system = _kubo(settings)
     controls = StepControls(dt=1.0)
     rng = np.random.default_rng(settings["seed"])
-    rows = []
-    max_sym = max_exp = 0.0
     # five controls first: at dt = dL = 0 both maps are the identity
-    for k in range(5 + settings["samples"]):
-        state = PhaseState([rng.uniform(-2.0, 2.0)], [rng.uniform(-2.0, 2.0)])
-        dt, dl = (0.1 - rng.uniform(0.0, 0.1), rng.uniform(-1.0, 1.0)) if k >= 5 else (0.0, 0.0)
-        d_sym, d_exp = (
-            symplectic_defect(one_step_jacobian(system, scheme, state, dt, [dl], controls))
-            for scheme in _SCHEMES
-        )
-        if dt > 0.0:
-            max_sym = max(max_sym, d_sym)
-            max_exp = max(max_exp, d_exp)
-        rows.append([fmt(x) for x in (state.p[0], state.q[0], dt, dl, d_sym, d_exp)])
+    identity = np.zeros((5, 4))
+    identity[:, :2] = rng.uniform(-2.0, 2.0, (5, 2))
+    tables = [np.hstack([identity, _defects(system, controls, identity)])]
+    # draws in the order of one sample at a time: p, q, dt, dL
+    low, high = [-2.0, -2.0, 0.0, -1.0], [2.0, 2.0, 0.1, 1.0]
+    for start in range(0, settings["samples"], _CHECK_CHUNK):
+        size = min(_CHECK_CHUNK, settings["samples"] - start)
+        rows = rng.uniform(low, high, (size, 4))
+        rows[:, 2] = 0.1 - rows[:, 2]
+        tables.append(np.hstack([rows, _defects(system, controls, rows)]))
+    table = np.concatenate(tables)
     header = "p,q,dt,dL,defect_symplectic,defect_explicit"
-    _write(settings, "symplectic_check.csv", lambda file_path: write_csv(file_path, header, rows))
+    lines = fmt_rows(table)
+    _write(settings, "symplectic_check.csv", lambda file_path: write_csv(file_path, header, lines))
+    live = table[:, 2] > 0.0
+    # a NaN defect never raises the maximum
+    max_sym, max_exp = (np.max(d, initial=0.0, where=d > 0.0) for d in table[live, 4:].T)
     print(f"max defect symplectic={max_sym:.3e} explicit={max_exp:.3e}")
-    index = np.arange(len(rows))
-    series = [
-        (index, [float(r[4]) for r in rows], "symplectic"),
-        (index, [float(r[5]) for r in rows], "explicit"),
-    ]
+    index = np.arange(len(table))
+    series = [(index, table[:, 4], "symplectic"), (index, table[:, 5], "explicit")]
     _chart(settings, "symplectic_check.svg", series, "symplectic defect per sample", "sample",
            "defect")
     return 0

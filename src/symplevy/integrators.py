@@ -10,9 +10,9 @@ Two one-step maps act on a HamiltonianSystem state:
   cheap, not symplectic, used as the comparison scheme.
 
 Both maps run in one lane kernel that steps (B, n) state arrays, one
-state per row; a single state is B = 1. The public steps, every step
-of both drivers and ``analysis.one_step_jacobian`` call it, so each
-row is the single-state map bit for bit.
+state per row, each at its own dt and increments; one state is B = 1.
+The public steps, every step of both drivers and the Jacobians of
+``analysis`` call it (``_step_lanes`` says when rows are bit exact).
 
 Two drivers build trajectories on noise realizations:
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import fmt, write_csv
+from ._csv import fmt_rows, write_csv
 from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from .hamiltonian import PhaseState
 from .levy_path import grid_increments, jumps_in
@@ -207,20 +207,35 @@ def _step_lanes(system, scheme, p0, q0, dt, dl, tol, max_iters):
 
 
 def _one_step(system, scheme, p, q, dt, dL, controls):
-    """`scheme` from (B, n) lanes sharing dt and dL; a stall raises the lowest stalled lane's."""
+    """`scheme` from (L, n) lanes in B equal groups: (p, q, stalled) as from _step_lanes.
+
+    Group b is consecutive lanes stepping at dt[b] with increments
+    dL[b]; dt is (B,) and dL (B, m). An argument outside the domain
+    raises DomainError with the first bad group's value.
+    """
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    if dt < 0:
-        raise DomainError(f"dt must be >= 0, got {dt}")
+    steps = np.asarray(dt, dtype=float)
+    bad = np.flatnonzero(steps < 0)
+    if bad.size:
+        raise DomainError(f"dt must be >= 0, got {dt[bad[0]]}")
+    dL = np.asarray(dL, dtype=float)
+    if dL.shape[1:] != (system.m,):
+        raise DomainError(f"dL must have length m={system.m}, got shape {dL.shape[1:]}")
+    group = len(p) // len(steps)
+    return _step_lanes(system, scheme, p, q, np.repeat(steps, group)[:, None],
+                       np.repeat(dL, group, axis=0), controls.implicit_tol,
+                       controls.implicit_max_iters)
+
+
+def _single_step(system, scheme, state, dt, dL, controls):
+    """One state's step, the B = 1 case of _one_step; a stall raises."""
+    p, q = state.p[None], state.q[None]
     dL = np.atleast_1d(np.asarray(dL, dtype=float))
-    if dL.shape != (system.m,):
-        raise DomainError(f"dL must have length m={system.m}, got shape {dL.shape}")
-    lanes = len(p)
-    p, q, stalled = _step_lanes(system, scheme, p, q, np.full((lanes, 1), dt), np.tile(dL, (lanes, 1)),
-                                controls.implicit_tol, controls.implicit_max_iters)
+    p, q, stalled = _one_step(system, scheme, p, q, [dt], dL[None], controls)
     if stalled is not None:
         raise _stalled(float(stalled[1][0]), controls.implicit_max_iters)
-    return p, q
+    return PhaseState(p[0], q[0])
 
 
 def symplectic_euler_step(system, state, dt, dL, controls):
@@ -230,14 +245,12 @@ def symplectic_euler_step(system, state, dt, dL, controls):
     fixed-point iteration to controls.implicit_tol in the max norm, then
     sets Q1 = Q0 + gamma_0(P1,Q0) dt + sum_r gamma_r(P1,Q0) dL_r.
     """
-    p, q = _one_step(system, "symplectic", state.p[None], state.q[None], dt, dL, controls)
-    return PhaseState(p[0], q[0])
+    return _single_step(system, "symplectic", state, dt, dL, controls)
 
 
 def explicit_euler_step(system, state, dt, dL, controls):
     """Explicit Euler step: both updates evaluated at (P0, Q0)."""
-    p, q = _one_step(system, "explicit", state.p[None], state.q[None], dt, dL, controls)
-    return PhaseState(p[0], q[0])
+    return _single_step(system, "explicit", state, dt, dL, controls)
 
 
 def _segment_grids(starts, ends, dts):
@@ -577,6 +590,12 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
     of the lowest-index failing lane is raised, exactly as that path
     raises it alone.
     """
+    rec = _pathwise_record(system, initial, t0, T, paths, controls)
+    return [rec.trajectory(b) for b in range(len(rec.lo))]
+
+
+def _pathwise_record(system, initial, t0, T, paths, controls):
+    """``integrate_pathwise_batch`` up to its filled _Record: lane b owns rows lo[b]:hi[b]."""
     paths = list(paths)
     if not paths:
         raise DomainError("paths must hold at least one path")
@@ -608,7 +627,7 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
             _jump_segment(system, controls, rec, lanes, post, marks[lanes, k], k, failures)
     if failures:
         raise failures[min(failures)]
-    return [rec.trajectory(b) for b in range(lanes_total)]
+    return rec
 
 
 def write_trajectory_csv(trajectory, file_path):
@@ -617,10 +636,5 @@ def write_trajectory_csv(trajectory, file_path):
     header = ",".join(
         ["t"] + [f"p{i + 1}" for i in range(n)] + [f"q{i + 1}" for i in range(n)]
     )
-    rows = []
-    for j in range(len(trajectory)):
-        row = [fmt(trajectory.times[j])]
-        row.extend(fmt(x) for x in trajectory.ps[j])
-        row.extend(fmt(x) for x in trajectory.qs[j])
-        rows.append(row)
-    write_csv(file_path, header, rows)
+    rows = np.column_stack([trajectory.times, trajectory.ps, trajectory.qs])
+    write_csv(file_path, header, fmt_rows(rows))

@@ -267,8 +267,8 @@ def grid_increments(path, channel, grid):
 
 def write_path_csv(path, file_path):
     """Write the event list as CSV with header ``time,channel,mark``."""
-    rows = [(fmt(ev.time), str(ev.channel), fmt(ev.mark)) for ev in path.events]
-    write_csv(file_path, PATH_CSV_HEADER, rows)
+    lines = [f"{fmt(ev.time)},{ev.channel},{fmt(ev.mark)}" for ev in path.events]
+    write_csv(file_path, PATH_CSV_HEADER, lines)
 
 
 def read_path_csv(file_path, spec, horizon):

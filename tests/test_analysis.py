@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import symplevy as sl
-from symplevy.analysis import FD_STEP
+from symplevy import cli
+from symplevy.analysis import FD_STEP, _defect_lanes, _jacobian_lanes
 from symplevy.errors import DomainError, NonConvergenceError
 
 
@@ -264,7 +265,159 @@ class TestOneStepJacobian:
         assert FD_STEP == 1e-6
 
 
+def two_channel():
+    # channel fields that do not commute, one of them depending on p
+    return sl.HamiltonianSystem(
+        n=1,
+        m=2,
+        sigma=(lambda p, q: 0.1 * q, lambda p, q: 0.3 * q, lambda p, q: 0.2 * p),
+        gamma=(lambda p, q: 0.1 * p, lambda p, q: 0.3 * p, lambda p, q: 0.2 * q),
+        hamiltonians=(lambda p, q: 0.0 * p[:, 0],) * 3,
+    )
+
+
+def random_lanes(system, rng, states):
+    """States, steps and increments; about a third of the dt and dL rows are zero."""
+    p = rng.uniform(-2, 2, (states, system.n))
+    q = rng.uniform(-2, 2, (states, system.n))
+    dt = rng.uniform(0.0, 0.1, states) * (rng.uniform(size=states) > 0.3)
+    dl = rng.uniform(-1, 1, (states, system.m)) * (rng.uniform(size=(states, 1)) > 0.3)
+    dl[rng.uniform(size=(states, system.m)) < 0.2] = 0.0
+    return p, q, dt, dl
+
+
+class TestJacobianLanes:
+    @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
+    @pytest.mark.parametrize("system", [kubo(), anharmonic(), two_channel()],
+                             ids=["kubo", "anharmonic", "two-channel"])
+    def test_each_lane_equals_the_column_reference(self, system, scheme):
+        controls = sl.StepControls(dt=1.0)
+        p, q, dt, dl = random_lanes(system, np.random.default_rng(31), 40)
+        assert not dt.all() and not dl.any(axis=1).all() and dl.any()
+        jacs, failure = _jacobian_lanes(system, scheme, p, q, dt, dl, controls)
+        assert failure is None and jacs.shape == (40, 2, 2)
+        for b in range(40):
+            state = sl.PhaseState(p[b], q[b])
+            expected = column_jacobian(system, scheme, state, dt[b], dl[b], controls)
+            assert np.array_equal(jacs[b], expected)
+
+    def test_one_state_is_the_public_jacobian(self):
+        controls = sl.StepControls(dt=1.0)
+        state = sl.PhaseState([0.4], [-1.1])
+        for scheme in ("symplectic", "explicit"):
+            jacs, failure = _jacobian_lanes(
+                anharmonic(), scheme, state.p[None], state.q[None], [0.07], [[0.3]], controls
+            )
+            public = sl.one_step_jacobian(anharmonic(), scheme, state, 0.07, 0.3, controls)
+            assert failure is None and np.array_equal(jacs[0], public)
+
+    def test_validates_the_first_bad_state(self):
+        controls = sl.StepControls(dt=1.0)
+        p = q = np.zeros((3, 1))
+        with pytest.raises(DomainError, match=r"dt must be >= 0, got -0\.2$"):
+            _jacobian_lanes(kubo(), "symplectic", p, q, [0.1, -0.2, -0.3], np.zeros((3, 1)),
+                            controls)
+        with pytest.raises(DomainError, match=r"got shape \(2,\)$"):
+            _jacobian_lanes(kubo(), "symplectic", p, q, [0.1] * 3, np.zeros((3, 2)), controls)
+        with pytest.raises(DomainError, match="scheme must be one of"):
+            _jacobian_lanes(kubo(), "implicit", p, q, [0.1] * 3, np.zeros((3, 1)), controls)
+
+
+def trap():
+    """A system whose steps fail in chosen regions of phase space.
+
+    The momentum solve stalls below q = -50 (its sweep expands there), and
+    gamma_0 is infinite above p = 50, so the explicit map, which takes
+    gamma_0 at p0, fails for p0 just above 50 where the symplectic map,
+    at p1 = p0 - q dt, does not.
+    """
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: np.where(q < -50.0, 30.0 * p, q), lambda p, q: 0.1 * q),
+        gamma=(lambda p, q: np.where(p > 50.0, np.inf, 0.1 * p), lambda p, q: 0.1 * p),
+        hamiltonians=(lambda p, q: 0.0 * p[:, 0],) * 2,
+    )
+
+
+# sample rows (p, q, dt, dL)
+FINE = (0.3, 0.2, 0.5, 0.1)
+NON_FINITE = (60.0, 0.2, 0.5, 0.0)  # both maps
+EXPLICIT_ONLY = (50.2, 1.0, 0.5, 0.0)  # non-finite for the explicit map only
+SYMPLECTIC_ONLY = (49.8, -1.0, 0.5, 0.0)  # non-finite for the symplectic map only
+STALL = (0.3, -60.0, 0.1, 0.0)  # stalls the symplectic map only
+STALL_AND_EXPLICIT = (60.0, -60.0, 0.1, 0.0)
+
+
+def first_failure_one_at_a_time(system, samples, controls):
+    """The error of checking the samples in order, one public Jacobian at a time."""
+    for p, q, dt, dl in samples:
+        for scheme in ("symplectic", "explicit"):
+            try:
+                sl.one_step_jacobian(system, scheme, sl.PhaseState([p], [q]), dt, [dl], controls)
+            except (DomainError, NonConvergenceError) as err:
+                return err
+    return None
+
+
+class TestLaneFailures:
+    @pytest.mark.parametrize(
+        "samples, kind",
+        [
+            ([FINE, NON_FINITE, STALL], DomainError),
+            ([FINE, STALL, NON_FINITE], NonConvergenceError),
+            ([FINE, EXPLICIT_ONLY, STALL], DomainError),
+            ([STALL, FINE, NON_FINITE, EXPLICIT_ONLY], NonConvergenceError),
+            ([FINE, STALL_AND_EXPLICIT, EXPLICIT_ONLY], NonConvergenceError),
+            ([FINE, FINE, EXPLICIT_ONLY, STALL_AND_EXPLICIT], DomainError),
+            ([FINE, SYMPLECTIC_ONLY, STALL], DomainError),
+            ([SYMPLECTIC_ONLY, STALL_AND_EXPLICIT], DomainError),
+        ],
+    )
+    def test_the_lowest_failing_sample_raises_first(self, samples, kind):
+        controls = sl.StepControls(dt=1.0)
+        expected = first_failure_one_at_a_time(trap(), samples, controls)
+        assert isinstance(expected, kind)
+        with np.errstate(all="ignore"), pytest.raises(kind) as info:
+            cli._defects(trap(), controls, np.array(samples))
+        assert str(info.value) == str(expected)
+        if kind is NonConvergenceError:
+            assert info.value.residual == expected.residual
+
+    def test_failure_reports_the_state_index(self):
+        controls = sl.StepControls(dt=1.0)
+        rows = np.array([FINE, FINE, EXPLICIT_ONLY, SYMPLECTIC_ONLY, STALL, NON_FINITE])
+        p, q, dt, dl = rows[:, :1], rows[:, 1:2], rows[:, 2], rows[:, 3:]
+        with np.errstate(all="ignore"):
+            jacs, (b, err) = _jacobian_lanes(trap(), "symplectic", p, q, dt, dl, controls)
+            assert b == 3 and isinstance(err, DomainError) and jacs.shape == (3, 2, 2)
+            jacs, (b, err) = _jacobian_lanes(trap(), "symplectic", p[4:], q[4:], dt[4:], dl[4:],
+                                             controls)
+            assert b == 0 and isinstance(err, NonConvergenceError) and jacs.shape == (0, 2, 2)
+            jacs, (b, err) = _jacobian_lanes(trap(), "explicit", p, q, dt, dl, controls)
+            assert b == 2 and isinstance(err, DomainError) and jacs.shape == (2, 2, 2)
+        for j in range(2):
+            state = sl.PhaseState(p[j], q[j])
+            assert np.array_equal(jacs[j], sl.one_step_jacobian(trap(), "explicit", state,
+                                                                dt[j], dl[j], controls))
+
+
 class TestSymplecticDefect:
+    def test_stacked_defects_equal_one_at_a_time(self):
+        rng = np.random.default_rng(17)
+        controls = sl.StepControls(dt=1.0)
+        for system in (kubo(), two_channel()):
+            for scheme in ("symplectic", "explicit"):
+                p, q, dt, dl = random_lanes(system, rng, 30)
+                jacs, _ = _jacobian_lanes(system, scheme, p, q, dt, dl, controls)
+                stacked = _defect_lanes(jacs)
+                assert stacked.shape == (30,)
+                assert [float(d) for d in stacked] == [sl.symplectic_defect(j) for j in jacs]
+        for dim in (2, 4):
+            jacs = rng.normal(size=(25, dim, dim)) * 10.0 ** rng.integers(-3, 4, (25, 1, 1))
+            expected = [sl.symplectic_defect(j) for j in jacs]
+            assert [float(d) for d in _defect_lanes(jacs)] == expected
+
     def test_identity_has_zero_defect(self):
         assert sl.symplectic_defect(np.eye(2)) == 0.0
 

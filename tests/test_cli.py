@@ -6,14 +6,19 @@ numerical wiring, and the exit-code contract together.
 """
 
 import csv
+import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from symplevy import cli, levy_path
-from symplevy.hamiltonian import KuboParams, PhaseState, kubo_exact
+from symplevy.analysis import one_step_jacobian, symplectic_defect
+from symplevy.errors import DomainError, NonConvergenceError
+from symplevy.hamiltonian import KuboParams, PhaseState, kubo_exact, kubo_system
+from symplevy.integrators import StepControls, integrate_fixed_grid, integrate_pathwise
 from symplevy.levy_path import JumpEvent, LevyPath, LevyPathSpec, increment, sample_path
 
 # Every setting each subcommand takes, as flag and as config key.
@@ -35,6 +40,15 @@ dt,ms_error,log_dt,log_error
 0.0050000000000000001,0.00020933726696845549,-5.2983173665480363,-8.4715638890901541
 slope,intercept,residual
 0.98340128946744898,-3.2630880578532224,0.0061270361936962559
+"""
+
+
+# symplectic-check --samples 1000 --seed 1 (the benchmark's flags at seed 1)
+SYMPLECTIC_CHECK_SEED_1_SHA256 = "5e41821fb6b2bf4c656ca004f04ba0aa550ecd8088212c0c4db2317bdb58da71"
+SYMPLECTIC_CHECK_SEED_1_HEAD = """\
+p,q,dt,dL,defect_symplectic,defect_explicit
+0.047286498801026866,1.8018547853037412,0,0,8.1266549045722059e-11,8.1266549045722059e-11
+-1.4233615491214651,1.7945977885489754,0,0,1.645332758926088e-10,1.645332758926088e-10
 """
 
 
@@ -282,7 +296,7 @@ class TestOrbit:
 
 
 class TestExactTrajectory:
-    @pytest.mark.parametrize("case", ["events-on-nodes", "sampled"])
+    @pytest.mark.parametrize("case", ["events-on-nodes", "sampled", "adversarial"])
     def test_one_pass_levels_equal_increment(self, case):
         if case == "events-on-nodes":
             # a running float sum of these marks would round differently
@@ -291,10 +305,18 @@ class TestExactTrajectory:
             events = tuple(JumpEvent(t, 1, m) for t, m in marks)
             path = LevyPath(spec=LevyPathSpec(rate=1.0, mark_sigma=1.0), horizon=2.0, events=events)
             times = np.linspace(0.0, 2.0, 9)
-        else:
+        elif case == "sampled":
             path = sample_path(LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=1), 30.0)
             times = np.sort(np.concatenate([np.linspace(0.0, 30.0, 376),
                                             [ev.time for ev in path.events]]))
+        elif case == "adversarial":
+            # huge cancelling marks, subnormals and a rounding residue
+            residue = 0.1 + 0.2 - 0.30000000000000004
+            marks = [(0.1, 1e300), (0.2, 1e-300), (0.3, 5e-324), (0.4, -1e300), (0.5, residue),
+                     (0.6, 5e-324), (0.7, -1e-300), (0.8, 1e300), (0.9, 0.1), (1.0, -1e300)]
+            events = tuple(JumpEvent(t, 1, m) for t, m in marks)
+            path = LevyPath(spec=LevyPathSpec(rate=1.0, mark_sigma=1.0), horizon=1.0, events=events)
+            times = np.linspace(0.0, 1.0, 21)
         levels = [increment(path, 1, 0.0, float(t)) for t in times]
         assert cli._levels(path, times) == levels
         params = KuboParams(0.1, 0.1)
@@ -397,6 +419,23 @@ class TestConverge:
             "slope=0.983401 intercept=-3.263088 residual=0.006127 half-order-residual=0.668749"
         )
 
+    @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
+    def test_end_differences_are_trajectory_ends_minus_exact_ends(self, scheme):
+        params = KuboParams(0.1, 0.1)
+        system = kubo_system(params)
+        paths = [sample_path(LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=s), 3.0) for s in range(4)]
+        controls = [StepControls(dt=dt) for dt in (0.1, 0.05, 0.1, 0.02)]
+        diffs = cli._end_differences({"T": 3.0, "scheme": scheme}, params, system, paths, controls)
+        assert diffs.shape == (4, 2)
+        start = PhaseState([0.0], [1.0])
+        for path, step, diff in zip(paths, controls, diffs):
+            if scheme == "symplectic":
+                traj = integrate_pathwise(system, start, 0.0, 3.0, path, step)
+            else:
+                traj = integrate_fixed_grid(system, "explicit", start, 0.0, 3.0, path, step)
+            exact = kubo_exact(params, start, 3.0, increment(path, 1, 0.0, 3.0))
+            assert np.array_equal(diff, traj.final_state().as_vector() - exact.as_vector())
+
     def test_dts_accepts_json_list_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -439,6 +478,9 @@ class TestSymplecticCheck:
         strong = [r for r in live if abs(0.1 * r[2] + 0.1 * r[3]) >= 0.05]
         assert strong
         assert min(r[5] for r in strong) > 1e-4
+        # the maxima are over the live samples only
+        maxima = f"symplectic={max(r[4] for r in live):.3e} explicit={max(r[5] for r in live):.3e}"
+        assert maxima in out
 
     def test_reproducible_across_runs(self, tmp_path):
         run_cli(["symplectic-check", "--samples", 20, "--seed", 4, "--out-dir", tmp_path / "a"])
@@ -451,3 +493,69 @@ class TestSymplecticCheck:
         code = run_cli(["symplectic-check", "--samples", 20, "--svg", "--out-dir", tmp_path])
         assert code == 0
         assert (tmp_path / "symplectic_check.svg").read_text().startswith("<svg")
+
+    def test_seed_1_writes_the_pinned_bytes(self, tmp_path, capsys):
+        # running the samples as lanes must not change a digit
+        argv = ["symplectic-check", "--samples", 1000, "--seed", 1, "--out-dir", tmp_path]
+        assert run_cli(argv) == 0
+        data = (tmp_path / "symplectic_check.csv").read_bytes()
+        assert data.decode().startswith(SYMPLECTIC_CHECK_SEED_1_HEAD)
+        assert hashlib.sha256(data).hexdigest() == SYMPLECTIC_CHECK_SEED_1_SHA256
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "max defect symplectic=3.562e-10 explicit=1.171e-02"
+        )
+
+    def test_chunks_write_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        argv = ["symplectic-check", "--samples", 40, "--seed", 6, "--svg", "--out-dir"]
+        sizes = []
+        real = cli._defects
+
+        def spy(system, controls, samples):
+            sizes.append(len(samples))
+            return real(system, controls, samples)
+
+        monkeypatch.setattr(cli, "_defects", spy)
+        assert run_cli(argv + [tmp_path / "whole"]) == 0
+        whole = capsys.readouterr().out.splitlines()[1]
+        assert sizes == [5, 40]
+        sizes.clear()
+        monkeypatch.setattr(cli, "_CHECK_CHUNK", 7)
+        assert run_cli(argv + [tmp_path / "chunked"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == whole
+        assert sizes == [5, 7, 7, 7, 7, 7, 5]
+        for name in ("symplectic_check.csv", "symplectic_check.svg"):
+            chunked = (tmp_path / "chunked" / name).read_bytes()
+            assert chunked == (tmp_path / "whole" / name).read_bytes()
+
+    @pytest.mark.parametrize("alpha, beta, code",
+                             [(1e300, 0.1, 2), (0.1, 1e308, 3), (1e308, 1e308, 3)])
+    def test_overflow_fails_as_one_sample_at_a_time(self, alpha, beta, code, tmp_path, capsys):
+        # the error and every warning of checking the samples in order, one
+        # public Jacobian at a time, up to the first failure
+        system = kubo_system(KuboParams(alpha, beta))
+        rng = np.random.default_rng(0)
+
+        def one_at_a_time():
+            for k in range(1005):
+                state = PhaseState([rng.uniform(-2.0, 2.0)], [rng.uniform(-2.0, 2.0)])
+                dt, dl = (0.0, 0.0)
+                if k >= 5:
+                    dt, dl = 0.1 - rng.uniform(0.0, 0.1), rng.uniform(-1.0, 1.0)
+                for scheme in ("symplectic", "explicit"):
+                    jac = one_step_jacobian(system, scheme, state, dt, [dl], StepControls(dt=1.0))
+                    symplectic_defect(jac)
+
+        def seen(records):
+            return [(str(w.message), w.category, w.filename, w.lineno) for w in records]
+
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            with pytest.raises((DomainError, NonConvergenceError)) as expected:
+                one_at_a_time()
+        with warnings.catch_warnings(record=True) as cli_warnings:
+            warnings.simplefilter("always")
+            argv = ["symplectic-check", "--alpha", alpha, "--beta", beta, "--out-dir", tmp_path]
+            assert run_cli(argv) == code
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert seen(cli_warnings) == seen(expected_warnings) != []
+        assert not (tmp_path / "symplectic_check.csv").exists()

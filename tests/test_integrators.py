@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplevy as sl
+from symplevy._csv import fmt, fmt_rows
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
-from symplevy.integrators import MAX_GRID_STEPS, _lane_record, _step_lanes
+from symplevy.integrators import MAX_GRID_STEPS, _lane_record, _one_step, _step_lanes
 
 
 KUBO = sl.KuboParams(alpha=0.1, beta=0.1)
@@ -170,6 +171,31 @@ class TestOneStepMaps:
             sl.symplectic_euler_step(kubo(), unit_start(), 0.1, np.zeros(2), controls)
         with pytest.raises(DomainError):
             sl.explicit_euler_step(kubo(), unit_start(), 0.1, np.zeros((1, 1)), controls)
+
+    def test_messages_name_the_bad_value(self):
+        controls = sl.StepControls(dt=0.08)
+        with pytest.raises(DomainError, match=r"^dt must be >= 0, got -1$"):
+            sl.symplectic_euler_step(kubo(), unit_start(), -1, 0.0, controls)
+        with pytest.raises(DomainError, match=r"^dL must have length m=1, got shape \(2,\)$"):
+            sl.explicit_euler_step(kubo(), unit_start(), 0.1, [0.0, 0.0], controls)
+        with pytest.raises(DomainError, match=r"got shape \(1, 1\)$"):
+            sl.explicit_euler_step(kubo(), unit_start(), 0.1, np.zeros((1, 1)), controls)
+
+    def test_lane_groups_step_at_their_own_dt_and_increments(self):
+        controls = sl.StepControls(dt=1.0)
+        dts = [0.05, 0.0, 0.08]
+        dls = np.array([[0.3], [0.0], [-0.6]])
+        starts = np.array([[0.4], [-1.2], [0.9], [0.1], [2.0], [-0.3]])
+        for scheme, step in (("symplectic", sl.symplectic_euler_step),
+                             ("explicit", sl.explicit_euler_step)):
+            p, q, stalled = _one_step(kubo(), scheme, starts, starts[::-1], dts, dls, controls)
+            assert stalled is None
+            for lane in range(6):
+                alone = step(kubo(), sl.PhaseState(starts[lane], starts[5 - lane]),
+                             dts[lane // 2], dls[lane // 2], controls)
+                assert p[lane, 0] == alone.p[0] and q[lane, 0] == alone.q[0]
+        with pytest.raises(DomainError, match=r"^dt must be >= 0, got -0\.2$"):
+            _one_step(kubo(), "explicit", starts, starts, [0.1, -0.2, -0.3], dls, controls)
 
     def test_fixed_point_non_convergence_reports_residual(self):
         # sigma_0 = 30 p makes the fixed-point iteration expand by a
@@ -472,6 +498,15 @@ class TestTrajectoryCsv:
             assert float(row[0]) == traj.times[i]
             assert float(row[1]) == traj.ps[i, 0]
             assert float(row[2]) == traj.qs[i, 0]
+
+
+    def test_rows_are_formatted_value_by_value(self):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(200, 5)) * 10.0 ** rng.integers(-320, 300, (200, 5))
+        values[0] = [-0.0, 1e16, 5e-324, 1e-5, 0.1]
+        values[1] = [np.inf, -np.inf, np.nan, 0.0, 2.0 ** 70]
+        assert fmt_rows(values) == [",".join(fmt(x) for x in row) for row in values]
+        assert fmt_rows(values[:2, :1]) == ["-0", "inf"]
 
 
 def symplectic_raw(system, p0, q0, dt, dL, tol, max_iters):
