@@ -40,7 +40,7 @@ import numpy as np
 from ._csv import fmt_rows, write_csv
 from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from .hamiltonian import PhaseState
-from .levy_path import grid_increments, jumps_in
+from .levy_path import grid_increments
 from .marcus import DEFAULT_SUBSTEPS, _flow_error, _flow_raw
 
 __all__ = [
@@ -391,15 +391,14 @@ def _lane_jumps(system, paths, t0, T):
     the marks of that instant's events, summed per channel in event
     order.
     """
-    events = [jumps_in(path, t0, T) for path in paths]
-    lane = np.repeat(np.arange(len(paths)), [len(lane_events) for lane_events in events])
-    flat = [ev for lane_events in events for ev in lane_events]
-    times = np.array([ev.time for ev in flat], dtype=float)
+    spans = [slice(*np.searchsorted(path.times, (t0, T), side="right")) for path in paths]
+    pieces = [(path.times[s], path.channels[s], path.marks[s]) for path, s in zip(paths, spans)]
+    lane = np.repeat(np.arange(len(paths)), [len(times) for times, _, _ in pieces])
+    times, channels, flat_marks = (np.concatenate(column) for column in zip(*pieces))
     new = np.ones(times.size, dtype=bool)
     new[1:] = (times[1:] != times[:-1]) | (lane[1:] != lane[:-1])
-    channels = np.array([ev.channel - 1 for ev in flat], dtype=np.intp)
     marks = np.zeros((np.count_nonzero(new), system.m))
-    np.add.at(marks, (np.cumsum(new) - 1, channels), [ev.mark for ev in flat])
+    np.add.at(marks, (np.cumsum(new) - 1, channels - 1), flat_marks)
     return lane[new], times[new], marks
 
 

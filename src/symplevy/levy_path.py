@@ -2,11 +2,12 @@
 
 A path is a finite record of jump events (time, channel, mark) sampled
 once from the distributions a LevyPathSpec describes: exponential
-waiting times with rate
-``rate`` per channel and independent normal marks N(0, mark_sigma^2).
-Every query (increments over an interval, events inside a window,
-increments on a grid) reads that fixed realization, so one realization
-can be evaluated on any time grid without re-sampling.
+waiting times with rate ``rate`` per channel and independent normal
+marks N(0, mark_sigma^2), kept as three arrays; the JumpEvent objects of
+``LevyPath.events`` are built only when a caller asks for them. Every
+query (increments over an interval, events inside a window, increments
+on a grid) reads those arrays, so one realization can be evaluated on
+any time grid without re-sampling.
 
 Increments use the half-open convention: ``increment(path, r, t0, t1)``
 sums marks with ``t0 < time <= t1``, so a jump sitting exactly on a grid
@@ -18,14 +19,13 @@ generator keyed by ``(seed, r)``, waiting times first and then marks.
 The keying is part of the on-disk contract; golden tests depend on it.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._csv import fmt, write_csv
+from ._csv import fmt_rows, write_csv
 from .errors import DomainError, InvalidSpecError
 
 __all__ = [
@@ -105,51 +105,76 @@ class JumpEvent:
     mark: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LevyPath:
     """A fixed compound Poisson realization on (0, horizon].
 
-    Events are sorted by time, ties broken by channel index. Construct
-    via sample_path for fresh realizations or read_path_csv for stored
-    ones; direct construction validates the same invariants.
+    Stored as three read-only arrays: event ``times``, 1-based
+    ``channels`` and ``marks``, sorted by time with ties broken by
+    channel. ``events`` is the JumpEvent tuple, built on first access.
     """
 
     spec: LevyPathSpec
     horizon: float
-    events: tuple[JumpEvent, ...]
-    _times: np.ndarray = field(init=False, repr=False, compare=False)
-    _by_channel: dict = field(init=False, repr=False, compare=False)
+    times: np.ndarray
+    channels: np.ndarray
+    marks: np.ndarray
 
-    def __post_init__(self):
-        if not _positive_horizon(self.horizon):
-            raise InvalidSpecError(f"horizon must be a finite positive number, got {self.horizon!r}")
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
-        m = self.spec.noise_count
-        previous = (0.0, 0)
-        for ev in events:
-            if not (math.isfinite(ev.time) and 0.0 < ev.time <= self.horizon):
-                raise DomainError(f"event time {ev.time!r} outside (0, {self.horizon}]")
-            if not (isinstance(ev.channel, int) and 1 <= ev.channel <= m):
-                raise DomainError(f"event channel {ev.channel!r} outside 1..{m}")
-            if not math.isfinite(ev.mark):
-                raise DomainError(f"event mark {ev.mark!r} is not finite")
-            if (ev.time, ev.channel) < previous:
-                raise DomainError("events must be sorted by time, ties by channel")
-            previous = (ev.time, ev.channel)
+    def __init__(self, spec, horizon, events):
+        events = tuple(events)
         times = np.array([ev.time for ev in events], dtype=float)
-        by_channel = {}
-        for r in range(1, m + 1):
-            sel = [ev for ev in events if ev.channel == r]
-            by_channel[r] = (
-                np.array([ev.time for ev in sel], dtype=float),
-                np.array([ev.mark for ev in sel], dtype=float),
-            )
-        object.__setattr__(self, "_times", times)
-        object.__setattr__(self, "_by_channel", by_channel)
+        channels = np.array([ev.channel for ev in events], dtype=object)
+        marks = np.array([ev.mark for ev in events], dtype=float)
+        self._store(spec, horizon, times, channels, marks)
+
+    @classmethod
+    def _from_columns(cls, spec, horizon, times, channels, marks):
+        path = cls.__new__(cls)
+        path._store(spec, horizon, times, channels, marks)
+        return path
+
+    def _store(self, spec, horizon, times, channels, marks):
+        """Validate the columns and keep them; every way of building a path ends here.
+
+        Events are checked in sequence order, each for its time, channel,
+        mark and order after the previous event, and the first failure
+        raises. An object channel column (from JumpEvents) must hold
+        Python ints, not bool or float.
+        """
+        if not _positive_horizon(horizon):
+            raise InvalidSpecError(f"horizon must be a finite positive number, got {horizon!r}")
+        m = spec.noise_count
+        if channels.dtype == object:
+            channel_ok = np.array([type(c) is int and 1 <= c <= m for c in channels], dtype=bool)
+        else:
+            channel_ok = (channels >= 1) & (channels <= m)
+        ranks = np.where(channel_ok, channels, 0)
+        in_order = np.ones(times.size, dtype=bool)
+        ties = times[1:] == times[:-1]
+        in_order[1:] = (times[1:] > times[:-1]) | (ties & (ranks[1:] >= ranks[:-1]))
+        time_ok = np.isfinite(times) & (times > 0.0) & (times <= horizon)
+        ok = [time_ok, channel_ok, np.isfinite(marks), in_order]
+        rows, checks = np.nonzero(~np.column_stack(ok))
+        if rows.size:
+            i = rows[0]
+            raise DomainError((
+                f"event time {float(times[i])!r} outside (0, {horizon}]",
+                f"event channel {channels.tolist()[i]!r} outside 1..{m}",
+                f"event mark {float(marks[i])!r} is not finite",
+                "events must be sorted by time, ties by channel",
+            )[checks[0]])
+        channels = channels.astype(np.int64, copy=False)
+        for column in (times, channels, marks):
+            column.flags.writeable = False
+        vars(self).update(spec=spec, horizon=horizon, times=times, channels=channels, marks=marks)
+
+    @cached_property
+    def events(self):
+        columns = self.times.tolist(), self.channels.tolist(), self.marks.tolist()
+        return tuple(map(JumpEvent, *columns))
 
     def __len__(self):
-        return len(self.events)
+        return self.times.size
 
 
 def _channel_generator(seed, channel):
@@ -193,25 +218,25 @@ def sample_path(spec, horizon):
             f"rate*horizon = {spec.rate * horizon:g} expected events exceeds the limit "
             f"MAX_EXPECTED_EVENTS = {MAX_EXPECTED_EVENTS:g}"
         )
-    events = []
+    columns = []
     for channel in range(1, spec.noise_count + 1):
         rng = _channel_generator(spec.seed, channel)
         times = _arrival_times(rng, spec.rate, horizon)
         marks = rng.normal(0.0, spec.mark_sigma, size=times.size)
-        events.extend(
-            JumpEvent(float(t), channel, float(x)) for t, x in zip(times, marks)
-        )
-    events.sort(key=lambda ev: (ev.time, ev.channel))
-    return LevyPath(spec=spec, horizon=horizon, events=tuple(events))
+        columns.append((times, np.full(times.size, channel, dtype=np.int64), marks))
+    times, channels, marks = (np.concatenate(column) for column in zip(*columns))
+    order = np.lexsort((channels, times))
+    return LevyPath._from_columns(spec, horizon, times[order], channels[order], marks[order])
 
 
-def _check_interval(path, t0, t1):
+def _window(path, t0, t1):
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise DomainError(f"interval endpoints must be finite, got ({t0!r}, {t1!r})")
     if not (0.0 <= t0 <= t1 <= path.horizon):
         raise DomainError(
             f"interval ({t0}, {t1}] must satisfy 0 <= t0 <= t1 <= horizon={path.horizon}"
         )
+    return slice(*np.searchsorted(path.times, (t0, t1), side="right"))
 
 
 def increment(path, channel, t0, t1):
@@ -221,23 +246,15 @@ def increment(path, channel, t0, t1):
     marks, so nested grids telescope to the coarse increments up to one
     rounding of the final result.
     """
-    if channel not in path._by_channel:
+    if channel not in range(1, path.spec.noise_count + 1):
         raise DomainError(f"channel {channel!r} outside 1..{path.spec.noise_count}")
-    _check_interval(path, t0, t1)
-    times, marks = path._by_channel[channel]
-    i0 = int(np.searchsorted(times, t0, side="right"))
-    i1 = int(np.searchsorted(times, t1, side="right"))
-    if i1 <= i0:
-        return 0.0
-    return math.fsum(marks[i0:i1])
+    window = _window(path, t0, t1)
+    return math.fsum(path.marks[window][path.channels[window] == channel])
 
 
 def jumps_in(path, t0, t1):
     """All events of any channel with time in (t0, t1], in time order."""
-    _check_interval(path, t0, t1)
-    i0 = int(np.searchsorted(path._times, t0, side="right"))
-    i1 = int(np.searchsorted(path._times, t1, side="right"))
-    return list(path.events[i0:i1])
+    return list(path.events[_window(path, t0, t1)])
 
 
 def grid_increments(path, channel, grid):
@@ -255,10 +272,11 @@ def grid_increments(path, channel, grid):
         raise DomainError("grid must be strictly increasing")
     if grid[0] < 0 or grid[-1] > path.horizon:
         raise DomainError(f"grid must lie within [0, horizon={path.horizon}]")
-    if channel not in path._by_channel:
+    if channel not in range(1, path.spec.noise_count + 1):
         raise DomainError(f"channel {channel!r} outside 1..{path.spec.noise_count}")
-    times, marks = path._by_channel[channel]
-    ends = np.searchsorted(times, grid, side="right")
+    own = path.channels == channel
+    marks = path.marks[own]
+    ends = np.searchsorted(path.times[own], grid, side="right")
     out = np.zeros(grid.size - 1)
     for j in np.flatnonzero(ends[1:] > ends[:-1]):
         out[j] = math.fsum(marks[ends[j] : ends[j + 1]])
@@ -267,8 +285,8 @@ def grid_increments(path, channel, grid):
 
 def write_path_csv(path, file_path):
     """Write the event list as CSV with header ``time,channel,mark``."""
-    lines = [f"{fmt(ev.time)},{ev.channel},{fmt(ev.mark)}" for ev in path.events]
-    write_csv(file_path, PATH_CSV_HEADER, lines)
+    rows = np.column_stack([path.times, path.channels, path.marks])
+    write_csv(file_path, PATH_CSV_HEADER, fmt_rows(rows))
 
 
 def read_path_csv(file_path, spec, horizon):
@@ -281,10 +299,14 @@ def read_path_csv(file_path, spec, horizon):
         lines = [line.strip() for line in handle if line.strip()]
     if not lines or lines[0] != PATH_CSV_HEADER:
         raise DomainError(f"expected header {PATH_CSV_HEADER!r} in {file_path}")
-    events = []
+    times, channels, marks = [], [], []
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"malformed event row {line!r}")
-        events.append(JumpEvent(float(parts[0]), int(parts[1]), float(parts[2])))
-    return LevyPath(spec=spec, horizon=float(horizon), events=tuple(events))
+        try:
+            t, channel, mark = line.split(",")
+            times.append(float(t))
+            channels.append(int(channel))
+            marks.append(float(mark))
+        except ValueError:
+            raise DomainError(f"malformed event row {line!r}") from None
+    columns = np.array(times, dtype=float), np.array(channels), np.array(marks, dtype=float)
+    return LevyPath._from_columns(spec, float(horizon), *columns)

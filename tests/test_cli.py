@@ -51,6 +51,18 @@ p,q,dt,dL,defect_symplectic,defect_explicit
 -1.4233615491214651,1.7945977885489754,0,0,1.645332758926088e-10,1.645332758926088e-10
 """
 
+# Output bytes at seed 1, from the event-object representation of paths:
+# sample-path at its defaults, and orbit/hamiltonian at the benchmark's
+# model flags over T=50
+MODEL_FLAGS = ["--alpha", 0.1, "--beta", 0.1, "--lambda", 5.0, "--sigma", 0.2]
+SAMPLE_PATH_SEED_1_SHA256 = "28ef0d03abd9f2ca229cbed01abd4e0930176372e98edb60d5ef02c97c594398"
+MODEL_T50_SEED_1_SHA256 = {
+    "exact.csv": "df6f5cd26537d9f1828968869017927daeb1af81a8c63a76f703b8d2f68e171a",
+    "symplectic.csv": "bb3d732cff9ea2f7279e9cb98a4d59fb92843cd82175c6312d15c0ef282ddb43",
+    "explicit.csv": "69e291bb240310d1215528342b6a2e082ae77d3fbc45e56c435c0e114154207f",
+    "hamiltonian.csv": "327067fd0d76a0e96d695d85b6c4a9cf053d83438447c092ea73e161b42ffd1f",
+}
+
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
@@ -559,3 +571,33 @@ class TestSymplecticCheck:
         assert capsys.readouterr().err == f"error: {expected.value}\n"
         assert seen(cli_warnings) == seen(expected_warnings) != []
         assert not (tmp_path / "symplectic_check.csv").exists()
+
+
+class TestPinnedPathBytes:
+    def sha256(self, file_path):
+        return hashlib.sha256(file_path.read_bytes()).hexdigest()
+
+    def test_sample_path_seed_1(self, tmp_path, capsys):
+        assert run_cli(["sample-path", "--seed", 1, "--out-dir", tmp_path]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "events: 997"
+        assert self.sha256(tmp_path / "path.csv") == SAMPLE_PATH_SEED_1_SHA256
+
+    def test_orbit_and_hamiltonian_seed_1(self, tmp_path):
+        for command in ("orbit", "hamiltonian"):
+            argv = [command, *MODEL_FLAGS, "--T", 50, "--seed", 1, "--out-dir", tmp_path]
+            assert run_cli(argv) == 0
+        for name, digest in MODEL_T50_SEED_1_SHA256.items():
+            assert self.sha256(tmp_path / name) == digest, name
+
+
+def test_symplectic_check_reports_a_nan_maximum(tmp_path, capsys):
+    # the defect product overflows at alpha = 1e150, so every live
+    # symplectic defect is NaN and the maximum must say so, not 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = run_cli(["symplectic-check", "--alpha", 1e150, "--out-dir", tmp_path])
+    assert code == 0
+    rows = read_rows(tmp_path / "symplectic_check.csv")[1:]
+    assert all(row[4] == "nan" for row in rows if float(row[2]) > 0.0)
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("max defect symplectic=nan explicit=")

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 import symplevy as sl
 from symplevy._csv import fmt, fmt_rows
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
-from symplevy.integrators import MAX_GRID_STEPS, _lane_record, _one_step, _step_lanes
+from symplevy.integrators import (
+    MAX_GRID_STEPS,
+    _lane_jumps,
+    _lane_record,
+    _one_step,
+    _step_lanes,
+)
 
 
 KUBO = sl.KuboParams(alpha=0.1, beta=0.1)
@@ -1155,3 +1161,46 @@ def test_every_lane_equals_its_path_alone(seeds, dts, anharmonic_drift, scheme, 
         want_p, want_q = raw_step(system, scheme, p[b], q[b], steps[b, 0], dl[b], controls[b])
         assert np.array_equal(got_p[b], want_p)
         assert np.array_equal(got_q[b], want_q)
+
+
+def reference_lane_jumps(system, paths, t0, T):
+    """``_lane_jumps`` one event at a time, from ``jumps_in``."""
+    lanes, times, marks = [], [], []
+    for b, path in enumerate(paths):
+        for ev in sl.jumps_in(path, t0, T):
+            if not (lanes and lanes[-1] == b and times[-1] == ev.time):
+                lanes.append(b)
+                times.append(ev.time)
+                marks.append(np.zeros(system.m))
+            marks[-1][ev.channel - 1] += ev.mark
+    return np.array(lanes, dtype=int), np.array(times, dtype=float), np.reshape(marks, (-1, system.m))
+
+
+class TestLaneJumps:
+    def assert_matches_reference(self, system, paths, t0, T):
+        lane, times, marks = _lane_jumps(system, paths, t0, T)
+        want_lane, want_times, want_marks = reference_lane_jumps(system, paths, t0, T)
+        assert np.array_equal(lane, want_lane)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(marks, want_marks)
+        assert marks.shape == (lane.size, system.m)
+
+    def test_window_edges_ties_and_empty_lanes(self):
+        # events at t0 are outside (t0, T] and events at T inside; channel
+        # 1 and 2 jump together at 1.5 and channel 2 twice at 2.0
+        edges = event_path([(0.5, 1, 0.1), (1.0, 2, 0.2), (1.5, 1, 0.3), (1.5, 2, -0.4),
+                            (2.0, 2, 0.5), (2.0, 2, 0.25), (3.0, 1, 0.6), (4.0, 1, 0.7)],
+                           4.0, channels=2)
+        silent = event_path([], 4.0, channels=2)
+        outside = event_path([(0.2, 1, 0.9), (3.5, 2, 0.8)], 4.0, channels=2)
+        # a lane whose last jump is at the next lane's first jump time
+        early = event_path([(0.5, 2, 0.4)], 4.0, channels=2)
+        paths = [silent, early, edges, outside, silent, edges]
+        for t0, T in [(0.0, 4.0), (0.5, 3.0), (1.0, 2.0), (1.5, 1.5), (3.0, 3.2)]:
+            self.assert_matches_reference(two_channel(), paths, t0, T)
+
+    def test_sampled_paths(self):
+        spec = sl.LevyPathSpec(rate=4.0, mark_sigma=0.3, noise_count=2, seed=5)
+        paths = [sl.sample_path(spec, 6.0), sl.sample_path(sl.LevyPathSpec(0.0, 0.3, 2), 6.0)]
+        self.assert_matches_reference(two_channel(), paths, 0.0, 6.0)
+        self.assert_matches_reference(two_channel(), paths[::-1], 1.25, 4.5)
