@@ -17,6 +17,12 @@ def _padded(lo, hi):
     return lo - pad, hi + pad
 
 
+def _points(px, py):
+    """Polyline points "x,y x,y ..." from pixel arrays, two decimals each."""
+    pairs = np.column_stack([px, py]).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(px)) % tuple(pairs)
+
+
 def line_chart(file_path, series, title, x_label, y_label):
     """Write one SVG chart; series is a list of (x, y, label) triples."""
     xs = [np.asarray(x, dtype=float) for x, _, _ in series]
@@ -25,12 +31,6 @@ def line_chart(file_path, series, title, x_label, y_label):
     y0, y1 = _padded(min(y.min() for y in ys), max(y.max() for y in ys))
     inner_w = _W - _ML - _MR
     inner_h = _H - _MT - _MB
-
-    def px(v):
-        return _ML + (v - x0) / (x1 - x0) * inner_w
-
-    def py(v):
-        return _H - _MB - (v - y0) / (y1 - y0) * inner_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -49,8 +49,9 @@ def line_chart(file_path, series, title, x_label, y_label):
     ]
     for i, (x, y, label) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(xs[i], ys[i])
+        pts = _points(
+            _ML + (xs[i] - x0) / (x1 - x0) * inner_w,
+            _H - _MB - (ys[i] - y0) / (y1 - y0) * inner_h,
         )
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.3"/>'

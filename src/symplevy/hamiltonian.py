@@ -185,7 +185,7 @@ def _hamiltonian_lanes(system, r, p, q):
         if system.monitored is None:
             raise DomainError("system registers no monitored invariant")
         evaluate = system.monitored
-    elif isinstance(r, int) and 0 <= r <= system.m:
+    elif isinstance(r, int) and not isinstance(r, bool) and 0 <= r <= system.m:
         evaluate = system.hamiltonians[r]
     else:
         raise DomainError(f"Hamiltonian index {r!r} outside 0..{system.m}")

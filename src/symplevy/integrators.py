@@ -28,6 +28,13 @@ Two drivers build trajectories on noise realizations:
   StepControls for every lane or one per path; per-path controls may
   differ in dt only, so lanes at different step sizes share one batch.
   ``integrate_pathwise`` is the same driver on one path.
+
+Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
+``integrate_fixed_grid`` checks for it once per block of steps, not after
+each step: a block in which a step stalls, numpy records a floating-point
+event, an evaluator raises or a state is out of range runs again from its
+first state one checked step at a time. Each step is a pure function of
+its state, so the rerun ends exactly where a check after every step would.
 """
 
 from __future__ import annotations
@@ -140,13 +147,6 @@ class Trajectory:
 
     def final_state(self):
         return self.state(len(self) - 1)
-
-
-def _stalled(residual, max_iters):
-    return NonConvergenceError(
-        f"implicit momentum solve stalled at residual {residual:.3e} after {max_iters} iterations",
-        residual=residual,
-    )
 
 
 def _step_lanes(system, scheme, p0, q0, dt, dl, tol, max_iters):
@@ -309,6 +309,10 @@ def _validate_run(system, initial, t0, T, path):
         raise DomainError(f"[t0, T]=[{t0}, {T}] must lie within [0, horizon={path.horizon}]")
 
 
+# Steps integrate_fixed_grid runs between two divergence checks.
+_CHECK_BLOCK = 64
+
+
 def _in_range(p, q):
     # NaN comparisons are False, so non-finite states fail this test too
     return np.abs(p).max() <= DIVERGENCE_LIMIT and np.abs(q).max() <= DIVERGENCE_LIMIT
@@ -317,6 +321,13 @@ def _in_range(p, q):
 def _lanes_in_range(p, q):
     in_range = (np.abs(p) <= DIVERGENCE_LIMIT).all(axis=1)
     return in_range & (np.abs(q) <= DIVERGENCE_LIMIT).all(axis=1)
+
+
+def _stalled(residual, max_iters):
+    return NonConvergenceError(
+        f"implicit momentum solve stalled at residual {residual:.3e} after {max_iters} iterations",
+        residual=residual,
+    )
 
 
 def _diverged(step, t, partial):
@@ -335,6 +346,18 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     times[-1] == T exactly. Each step receives the path increment over
     its half-open interval; jumps inside a step are applied as part of
     that linearized increment rather than through the jump flow.
+
+    Divergence is checked once per block of _CHECK_BLOCK steps. A block
+    runs with every numpy floating-point category that the caller's
+    ``np.geterr()`` does not ignore sent to a recorder, and one range
+    check then covers all of its states. If a step stalls, a
+    floating-point event is recorded, an evaluator raises or a state is
+    out of range, the block runs again from its first state one step at
+    a time, with the range check after each step and under the caller's
+    own error state. Every step is a pure function of its state, so the
+    rerun repeats the same arithmetic and raises the error, step, time,
+    partial trajectory and numpy warnings of a run checked after every
+    step; the evaluators are called again for the steps rerun.
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
@@ -350,21 +373,44 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     ps = np.empty((times.size, system.n))
     qs = np.empty((times.size, system.n))
     ps[0], qs[0] = initial.p, initial.q
-    p, q = ps[:1], qs[:1]
     tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
-    for j in range(n_steps):
-        dl = dls[j : j + 1] if moving[j] else None
-        p, q, stalled = _step_lanes(system, scheme, p, q, steps[j : j + 1], dl, tol, max_iters)
-        if stalled is not None:
-            inner = _stalled(float(stalled[1][0]), max_iters)
-            raise NonConvergenceError(
-                f"step {j} (t={times[j]:g}): {inner}", residual=inner.residual, step=j
-            ) from inner
-        if not _in_range(p, q):
-            partial = Trajectory(times[: j + 1], ps[: j + 1], qs[: j + 1], scheme)
-            raise _diverged(j, times[j + 1], partial)
-        ps[j + 1] = p
-        qs[j + 1] = q
+
+    def run(j0, j1, checked):
+        """Steps j0..j1-1 from row j0, checked for range after each step or not."""
+        p, q = ps[j0 : j0 + 1], qs[j0 : j0 + 1]
+        for j in range(j0, j1):
+            dl = dls[j : j + 1] if moving[j] else None
+            p, q, stalled = _step_lanes(system, scheme, p, q, steps[j : j + 1], dl, tol, max_iters)
+            if stalled is not None:
+                inner = _stalled(float(stalled[1][0]), max_iters)
+                raise NonConvergenceError(
+                    f"step {j} (t={times[j]:g}): {inner}", residual=inner.residual, step=j
+                ) from inner
+            if checked and not _in_range(p, q):
+                partial = Trajectory(times[: j + 1], ps[: j + 1], qs[: j + 1], scheme)
+                raise _diverged(j, times[j + 1], partial)
+            ps[j + 1] = p
+            qs[j + 1] = q
+
+    events = []
+
+    def record(kind, flag):
+        events.append(kind)
+
+    recorded = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+    for j0 in range(0, n_steps, _CHECK_BLOCK):
+        j1 = min(j0 + _CHECK_BLOCK, n_steps)
+        try:
+            with np.errstate(call=record, **recorded):
+                run(j0, j1, checked=False)
+        except Exception:  # a stall or an evaluator's error: the rerun raises it, or an earlier one
+            failed = True
+        else:
+            block = slice(j0 + 1, j1 + 1)
+            failed = bool(events) or not _lanes_in_range(ps[block], qs[block]).all()
+        if failed:
+            events.clear()
+            run(j0, j1, checked=True)
     return Trajectory(times, ps, qs, scheme)
 
 

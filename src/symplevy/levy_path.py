@@ -239,6 +239,14 @@ def _window(path, t0, t1):
     return slice(*np.searchsorted(path.times, (t0, t1), side="right"))
 
 
+def _check_channel(path, channel):
+    # an integer, not a bool or a float such as 1.0, that names a channel
+    m = path.spec.noise_count
+    integral = isinstance(channel, (int, np.integer)) and not isinstance(channel, bool)
+    if not (integral and 1 <= channel <= m):
+        raise DomainError(f"channel {channel!r} outside 1..{m}")
+
+
 def increment(path, channel, t0, t1):
     """Sum of channel marks with time in the half-open interval (t0, t1].
 
@@ -246,8 +254,7 @@ def increment(path, channel, t0, t1):
     marks, so nested grids telescope to the coarse increments up to one
     rounding of the final result.
     """
-    if channel not in range(1, path.spec.noise_count + 1):
-        raise DomainError(f"channel {channel!r} outside 1..{path.spec.noise_count}")
+    _check_channel(path, channel)
     window = _window(path, t0, t1)
     return math.fsum(path.marks[window][path.channels[window] == channel])
 
@@ -272,8 +279,7 @@ def grid_increments(path, channel, grid):
         raise DomainError("grid must be strictly increasing")
     if grid[0] < 0 or grid[-1] > path.horizon:
         raise DomainError(f"grid must lie within [0, horizon={path.horizon}]")
-    if channel not in range(1, path.spec.noise_count + 1):
-        raise DomainError(f"channel {channel!r} outside 1..{path.spec.noise_count}")
+    _check_channel(path, channel)
     own = path.channels == channel
     marks = path.marks[own]
     ends = np.searchsorted(path.times[own], grid, side="right")

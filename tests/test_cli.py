@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from symplevy import cli, levy_path
+from symplevy._svg import _points
 from symplevy.analysis import one_step_jacobian, symplectic_defect
 from symplevy.errors import DomainError, NonConvergenceError
 from symplevy.hamiltonian import KuboParams, PhaseState, kubo_exact, kubo_system
@@ -61,6 +62,16 @@ MODEL_T50_SEED_1_SHA256 = {
     "symplectic.csv": "bb3d732cff9ea2f7279e9cb98a4d59fb92843cd82175c6312d15c0ef282ddb43",
     "explicit.csv": "69e291bb240310d1215528342b6a2e082ae77d3fbc45e56c435c0e114154207f",
     "hamiltonian.csv": "327067fd0d76a0e96d695d85b6c4a9cf053d83438447c092ea73e161b42ffd1f",
+}
+
+# SVG bytes at seed 1 from per-point formatting: orbit and hamiltonian
+# at the model flags over T=50, the other three at small flags
+SVG_SEED_1_SHA256 = {
+    "orbit.svg": "4f7b8bb6456488f339ff4feff9674da521d80910a211fcc772436fb7d1a74eda",
+    "hamiltonian.svg": "80f53ec5d8a6de7477f306785b5f3438fb3dc22d4f04ad5a18ca21897b3f4ca6",
+    "path.svg": "c9ead024f3004ce000c2ecdf695d5608d5e6bfc5eb8c3354f54a892c346c89f5",
+    "symplectic_check.svg": "ec404ee6e00cc62211b96469d699b72c54a53c8802a4f4aacde8193ae0a0ab28",
+    "convergence.svg": "6e00e96b0e7de5bc936ebced8ff71b2ea27babae91cf78ca109a1e0f9642ad89",
 }
 
 
@@ -588,6 +599,30 @@ class TestPinnedPathBytes:
             assert run_cli(argv) == 0
         for name, digest in MODEL_T50_SEED_1_SHA256.items():
             assert self.sha256(tmp_path / name) == digest, name
+
+    def test_svg_seed_1(self, tmp_path):
+        for argv in (
+            ["orbit", *MODEL_FLAGS, "--T", 50],
+            ["hamiltonian", *MODEL_FLAGS, "--T", 50],
+            ["sample-path", "--horizon", 20],
+            ["symplectic-check", "--samples", 40],
+            ["converge", "--samples", 4, "--T", 2, "--dts", "0.2,0.1,0.05"],
+        ):
+            assert run_cli([*argv, "--seed", 1, "--svg", "--out-dir", tmp_path]) == 0
+        for name, digest in SVG_SEED_1_SHA256.items():
+            assert self.sha256(tmp_path / name) == digest, name
+
+
+def test_polyline_points_match_per_point_formatting():
+    # signed zeros, negatives that round to -0.00, ties at the third
+    # decimal (exact in binary or not), non-finite and huge values
+    values = [0.0, -0.0, -1e-300, -0.004, -0.005, 0.005, 0.125, -0.375, 2.675, 1.005, 0.015,
+              np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324, 12.344999999999999]
+    rng = np.random.default_rng(5)
+    px = np.concatenate([values, rng.uniform(-1e3, 1e3, 200)])
+    py = np.concatenate([values[::-1], rng.normal(0.0, 1e-2, 200)])
+    assert _points(px, py) == " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    assert _points(np.array([]), np.array([])) == ""
 
 
 def test_symplectic_check_reports_a_nan_maximum(tmp_path, capsys):

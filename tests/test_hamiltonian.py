@@ -220,6 +220,13 @@ class TestHamiltonianValue:
         with pytest.raises(DomainError):
             hamiltonian_value(system, -1, state)
 
+    @pytest.mark.parametrize("r", [True, False])
+    def test_boolean_index_refused(self, r):
+        # bool is an int subclass: True used to select H_1 and False H_0
+        system = kubo_system(KuboParams(0.1, 0.3))
+        with pytest.raises(DomainError, match=f"Hamiltonian index {r} outside 0..1"):
+            hamiltonian_value(system, r, PhaseState([0.0], [1.0]))
+
     def test_missing_monitored_invariant(self):
         bare = HamiltonianSystem(
             n=1,

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplevy as sl
+from symplevy import integrators
 from symplevy._csv import fmt, fmt_rows
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from symplevy.integrators import (
@@ -1204,3 +1206,150 @@ class TestLaneJumps:
         paths = [sl.sample_path(spec, 6.0), sl.sample_path(sl.LevyPathSpec(0.0, 0.3, 2), 6.0)]
         self.assert_matches_reference(two_channel(), paths, 0.0, 6.0)
         self.assert_matches_reference(two_channel(), paths[::-1], 1.25, 4.5)
+
+
+def per_step_fixed_grid(system, scheme, initial, t0, T, path, controls):
+    """The fixed-grid driver with a range check after every step, as the block check's reference.
+
+    Each step is one lane-kernel call on one state, so numpy warnings
+    come from the same source lines as the driver's.
+    """
+    times = grid_times(t0, T, controls.dt)
+    dls = np.column_stack([sl.grid_increments(path, r, times) for r in range(1, system.m + 1)])
+    tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
+    ps, qs = [initial.p], [initial.q]
+    for j in range(times.size - 1):
+        dl = dls[j : j + 1] if dls[j].any() else None
+        step = np.array([[times[j + 1] - times[j]]])
+        p, q, stalled = _step_lanes(system, scheme, ps[-1][None], qs[-1][None], step, dl, tol,
+                                    max_iters)
+        if stalled is not None:
+            raise NonConvergenceError(f"step {j} stalled", residual=float(stalled[1][0]), step=j)
+        if not (np.abs(p).max() <= sl.DIVERGENCE_LIMIT and np.abs(q).max() <= sl.DIVERGENCE_LIMIT):
+            raise DivergenceError(
+                f"state magnitude exceeded {sl.DIVERGENCE_LIMIT:g} at step {j} (t={times[j + 1]:g})",
+                step=j,
+                time=times[j + 1],
+                partial=sl.Trajectory(times[: j + 1], ps, qs, scheme),
+            )
+        ps.append(p[0])
+        qs.append(q[0])
+    return sl.Trajectory(times, ps, qs, scheme)
+
+
+def doubling(sigma0=lambda p, q: 0.0 * p, gamma0=lambda p, q: 10.0 * q):
+    # at dt = 0.1 the symplectic step keeps P and doubles Q, so Q = 2^40
+    # after step 39 is the first state beyond the divergence limit
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(sigma0, lambda p, q: 0.0 * p),
+        gamma=(gamma0, lambda p, q: 0.0 * p),
+        hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
+    )
+
+
+def both_errors(system, scheme, T, path, controls):
+    """The driver's and the per-step reference's errors, with the warnings each issued."""
+    errors = []
+    for run in (sl.integrate_fixed_grid, per_step_fixed_grid):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Exception) as info:
+                run(system, scheme, unit_start(), 0.0, T, path, controls)
+        seen = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        errors.append((info.value, seen))
+    return errors
+
+
+class TestFixedGridBlocks:
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
+    def test_block_size_does_not_change_the_trajectory(self, monkeypatch, block, scheme):
+        controls = sl.StepControls(dt=0.05)
+        args = (unit_start(), 0.0, 10.0, sampled(3), controls)
+        for system in (kubo(), anharmonic()):
+            default = sl.integrate_fixed_grid(system, scheme, *args)
+            monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+            got = sl.integrate_fixed_grid(system, scheme, *args)
+            monkeypatch.undo()
+            assert_same_run(got, default)
+            assert_same_run(got, per_step_fixed_grid(system, scheme, *args))
+
+    # Q leaves the range at step 39: in the middle of a 64-step block,
+    # at the end of a 40- or 8-step one and at the start of a 3-step one.
+    # exp(Q) overflows from step 10 on without leaving the range, so
+    # blocks before the divergence record floating-point events too
+    @pytest.mark.parametrize("block", [64, 40, 8, 3])
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_divergence_matches_a_check_after_every_step(self, monkeypatch, block, overflow):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+
+        def saturating(p, q):  # exp(q) overflows to inf, and 1 / inf = 0
+            return 0.0 * p + 1.0 / (1.0 + np.exp(q))
+
+        system = doubling(sigma0=saturating) if overflow else doubling()
+        (got, got_warnings), (want, want_warnings) = both_errors(
+            system, "symplectic", 10.0, empty_path(10.0), sl.StepControls(dt=0.1)
+        )
+        assert want.step == 39
+        assert_same_error(got, want)
+        assert got_warnings == want_warnings
+        assert bool(want_warnings) == overflow
+
+    def test_overflow_at_the_divergence_step(self):
+        # alpha dt = 0.1 on a 1e4-step grid: the explicit run overflows in
+        # alpha * p and leaves the range at step 5215, mid-block
+        system = sl.kubo_system(sl.KuboParams(alpha=1e297, beta=0.1))
+        (got, got_warnings), (want, want_warnings) = both_errors(
+            system, "explicit", 1e-294, empty_path(1e-294), sl.StepControls(dt=1e-298)
+        )
+        assert want.step == 5215
+        assert_same_error(got, want)
+        assert want_warnings and got_warnings == want_warnings
+
+    def test_stall_after_an_out_of_range_state_is_a_divergence(self):
+        # the momentum solve expands (30 dt > 1) from the state after step
+        # 39 on, so the block also stalls at step 40
+        stiff = doubling(sigma0=lambda p, q: np.where(np.abs(q) > 1e12, 30.0 * p + q, 0.0 * p))
+        (got, _), (want, _) = both_errors(
+            stiff, "symplectic", 10.0, empty_path(10.0), sl.StepControls(dt=0.1)
+        )
+        assert isinstance(want, DivergenceError) and want.step == 39
+        assert_same_error(got, want)
+
+    @pytest.mark.parametrize("limit", [1e12, 1e6])
+    def test_evaluator_exceptions(self, limit):
+        # past the limit the evaluator raises: after the divergence at
+        # step 39 the divergence is raised, before it the evaluator's error
+        def gamma0(p, q):
+            if np.abs(q).max() > limit:
+                raise ValueError(f"q beyond {limit:g}")
+            return 10.0 * q
+
+        (got, _), (want, _) = both_errors(
+            doubling(gamma0=gamma0), "symplectic", 10.0, empty_path(10.0), sl.StepControls(dt=0.1)
+        )
+        if limit == 1e12:
+            assert isinstance(want, DivergenceError)
+            assert_same_error(got, want)
+        else:
+            assert type(got) is type(want) is ValueError
+            assert str(got) == str(want)
+
+    def test_raising_error_state_stops_at_the_same_step(self):
+        seen = []
+
+        def sigma0(p, q):
+            seen.append(q[0, 0])
+            return 1e297 * q
+
+        system = doubling(sigma0=sigma0, gamma0=lambda p, q: -1e297 * p)
+        controls = sl.StepControls(dt=1e-298)
+        last = []
+        for run in (sl.integrate_fixed_grid, per_step_fixed_grid):
+            seen.clear()
+            with np.errstate(all="raise"), pytest.raises(FloatingPointError) as info:
+                run(system, "explicit", unit_start(), 0.0, 1e-294, empty_path(1e-294), controls)
+            last.append((str(info.value), seen[-1]))
+        assert last[0] == last[1]

@@ -7,6 +7,7 @@ JumpEvent at a time, as the event-object representation did.
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -151,6 +152,19 @@ class TestBadInput:
         spec = LevyPathSpec(rate=1.0, mark_sigma=1.0)
         with pytest.raises(DomainError, match="event channel True outside 1..1"):
             LevyPath(spec=spec, horizon=1.0, events=(JumpEvent(0.5, True, 0.1),))
+
+    def test_query_channel_must_be_an_integer(self):
+        # 1.0 and True used to pass `channel in range(...)` and sum channel 1
+        path = sample_path(LevyPathSpec(rate=5.0, mark_sigma=0.2, noise_count=2), 4.0)
+        grid = np.linspace(0.0, 4.0, 9)
+        for channel in (True, False, 1.0, np.float64(2.0), np.bool_(True), "1", None):
+            message = re.escape(f"channel {channel!r} outside 1..2")
+            with pytest.raises(DomainError, match=message):
+                increment(path, channel, 0.0, 4.0)
+            with pytest.raises(DomainError, match=message):
+                grid_increments(path, channel, grid)
+        assert increment(path, np.int64(2), 0.0, 4.0) == increment(path, 2, 0.0, 4.0)
+        assert np.array_equal(grid_increments(path, np.int32(1), grid), grid_increments(path, 1, grid))
 
     @pytest.mark.parametrize("row", ["0.5,x,0.1", "0.5,1.0,0.1", "0.5,1,y", "z,1,0.1"])
     def test_unparsable_csv_row_is_a_domain_error(self, tmp_path, row):
