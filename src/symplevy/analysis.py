@@ -78,16 +78,16 @@ def ms_error(differences):
 
 def estimate_order(dts, errors):
     """Fit log(error) = slope*log(dt) + intercept by ordinary least squares."""
-    dts = np.asarray(dts, dtype=float)
-    errors = np.asarray(errors, dtype=float)
+    dts, errors = np.asarray(dts, dtype=float), np.asarray(errors, dtype=float)
     if dts.ndim != 1 or dts.size < 3:
         raise DomainError("need at least 3 step sizes")
     if errors.shape != dts.shape:
         raise DomainError("dts and errors must have equal length")
     if not (np.all(dts > 0) and np.all(errors > 0)):
         raise DomainError("dts and errors must be positive for a log-log fit")
-    log_dt = np.log(dts)
-    log_err = np.log(errors)
+    if np.unique(dts).size < 2:
+        raise DomainError("need at least 2 distinct step sizes for a fit")
+    log_dt, log_err = np.log(dts), np.log(errors)
     slope, intercept = np.polyfit(log_dt, log_err, 1)
     residual = float(np.max(np.abs(log_err - (slope * log_dt + intercept))))
     return OrderFit(dts, errors, float(slope), float(intercept), residual)

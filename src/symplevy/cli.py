@@ -93,6 +93,8 @@ def _step_sizes(value):
     dts = [_real(item) for item in items]
     if not all(dt > 0 for dt in dts):
         raise ValueError("step sizes must be positive")
+    if len(set(dts)) < len(dts):
+        raise ValueError("step sizes must be distinct")
     return dts
 
 

@@ -14,32 +14,32 @@ state per row, each at its own dt and increments; one state is B = 1.
 The public steps, every step of both drivers and the Jacobians of
 ``analysis`` call it (``_step_lanes`` says when rows are bit exact).
 
-Two drivers build trajectories on noise realizations:
+Two drivers build trajectories on noise realizations, and one loop,
+``_drift_segment``, steps the states of both as lanes:
 
 * ``integrate_fixed_grid``: uniform grid with the final step truncated
   to land on T, feeding each step the raw path increment over that step
-  (jumps are linearized into the increments).
+  (jumps are linearized into the increments); it runs as one lane.
 * ``integrate_pathwise_batch``: jump-adapted stepping of several paths
   at once, one lane per path. Between jumps it substeps the drift ODE
   with the symplectic Euler map; at each jump time it applies the Marcus
-  jump flow with that event's mark. Both the pre-jump state (the last
-  drift substep) and the post-jump state are recorded at the jump time,
-  so trajectory times repeat exactly there. Its controls are one
-  StepControls for every lane or one per path; per-path controls may
-  differ in dt only, so lanes at different step sizes share one batch.
-  ``integrate_pathwise`` is the same driver on one path.
+  jump flow to that instant's marks and records both the pre-jump and
+  the post-jump state at the jump time. Per-path StepControls may differ
+  in dt only. ``integrate_pathwise`` is the same driver on one path.
 
 Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
-``integrate_fixed_grid`` checks for it once per block of steps, not after
-each step: a block in which a step stalls, numpy records a floating-point
-event, an evaluator raises or a state is out of range runs again from its
-first state one checked step at a time. Each step is a pure function of
-its state, so the rerun ends exactly where a check after every step would.
+The loop checks for it once per block of ticks, not after each tick: a
+block in which a step stalls, numpy records a floating-point event, an
+evaluator raises or warns, or a state is out of range runs again from its
+first state one checked tick at a time. Each step is a pure function of
+its state, so the rerun ends exactly where a check after every tick would.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,7 +309,8 @@ def _validate_run(system, initial, t0, T, path):
         raise DomainError(f"[t0, T]=[{t0}, {T}] must lie within [0, horizon={path.horizon}]")
 
 
-# Steps integrate_fixed_grid runs between two divergence checks.
+# Ticks the stepping loop runs between two divergence checks; one state
+# buffer holds as many blocks.
 _CHECK_BLOCK = 64
 
 
@@ -330,13 +331,21 @@ def _stalled(residual, max_iters):
     )
 
 
-def _diverged(step, t, partial):
-    return DivergenceError(
-        f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at step {step} (t={t:g})",
-        step=step,
-        time=t,
-        partial=partial,
-    )
+@contextlib.contextmanager
+def _recording_warnings():
+    """Collect every Python warning in the yielded list instead of issuing it.
+
+    Unlike ``warnings.catch_warnings`` this keeps the filters' version, so
+    the once-per-location registries stay valid for the caller.
+    """
+    caught = []
+    filters, show = warnings.filters, warnings.showwarning
+    warnings.filters = [("always", None, Warning, None, 0)]
+    warnings.showwarning = lambda *args: caught.append(args)
+    try:
+        yield caught
+    finally:
+        warnings.filters, warnings.showwarning = filters, show
 
 
 def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
@@ -345,73 +354,21 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     The grid has ceil((T-t0)/dt) steps, the last truncated so that
     times[-1] == T exactly. Each step receives the path increment over
     its half-open interval; jumps inside a step are applied as part of
-    that linearized increment rather than through the jump flow.
-
-    Divergence is checked once per block of _CHECK_BLOCK steps. A block
-    runs with every numpy floating-point category that the caller's
-    ``np.geterr()`` does not ignore sent to a recorder, and one range
-    check then covers all of its states. If a step stalls, a
-    floating-point event is recorded, an evaluator raises or a state is
-    out of range, the block runs again from its first state one step at
-    a time, with the range check after each step and under the caller's
-    own error state. Every step is a pure function of its state, so the
-    rerun repeats the same arithmetic and raises the error, step, time,
-    partial trajectory and numpy warnings of a run checked after every
-    step; the evaluators are called again for the steps rerun.
+    that linearized increment rather than through the jump flow. It runs
+    as the lane driver's record of one lane without jumps.
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     _validate_run(system, initial, t0, T, path)
     times = _segment_grids(np.array([float(t0)]), np.array([float(T)]), np.array([controls.dt]))[0]
-    n_steps = times.size - 1
-    dls = np.zeros((max(n_steps, 1), system.m))
-    if n_steps > 0:
+    dls = np.zeros((times.size, system.m))  # row j + 1: the increment of step j
+    if times.size > 1:
         for r in range(1, system.m + 1):
-            dls[:, r - 1] = grid_increments(path, r, times)
-    steps = np.diff(times)[:, None]
-    moving = dls.any(axis=1).tolist()  # a step without increments is a pure drift
-    ps = np.empty((times.size, system.n))
-    qs = np.empty((times.size, system.n))
-    ps[0], qs[0] = initial.p, initial.q
-    tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
-
-    def run(j0, j1, checked):
-        """Steps j0..j1-1 from row j0, checked for range after each step or not."""
-        p, q = ps[j0 : j0 + 1], qs[j0 : j0 + 1]
-        for j in range(j0, j1):
-            dl = dls[j : j + 1] if moving[j] else None
-            p, q, stalled = _step_lanes(system, scheme, p, q, steps[j : j + 1], dl, tol, max_iters)
-            if stalled is not None:
-                inner = _stalled(float(stalled[1][0]), max_iters)
-                raise NonConvergenceError(
-                    f"step {j} (t={times[j]:g}): {inner}", residual=inner.residual, step=j
-                ) from inner
-            if checked and not _in_range(p, q):
-                partial = Trajectory(times[: j + 1], ps[: j + 1], qs[: j + 1], scheme)
-                raise _diverged(j, times[j + 1], partial)
-            ps[j + 1] = p
-            qs[j + 1] = q
-
-    events = []
-
-    def record(kind, flag):
-        events.append(kind)
-
-    recorded = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
-    for j0 in range(0, n_steps, _CHECK_BLOCK):
-        j1 = min(j0 + _CHECK_BLOCK, n_steps)
-        try:
-            with np.errstate(call=record, **recorded):
-                run(j0, j1, checked=False)
-        except Exception:  # a stall or an evaluator's error: the rerun raises it, or an earlier one
-            failed = True
-        else:
-            block = slice(j0 + 1, j1 + 1)
-            failed = bool(events) or not _lanes_in_range(ps[block], qs[block]).all()
-        if failed:
-            events.clear()
-            run(j0, j1, checked=True)
-    return Trajectory(times, ps, qs, scheme)
+            dls[1:, r - 1] = grid_increments(path, r, times)
+    rec = _Record(times, np.array([0, times.size]), system.n, scheme, "step {step} (t={t:g})", dls)
+    rec.ps[0], rec.qs[0] = initial.p, initial.q
+    _run_record(system, scheme, controls, rec, np.zeros(1, int), np.array([[times.size - 1]]), None)
+    return rec.trajectory(0)
 
 
 def integrate_pathwise(system, initial, t0, T, path, controls):
@@ -451,49 +408,45 @@ def _lane_jumps(system, paths, t0, T):
 class _Record:
     """Every lane's rows in one flat array; lane b owns rows lo[b]:hi[b].
 
-    The failure constructors build the error a lane raises at a global
-    row of segment k, as that lane's run alone raises it.
+    The step into row r is steps[r] and, unless dls is None, dls[r]. The
+    failure constructors build the error a lane raises at a global row of
+    segment k, as that lane's run alone raises it, a stall's message led
+    by `stall_at`; trajectories carry `tag`.
     """
 
-    def __init__(self, times, offsets, n):
-        self.times = times
+    def __init__(self, times, offsets, n, tag="pathwise", stall_at="drift substep at t={t:g}",
+                 dls=None):
+        self.times, self.tag, self.stall_at = times, tag, stall_at
         self.steps = np.diff(times, prepend=times[0])[:, None]
-        self.lo = offsets[:-1]
-        self.hi = offsets[1:]
-        self.ps = np.empty((times.size, n))
-        self.qs = np.empty((times.size, n))
+        self.dls = dls
+        self.lo, self.hi = offsets[:-1], offsets[1:]
+        self.ps, self.qs = np.empty((times.size, n)), np.empty((times.size, n))
 
     def trajectory(self, lane, end=None):
         lo = self.lo[lane]
         hi = self.hi[lane] if end is None else end
-        return Trajectory(self.times[lo:hi], self.ps[lo:hi], self.qs[lo:hi], "pathwise")
+        return Trajectory(self.times[lo:hi], self.ps[lo:hi], self.qs[lo:hi], self.tag)
 
     def _step(self, lane, row, k):
         # rows before `row` are the start, the drift steps and k jumps
         return int(row - self.lo[lane]) - 1 - k
 
     def diverged(self, lane, row, k):
-        partial = self.trajectory(lane, row)
-        return _diverged(self._step(lane, row, k), float(self.times[row]), partial)
+        step, t = self._step(lane, row, k), float(self.times[row])
+        message = f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at step {step} (t={t:g})"
+        return DivergenceError(message, step=step, time=t, partial=self.trajectory(lane, row))
 
     def stalled(self, lane, row, k, residual, max_iters):
-        inner = _stalled(float(residual), max_iters)
-        err = NonConvergenceError(
-            f"drift substep at t={self.times[row - 1]:g}: {inner}",
-            residual=inner.residual,
-            step=self._step(lane, row, k),
-        )
+        inner, step = _stalled(float(residual), max_iters), self._step(lane, row, k)
+        at = self.stall_at.format(step=step, t=self.times[row - 1])
+        err = NonConvergenceError(f"{at}: {inner}", residual=inner.residual, step=step)
         err.__cause__ = inner
         return err
 
     def flow_failed(self, lane, row, substep):
         tau = float(self.times[row])
-        err = DivergenceError(
-            f"jump flow diverged at t={tau:g} (substep {substep})",
-            step=substep,
-            time=tau,
-            partial=self.trajectory(lane, row),
-        )
+        err = DivergenceError(f"jump flow diverged at t={tau:g} (substep {substep})", step=substep,
+                              time=tau, partial=self.trajectory(lane, row))
         err.__cause__ = _flow_error(substep)
         return err
 
@@ -528,49 +481,90 @@ def _lane_record(system, paths, t0, T, dts):
     return rec, jumps, ticks, marks
 
 
-def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures):
-    """Drift each lane through its ticks of segment k, from record row `rows`.
+def _drift_segment(system, scheme, controls, rec, lanes, rows, ticks, k, failures):
+    """Step each lane through its ticks of segment k, from record row `rows`.
 
     Lanes come sorted by tick count, largest first, so the lanes still
-    drifting at tick j are always the first c of them. A lane that fails
-    is entered in `failures`, and it and every lane above the lowest
-    failed lane stop. Returns the lanes that finished the segment.
+    stepping at tick j are the first c_j of them, and their states fill
+    one contiguous slice per tick of a tick-major buffer, scattered into
+    the record at the end. A lane that fails a checked tick is entered in
+    `failures`; it and every lane above the lowest failed lane stop, and
+    the others go on in a new buffer. Returns the lanes that finished.
     """
-    remaining = ticks.tolist()
-    p = rec.ps[rows]
-    q = rec.qs[rows]
-    c = len(remaining)
-    j = 0
-    while True:
-        while c and remaining[c - 1] <= j:
-            c -= 1
-        if not c:
-            return lanes
-        if c < len(p):
-            p, q = p[:c], q[:c]
-        live = rows[:c]
-        live += 1
-        p, q, stalled = _step_lanes(system, "symplectic", p, q, rec.steps[live], None,
-                                    controls.implicit_tol, controls.implicit_max_iters)
-        if stalled is not None or not _in_range(p, q):
-            bad = ~_lanes_in_range(p, q)
-            if stalled is not None:
-                bad[stalled[0]] = False
-                for i, residual in zip(*stalled):
-                    failures[lanes[i]] = rec.stalled(
-                        lanes[i], live[i], k, residual, controls.implicit_max_iters
-                    )
-            for i in np.flatnonzero(bad):
-                failures[lanes[i]] = rec.diverged(lanes[i], live[i], k)
-            keep = lanes < min(failures)
-            lanes, rows = lanes[keep], rows[keep]
-            remaining = [n for n, kept in zip(remaining, keep) if kept]
-            p, q = p[keep[:c]], q[keep[:c]]
-            c = len(p)
-            live = rows[:c]
-        rec.ps[live] = p
-        rec.qs[live] = q
-        j += 1
+    tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
+    events = []
+    recorded = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
+    start = 0  # the ticks before it are in the record
+    while lanes.size and ticks[0] > start:
+        top = min(int(ticks[0]), start + _CHECK_BLOCK**2)
+        counts = np.searchsorted(-ticks, -np.arange(start, top))  # lanes stepping per tick
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        targets = rows[np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)]
+        targets += np.repeat(np.arange(start + 1, top + 1), counts)
+        dts = rec.steps[targets]
+        moving = [False] * counts.size  # a tick without increments is a pure drift
+        if rec.dls is not None:
+            dls = rec.dls[targets]
+            moving = np.logical_or.reduceat(dls.any(axis=1), bounds[:-1]).tolist()
+        counts, bounds = counts.tolist(), bounds.tolist()
+        ps, qs = np.empty((bounds[-1], system.n)), np.empty((bounds[-1], system.n))
+        p0, q0 = rec.ps[rows[: counts[0]] + start], rec.qs[rows[: counts[0]] + start]
+
+        def run(j0, j1, checked):
+            """Ticks j0..j1-1 into the buffer; (tick, stalled) where one stalls or fails a check."""
+            prev = slice(bounds[j0 - 1], bounds[j0])
+            p, q = (ps[prev], qs[prev]) if j0 else (p0, q0)
+            out_p, out_q, stop = [], [], None
+            for j in range(j0, j1):
+                c, a, b = counts[j], bounds[j], bounds[j + 1]
+                if c < len(p):
+                    p, q = p[:c], q[:c]
+                dl = dls[a:b] if moving[j] else None
+                p, q, stalled = _step_lanes(system, scheme, p, q, dts[a:b], dl, tol, max_iters)
+                out_p.append(p)
+                out_q.append(q)
+                if stalled is not None or checked and not _in_range(p, q):
+                    stop = j, stalled
+                    break
+            filled = slice(bounds[j0], bounds[j0 + len(out_p)])
+            np.concatenate(out_p, out=ps[filled])
+            np.concatenate(out_q, out=qs[filled])
+            return stop
+
+        failed = None
+        for j0 in range(0, len(counts), _CHECK_BLOCK):
+            j1 = min(j0 + _CHECK_BLOCK, len(counts))
+            try:
+                with np.errstate(call=lambda kind, flag: events.append(kind), **recorded), \
+                        _recording_warnings() as caught:
+                    clean = run(j0, j1, checked=False) is None
+            except Exception:  # the rerun raises it, or an earlier failure
+                clean = False
+            block = slice(bounds[j0], bounds[j1])
+            if not (clean and not (events or caught) and _in_range(ps[block], qs[block])):
+                events.clear()
+                failed = run(j0, j1, checked=True)
+                if failed is not None:
+                    break
+        # the record must hold a failed lane's rows before its error's partial trajectory is built
+        end = bounds[len(counts) if failed is None else failed[0] + 1]
+        rec.ps[targets[:end]], rec.qs[targets[:end]] = ps[:end], qs[:end]
+        if failed is None:
+            start = top
+            continue
+        j, stalled = failed
+        at = rows[: counts[j]] + (start + j + 1)
+        bad = ~_lanes_in_range(ps[bounds[j] : bounds[j + 1]], qs[bounds[j] : bounds[j + 1]])
+        if stalled is not None:
+            bad[stalled[0]] = False
+            for i, residual in zip(*stalled):
+                failures[lanes[i]] = rec.stalled(lanes[i], at[i], k, residual, max_iters)
+        for i in np.flatnonzero(bad):
+            failures[lanes[i]] = rec.diverged(lanes[i], at[i], k)
+        keep = lanes < min(failures)
+        lanes, rows, ticks = lanes[keep], rows[keep], ticks[keep]
+        start += j + 1
+    return lanes
 
 
 def _jump_segment(system, controls, rec, lanes, post, marks, k, failures):
@@ -615,19 +609,16 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
 
     Each path is one lane of (B, n) state arrays, so every coefficient
     evaluator is called with (B, n) arrays and must return (B, n), row b
-    depending only on row b; a wrong shape raises DomainError. Lanes
-    advance together segment by segment: each drifts on its own nodes up
-    to its k-th jump time, then one jump-flow call applies the k-th jump
-    of every lane that has one. Between jumps the drift ODE is advanced
-    with the symplectic Euler map at the lane's step dt (final substep
-    truncated to the interval end); simultaneous events are combined
-    into one flow. Each trajectory records every substep state and, at
-    each jump time, both the pre-jump and post-jump states, and equals
-    the same path run alone bit for bit.
+    depending only on row b; a wrong shape raises DomainError. Each lane
+    drifts with the symplectic Euler map on its own nodes up to its k-th
+    jump time (the last substep truncated to end there), then one
+    jump-flow call applies the k-th jump of every lane that has one,
+    simultaneous events combined. Each trajectory records every substep
+    state and, at each jump time, both the pre-jump and post-jump states,
+    and equals the same path run alone bit for bit.
 
     controls is one StepControls for every path, or a list with one per
-    path. Entries of a list may differ in dt only: implicit_tol,
-    implicit_max_iters and jump_substeps must be equal, else DomainError.
+    path whose entries may differ in dt only, else DomainError.
 
     Returns one Trajectory per path, in order. Invalid input (DomainError,
     or InvalidSpecError for a segment over MAX_GRID_STEPS steps) is
@@ -646,25 +637,32 @@ def _pathwise_record(system, initial, t0, T, paths, controls):
         raise DomainError("paths must hold at least one path")
     for path in paths:
         _validate_run(system, initial, t0, T, path)
-    lanes_total = len(paths)
-    dts, controls = _lane_controls(controls, lanes_total)
-    p_start = np.tile(initial.p, (lanes_total, 1))
-    q_start = np.tile(initial.q, (lanes_total, 1))
+    dts, controls = _lane_controls(controls, len(paths))
+    p_start, q_start = np.tile(initial.p, (len(paths), 1)), np.tile(initial.q, (len(paths), 1))
     _check_lane_shapes(system, p_start, q_start)
     rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
-    rec.ps[rec.lo] = p_start
-    rec.qs[rec.lo] = q_start
+    rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
+    _run_record(system, "symplectic", controls, rec, jumps, ticks, marks)
+    return rec
+
+
+def _run_record(system, scheme, controls, rec, jumps, ticks, marks):
+    """Step every lane of `rec` on from its first row; raise the lowest failed lane's error.
+
+    Lane b drifts through ticks[b, k] ticks of its segment k and then, for
+    k < jumps[b], applies the jump flow to marks[b, k].
+    """
     # first[b, k]: the row holding the state segment k of lane b starts from
     first = rec.lo[:, None] + np.cumsum(ticks + 1, axis=1) - (ticks + 1)
     failures = {}
     for k in range(ticks.shape[1]):
         # lanes above the lowest failed lane can no longer change the result
-        lanes = np.flatnonzero(jumps[: min(failures, default=lanes_total)] >= k)
+        lanes = np.flatnonzero(jumps[: min(failures, default=len(jumps))] >= k)
         if lanes.size == 0:
             break
         lanes = lanes[np.argsort(-ticks[lanes, k], kind="stable")]
         lanes = _drift_segment(
-            system, controls, rec, lanes, first[lanes, k], ticks[lanes, k], k, failures
+            system, scheme, controls, rec, lanes, first[lanes, k], ticks[lanes, k], k, failures
         )
         lanes = lanes[jumps[lanes] > k]
         if lanes.size:
@@ -672,7 +670,6 @@ def _pathwise_record(system, initial, t0, T, paths, controls):
             _jump_segment(system, controls, rec, lanes, post, marks[lanes, k], k, failures)
     if failures:
         raise failures[min(failures)]
-    return rec
 
 
 def write_trajectory_csv(trajectory, file_path):

@@ -78,6 +78,12 @@ class TestEstimateOrder:
         with pytest.raises(DomainError):
             sl.estimate_order([0.1, 0.05, 0.025], [1e-2, 5e-3])
 
+    def test_requires_two_distinct_step_sizes(self):
+        with pytest.raises(DomainError, match="distinct"):
+            sl.estimate_order([0.08, 0.08, 0.08], [1e-2, 2e-2, 3e-2])
+        fit = sl.estimate_order([0.08, 0.08, 0.04], [1e-2, 1e-2, 5e-3])
+        assert fit.slope == pytest.approx(1.0, abs=1e-12)
+
     def test_result_records_inputs(self):
         dts = [0.1, 0.05, 0.025]
         errors = [1e-2, 5e-3, 2.5e-3]

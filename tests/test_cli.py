@@ -240,6 +240,16 @@ class TestUsageErrors:
             ["converge", "--samples", 2, "--dts", "0.2,0.1", "--out-dir", tmp_path]
         ) == 2
 
+    def test_converge_refuses_repeated_dts_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a path was sampled before the step sizes were checked")
+
+        monkeypatch.setattr(cli, "sample_path", refuse)
+        argv = ["converge", "--samples", 3, "--dts", "0.08,0.08,0.08", "--out-dir", tmp_path]
+        assert run_cli(argv) == 2
+        assert "step sizes must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_converge_rejects_unknown_scheme(self, tmp_path):
         assert run_cli(
             ["converge", "--samples", 2, "--dts", "0.2,0.1,0.05", "--scheme", "magic",

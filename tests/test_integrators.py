@@ -634,20 +634,41 @@ def scalar_pathwise(system, initial, t0, T, path, controls):
 
     Drift steps are the reference symplectic map with zero increments on
     the driver's grid nodes; each jump instant applies ``jump_flow`` to
-    the marks of all events at that time.
+    the marks of all events at that time. A check after every drift tick
+    and jump raises what the driver raises for this path alone: a stalled
+    tick's NonConvergenceError, or a DivergenceError at the first state
+    beyond the divergence limit, with the trajectory before it and the
+    count of drift ticks before it as its step.
     """
-    times, states = [t0], [initial]
+    times, ps, qs = [t0], [initial.p], [initial.q]
+    drifts = 0
+
+    def push(t, p, q):
+        if not (np.abs(p).max() <= sl.DIVERGENCE_LIMIT and np.abs(q).max() <= sl.DIVERGENCE_LIMIT):
+            raise DivergenceError(
+                f"state magnitude exceeded {sl.DIVERGENCE_LIMIT:g} at step {drifts} (t={t:g})",
+                step=drifts,
+                time=t,
+                partial=sl.Trajectory(times, ps, qs, "pathwise"),
+            )
+        times.append(t)
+        ps.append(p)
+        qs.append(q)
 
     def drift_to(t_end):
+        nonlocal drifts
         if t_end - times[-1] <= 0.0:
             return
         nodes = grid_times(times[-1], t_end, controls.dt)
         for a, b in zip(nodes[:-1], nodes[1:]):
-            p, q = raw_step(
-                system, "symplectic", states[-1].p, states[-1].q, b - a, np.zeros(system.m), controls
-            )
-            states.append(sl.PhaseState(p, q))
-            times.append(b)
+            try:
+                p, q = raw_step(system, "symplectic", ps[-1], qs[-1], b - a, np.zeros(system.m), controls)
+            except NonConvergenceError as inner:
+                raise NonConvergenceError(
+                    f"drift substep at t={a:g}: {inner}", residual=inner.residual, step=drifts
+                ) from inner
+            push(b, p, q)
+            drifts += 1
 
     events = sl.jumps_in(path, t0, T) if T > t0 else []
     for tau in sorted({ev.time for ev in events}):
@@ -656,10 +677,10 @@ def scalar_pathwise(system, initial, t0, T, path, controls):
             if ev.time == tau:
                 marks[ev.channel - 1] += ev.mark
         drift_to(tau)
-        states.append(sl.jump_flow(system, states[-1], marks, controls.jump_substeps))
-        times.append(tau)
+        after = sl.jump_flow(system, sl.PhaseState(ps[-1], qs[-1]), marks, controls.jump_substeps)
+        push(tau, after.p, after.q)
     drift_to(T)
-    return sl.Trajectory(times, [s.p for s in states], [s.q for s in states], "pathwise")
+    return sl.Trajectory(times, ps, qs, "pathwise")
 
 
 def assert_same_run(a, b):
@@ -1353,3 +1374,170 @@ class TestFixedGridBlocks:
                 run(system, "explicit", unit_start(), 0.0, 1e-294, empty_path(1e-294), controls)
             last.append((str(info.value), seen[-1]))
         assert last[0] == last[1]
+
+
+def warning_gamma(low, high, limit=math.inf, rate=10.0):
+    # gamma_0 = rate * q that warns while some |Q| lies in (low, high) and
+    # raises once some |Q| exceeds limit
+    def gamma0(p, q):
+        size = np.abs(q)
+        if (size > limit).any():
+            raise ValueError(f"q beyond {limit:g}")
+        if ((size > low) & (size < high)).any():
+            warnings.warn(f"q between {low:g} and {high:g}")
+        return rate * q
+
+    return gamma0
+
+
+def recorded(run, *args):
+    """run(*args)'s error and the warnings it issued, as (category, message, file, line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Exception) as info:
+            run(*args)
+    return info.value, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+class TestPythonWarnings:
+    # doubling at dt = 0.1 passes Q = 1024 and 2048 into gamma_0 at steps
+    # 10 and 11, so a check after every step issues two warnings
+    @pytest.mark.parametrize("T", [2.0, 10.0])  # the run ends, or diverges at step 39
+    def test_each_warning_is_issued_once(self, T):
+        system = doubling(gamma0=warning_gamma(1e3, 3e3))
+        args = (system, unit_start(), 0.0, T, empty_path(T), sl.StepControls(dt=0.1))
+        runs = {
+            "fixed grid": (sl.integrate_fixed_grid, system, "symplectic", *args[1:]),
+            "per-step fixed grid": (per_step_fixed_grid, system, "symplectic", *args[1:]),
+            "pathwise": (sl.integrate_pathwise, *args),
+            "per-tick pathwise": (scalar_pathwise, *args),
+        }
+        seen = {}
+        for name, (run, *run_args) in runs.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    run(*run_args)
+                except DivergenceError:
+                    assert T == 10.0
+            seen[name] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        assert len(seen["per-step fixed grid"]) == 2
+        assert all(warnings_ == seen["per-step fixed grid"] for warnings_ in seen.values())
+
+    # from step 10 on every block warns again, from one evaluator line
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_default_filter_shows_a_location_once(self, monkeypatch, overflow):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", 8)
+
+        def saturating(p, q):  # exp(q) overflows from step 10 on
+            return 0.0 * p + 1.0 / (1.0 + np.exp(q))
+
+        if overflow:
+            system = doubling(sigma0=saturating)
+        else:
+            system = doubling(gamma0=warning_gamma(1e3, math.inf))
+        args = (unit_start(), 0.0, 10.0, empty_path(10.0), sl.StepControls(dt=0.1))
+        counts = []
+        for run in (sl.integrate_fixed_grid, per_step_fixed_grid, sl.integrate_pathwise,
+                    scalar_pathwise):
+            scheme = ("symplectic",) if run in (sl.integrate_fixed_grid, per_step_fixed_grid) else ()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                with pytest.raises(DivergenceError):
+                    run(system, *scheme, *args)
+            counts.append(len(caught))
+        assert counts == [1, 1, 1, 1]
+
+
+def growth(gamma0=lambda p, q: 10.0 * q, sigma0=lambda p, q: 0.0 * p):
+    # symplectic drift steps keep P and scale Q by 1 + 10 dt, and a jump
+    # of mark x scales Q by e^x, so a lane's divergence depends on its dt
+    # and on its marks
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(sigma0, lambda p, q: 0.0 * p),
+        gamma=(gamma0, lambda p, q: q),
+        hamiltonians=(lambda p, q: 0.0 * p[..., 0], lambda p, q: 0.0 * p[..., 0]),
+    )
+
+
+def lane_errors(system, paths, dts, T):
+    """The batch's error and warnings, and those of the lowest lane that fails alone."""
+    controls = [sl.StepControls(dt=dt) for dt in dts]
+    got = recorded(sl.integrate_pathwise_batch, system, unit_start(), 0.0, T, paths, controls)
+    for path, step in zip(paths, controls):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                scalar_pathwise(system, unit_start(), 0.0, T, path, step)
+            except Exception as err:
+                return got, (err, [(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+    raise AssertionError("no lane fails alone")
+
+
+class TestLaneBlocks:
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("system", [kubo(), anharmonic()], ids=["kubo", "anharmonic"])
+    def test_block_size_does_not_change_the_record(self, monkeypatch, block, system):
+        dts = [0.08, 0.01, 0.05, 0.3, 0.013]
+        paths = [sampled(seed, 4.0) for seed in range(4)] + [empty_path(4.0)]
+        controls = [sl.StepControls(dt=dt) for dt in dts]
+        default = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, controls)
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, controls)
+        for path, step, lane, want in zip(paths, controls, lanes, default, strict=True):
+            assert_same_run(lane, want)
+            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 4.0, path, step))
+
+    # lanes 0 and 1 stay below 1e8 up to T = 2; lane 2's jump at 0.5
+    # scales Q by e^12, and it diverges in the middle of its second segment
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    @pytest.mark.parametrize("limit", [math.inf, 1e12], ids=["finite", "raises-past-divergence"])
+    def test_one_lane_diverges_while_the_others_go_on(self, monkeypatch, block, limit):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        system = growth(gamma0=warning_gamma(1e9, 3e9, limit))
+        paths = [sampled_on(system, 0, 2.0), empty_path(2.0), event_path([(0.5, 1, 12.0)], 2.0)]
+        (got, got_warnings), (want, want_warnings) = lane_errors(system, paths, [0.05, 0.1, 0.02], 2.0)
+        assert isinstance(want, DivergenceError) and want.partial.times[-1] > 0.5
+        assert_same_error(got, want)
+        assert got_warnings == want_warnings != []
+
+    def test_divergence_on_the_last_and_first_tick_of_a_block(self, monkeypatch):
+        system = growth()
+        paths = [empty_path(4.0), empty_path(4.0), empty_path(4.0)]
+        dts = [0.2, 0.3, 0.01]
+        _, (want, _) = lane_errors(system, paths, dts, 4.0)
+        # lane 2 has no jumps, so its failing tick is its step
+        for block in (want.step + 1, want.step, (want.step + 1) // 2):
+            monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+            (got, got_warnings), (want, want_warnings) = lane_errors(system, paths, dts, 4.0)
+            assert_same_error(got, want)
+            assert got_warnings == want_warnings == []
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_stall(self, monkeypatch, block):
+        # sigma_0 = 30 p + q: the momentum solve stalls for 30 dt > 1
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        system = growth(sigma0=lambda p, q: 30.0 * p + q, gamma0=lambda p, q: 0.1 * p)
+        paths = [sampled_on(system, seed, 3.0) for seed in range(4)]
+        (got, got_warnings), (want, want_warnings) = lane_errors(system, paths, [0.01, 0.02, 0.05, 0.04], 3.0)
+        assert isinstance(want, NonConvergenceError)
+        assert_same_error(got, want)
+        assert got.residual == want.residual
+        assert got_warnings == want_warnings == []
+
+    # both jumping lanes drift 20 ticks to their jump; in the second
+    # segment lane 2 has the most ticks and fails first, so lane 1 goes on
+    # in a new buffer and diverges later, raising the batch's error
+    @pytest.mark.parametrize("block", [1, 3, 7, 64])
+    def test_a_later_failure_after_a_new_buffer_layout(self, monkeypatch, block):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        system = growth()
+        paths = [empty_path(3.0), event_path([(1.0, 1, 8.0)], 3.0), event_path([(0.2, 1, 25.0)], 3.0)]
+        dts = [0.1, 0.05, 0.01]
+        (got, _), (want, _) = lane_errors(system, paths, dts, 3.0)
+        with pytest.raises(DivergenceError) as first:
+            scalar_pathwise(system, unit_start(), 0.0, 3.0, paths[2], sl.StepControls(dt=0.01))
+        assert 20 < first.value.step < want.step
+        assert_same_error(got, want)
