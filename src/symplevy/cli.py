@@ -53,6 +53,7 @@ from .integrators import (
     MAX_GRID_STEPS,
     StepControls,
     Trajectory,
+    _fixed_grid_lanes,
     _pathwise_record,
     integrate_fixed_grid,
     write_trajectory_csv,
@@ -239,20 +240,21 @@ def _exact_trajectory(params, path, times):
 
 
 def _fixed_grid_runs(settings):
-    """Both schemes on one path; a diverged run keeps its partial trajectory."""
+    """Both schemes as two lanes on one path; a diverged run keeps its partial trajectory."""
     params, system = _kubo(settings)
     T = settings["T"]
     path = _sample(settings, T if T > 0 else 1.0, settings["seed"])
     controls = StepControls(dt=settings["dt"])
     code = 0
     runs = {}
-    for scheme in _SCHEMES:
-        try:
-            runs[scheme] = integrate_fixed_grid(system, scheme, _START, 0.0, T, path, controls)
-        except DivergenceError as err:
-            print(f"{scheme} scheme diverged: {err}", file=sys.stderr)
-            runs[scheme] = err.partial
-            code = 3
+    for scheme, run in zip(_SCHEMES, _fixed_grid_lanes(system, _SCHEMES, _START, 0.0, T, path,
+                                                       controls)):
+        if isinstance(run, DivergenceError):
+            print(f"{scheme} scheme diverged: {run}", file=sys.stderr)
+            run, code = run.partial, 3
+        elif isinstance(run, Exception):
+            raise run
+        runs[scheme] = run
     return params, system, path, runs, code
 
 

@@ -11,15 +11,20 @@ Two one-step maps act on a HamiltonianSystem state:
 
 Both maps run in one lane kernel that steps (B, n) state arrays, one
 state per row, each at its own dt and increments; one state is B = 1.
-The public steps, every step of both drivers and the Jacobians of
-``analysis`` call it (``_step_lanes`` says when rows are bit exact).
+An explicit step is the first fixed-point sweep of the symplectic one,
+so the kernel sweeps every row once and goes on with the leading rows
+that are symplectic. The public steps, every step of both drivers and
+the Jacobians of ``analysis`` call it (``_step_lanes`` says when rows
+are bit exact).
 
 Two drivers build trajectories on noise realizations, and one loop,
 ``_drift_segment``, steps the states of both as lanes:
 
 * ``integrate_fixed_grid``: uniform grid with the final step truncated
   to land on T, feeding each step the raw path increment over that step
-  (jumps are linearized into the increments); it runs as one lane.
+  (jumps are linearized into the increments). One record holds a lane
+  per scheme on one grid (the CLI runs both schemes as two lanes), and
+  each lane ends exactly as its scheme's run alone.
 * ``integrate_pathwise_batch``: jump-adapted stepping of several paths
   at once, one lane per path. Between jumps it substeps the drift ODE
   with the symplectic Euler map; at each jump time it applies the Marcus
@@ -72,6 +77,10 @@ DIVERGENCE_LIMIT = 1e12
 MAX_GRID_STEPS = 1e7
 
 _SCHEMES = ("symplectic", "explicit")
+
+# ndarray.max without the Python-level wrapper it calls, for the kernel's
+# residual checks: (array, axis) -> maxima, bit for bit those of .max
+_max = np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -149,57 +158,57 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _step_lanes(system, scheme, p0, q0, dt, dl, tol, max_iters):
-    """One step of `scheme` on (B, n) lanes: (p, q, stalled).
+def _step_lanes(system, s, p0, q0, dt, dl, tol, max_iters, channels=None):
+    """One step of (B, n) lanes, the first s symplectic and the rest explicit: (p, q, stalled).
 
-    dt is a (B, 1) array of steps and dl a (B, m) array of increments,
-    or None for a pure drift. A channel's term is skipped only when its
-    increment is zero on every lane, so one lane, lanes sharing one dl
-    and lanes with nonzero increments each get the single-state map bit
-    for bit. The momentum solve is a fixed-point iteration seeded at p0
-    whose update residual is the equation residual at the previous
-    iterate; each lane stops at the first update of max-norm <= tol, as
-    it would alone. stalled is None, or the ascending indices and last
-    residuals of the lanes still moving after max_iters sweeps.
+    dt is a (B, 1) array of steps and dl a (B, m) array of increments, or
+    None for a pure drift; channels lists the r with a nonzero increment
+    on some lane (found from dl when None). A channel's term is skipped
+    only when its increment is zero on every lane, so one lane, lanes
+    sharing one dl and lanes with nonzero increments each get the
+    single-state map bit for bit. Every lane takes the first fixed-point
+    sweep of the momentum solve from p0, the explicit Euler momentum; the
+    symplectic lanes sweep on, each until an update (the residual at the
+    previous iterate) of max-norm <= tol, as alone. stalled is None, or
+    the ascending indices and last residuals of the lanes still moving
+    after max_iters sweeps.
     """
     sigma, gamma = system.sigma, system.gamma
-    terms = [] if dl is None else [
-        (r, dl[:, r - 1 : r]) for r in range(1, system.m + 1) if dl[:, r - 1].any()
-    ]
-    stalled = None
-    if scheme == "explicit":
-        p = p0 - sigma[0](p0, q0) * dt
-        for r, d in terms:
-            p = p - sigma[r](p0, q0) * d
-        at = p0
-    else:
-        p = p0
-        pa, qa, dta, live = p0, q0, dt, terms  # the lanes still iterating
-        settled = left = None
-        for _ in range(max_iters):
-            rhs = pa - sigma[0](p, qa) * dta
-            for r, d in live:
-                rhs = rhs - sigma[r](p, qa) * d
-            diff = np.abs(rhs - p)
-            p = rhs
-            if diff.max() <= tol:
+    if channels is None:
+        channels = [] if dl is None else [r for r in range(1, system.m + 1) if dl[:, r - 1].any()]
+    terms = [(r, dl[:, r - 1 : r]) for r in channels] if channels else []
+    p = p0 - sigma[0](p0, q0) * dt
+    for r, d in terms:
+        p = p - sigma[r](p0, q0) * d
+    at, stalled = p0, None
+    if s:
+        x, pa, qa, dta, live = p, p0, q0, dt, terms  # the lanes still iterating, rows `left` of p
+        if s < len(p):
+            x, pa, qa, dta, live = p[:s], p0[:s], q0[:s], dt[:s], [(r, d[:s]) for r, d in terms]
+        left = slice(s)
+        diff = np.abs(x - pa)
+        for sweep in range(1, max_iters + 1):
+            if _max(diff, None) <= tol:
                 break
-            if len(p) > 1:
-                done = diff.max(axis=1) <= tol
+            if len(x) > 1:
+                done = _max(diff, 1) <= tol
                 if done.any():
-                    if settled is None:
-                        settled = np.empty_like(p0)
-                        left = np.arange(len(p0))
-                    settled[left[done]] = p[done]
-                    keep = ~done
-                    left, p, pa, qa, dta = left[keep], p[keep], pa[keep], qa[keep], dta[keep]
-                    live = [(r, d[keep]) for r, d in live]
+                    rows, keep = np.arange(s)[left], ~done
+                    p[rows[done]] = x[done]
+                    left, x, pa, qa, dta = rows[keep], x[keep], pa[keep], qa[keep], dta[keep]
+                    diff, live = diff[keep], [(r, d[keep]) for r, d in live]
+            if sweep < max_iters:
+                rhs = pa - sigma[0](x, qa) * dta
+                for r, d in live:
+                    rhs = rhs - sigma[r](x, qa) * d
+                diff, x = np.abs(rhs - x), rhs
         else:
-            stalled = (np.arange(len(p)) if left is None else left, diff.max(axis=1))
-        if settled is not None:
-            settled[left] = p
-            p = settled
-        at = p
+            stalled = (np.arange(s)[left], _max(diff, 1))
+        if s == len(p) and isinstance(left, slice):
+            p = x  # no lane settled early, so x holds every row
+        else:
+            p[left] = x
+        at = p if s == len(p) else np.concatenate([p[:s], p0[s:]])
     q = q0 + gamma[0](at, q0) * dt
     for r, d in terms:
         q = q + gamma[r](at, q0) * d
@@ -223,7 +232,8 @@ def _one_step(system, scheme, p, q, dt, dL, controls):
     if dL.shape[1:] != (system.m,):
         raise DomainError(f"dL must have length m={system.m}, got shape {dL.shape[1:]}")
     group = len(p) // len(steps)
-    return _step_lanes(system, scheme, p, q, np.repeat(steps, group)[:, None],
+    implicit = len(p) if scheme == "symplectic" else 0
+    return _step_lanes(system, implicit, p, q, np.repeat(steps, group)[:, None],
                        np.repeat(dL, group, axis=0), controls.implicit_tol,
                        controls.implicit_max_iters)
 
@@ -355,20 +365,48 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     times[-1] == T exactly. Each step receives the path increment over
     its half-open interval; jumps inside a step are applied as part of
     that linearized increment rather than through the jump flow. It runs
-    as the lane driver's record of one lane without jumps.
+    as the one-scheme case of ``_fixed_grid_lanes``.
     """
-    if scheme not in _SCHEMES:
-        raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    (run,) = _fixed_grid_lanes(system, (scheme,), initial, t0, T, path, controls)
+    if isinstance(run, Exception):
+        raise run
+    return run
+
+
+class _Noisy(Exception):
+    """A block of several lanes run alone warned or raised, from a lane no one can name."""
+
+
+def _fixed_grid_lanes(system, schemes, initial, t0, T, path, controls):
+    """Yield each scheme's fixed-grid Trajectory, or the error its run alone raises, in order.
+
+    The schemes, symplectic first, run as the lanes of one record. If a
+    block of several lanes warns or raises (see _drift_segment), they run
+    one by one instead, each yielded before the next starts, so every
+    warning and error comes where the runs alone put it.
+    """
+    for scheme in schemes:
+        if scheme not in _SCHEMES:
+            raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     _validate_run(system, initial, t0, T, path)
     times = _segment_grids(np.array([float(t0)]), np.array([float(T)]), np.array([controls.dt]))[0]
     dls = np.zeros((times.size, system.m))  # row j + 1: the increment of step j
     if times.size > 1:
         for r in range(1, system.m + 1):
             dls[1:, r - 1] = grid_increments(path, r, times)
-    rec = _Record(times, np.array([0, times.size]), system.n, scheme, "step {step} (t={t:g})", dls)
-    rec.ps[0], rec.qs[0] = initial.p, initial.q
-    _run_record(system, scheme, controls, rec, np.zeros(1, int), np.array([[times.size - 1]]), None)
-    return rec.trajectory(0)
+    lanes = len(schemes)
+    rec = _Record(np.tile(times, lanes), times.size * np.arange(lanes + 1), system.n, schemes,
+                  schemes.count("symplectic"), "step {step} (t={t:g})", np.tile(dls, (lanes, 1)))
+    rec.ps[rec.lo], rec.qs[rec.lo] = initial.p, initial.q
+    try:
+        failures = _run_record(system, controls, rec, np.zeros(lanes, int),
+                               np.full((lanes, 1), times.size - 1), None, alone=True)
+    except _Noisy:
+        for scheme in schemes:
+            yield from _fixed_grid_lanes(system, (scheme,), initial, t0, T, path, controls)
+        return
+    for b in range(lanes):
+        yield failures[b] if b in failures else rec.trajectory(b)
 
 
 def integrate_pathwise(system, initial, t0, T, path, controls):
@@ -408,15 +446,16 @@ def _lane_jumps(system, paths, t0, T):
 class _Record:
     """Every lane's rows in one flat array; lane b owns rows lo[b]:hi[b].
 
-    The step into row r is steps[r] and, unless dls is None, dls[r]. The
+    The step into row r is steps[r] and, unless dls is None, dls[r];
+    lanes below `implicit` are symplectic, the others explicit. The
     failure constructors build the error a lane raises at a global row of
     segment k, as that lane's run alone raises it, a stall's message led
-    by `stall_at`; trajectories carry `tag`.
+    by `stall_at`; lane b's trajectories carry tags[b].
     """
 
-    def __init__(self, times, offsets, n, tag="pathwise", stall_at="drift substep at t={t:g}",
+    def __init__(self, times, offsets, n, tags, implicit, stall_at="drift substep at t={t:g}",
                  dls=None):
-        self.times, self.tag, self.stall_at = times, tag, stall_at
+        self.times, self.tags, self.implicit, self.stall_at = times, tags, implicit, stall_at
         self.steps = np.diff(times, prepend=times[0])[:, None]
         self.dls = dls
         self.lo, self.hi = offsets[:-1], offsets[1:]
@@ -425,7 +464,7 @@ class _Record:
     def trajectory(self, lane, end=None):
         lo = self.lo[lane]
         hi = self.hi[lane] if end is None else end
-        return Trajectory(self.times[lo:hi], self.ps[lo:hi], self.qs[lo:hi], self.tag)
+        return Trajectory(self.times[lo:hi], self.ps[lo:hi], self.qs[lo:hi], self.tags[lane])
 
     def _step(self, lane, row, k):
         # rows before `row` are the start, the drift steps and k jumps
@@ -473,7 +512,7 @@ def _lane_record(system, paths, t0, T, dts):
     segment_lane = np.repeat(np.arange(len(paths)), segments)
     times, segment_ticks = _segment_grids(starts, ends, dts[segment_lane])
     offsets = np.concatenate([[0], np.cumsum(np.add.reduceat(segment_ticks + 1, opening))])
-    rec = _Record(times, offsets, system.n)
+    rec = _Record(times, offsets, system.n, ("pathwise",) * len(paths), len(paths))
     ticks = np.zeros((len(paths), jumps.max() + 1), dtype=np.int64)
     ticks[segment_lane, np.arange(segment_lane.size) - opening[segment_lane]] = segment_ticks
     marks = np.zeros((len(paths), max(jumps.max(), 1), system.m))
@@ -481,15 +520,18 @@ def _lane_record(system, paths, t0, T, dts):
     return rec, jumps, ticks, marks
 
 
-def _drift_segment(system, scheme, controls, rec, lanes, rows, ticks, k, failures):
+def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures, alone):
     """Step each lane through its ticks of segment k, from record row `rows`.
 
     Lanes come sorted by tick count, largest first, so the lanes still
     stepping at tick j are the first c_j of them, and their states fill
     one contiguous slice per tick of a tick-major buffer, scattered into
-    the record at the end. A lane that fails a checked tick is entered in
-    `failures`; it and every lane above the lowest failed lane stop, and
-    the others go on in a new buffer. Returns the lanes that finished.
+    the record at the end; symplectic lanes lead each tick's slice. A lane
+    that fails a checked tick is entered in `failures` and stops, and the
+    others go on in a new buffer: all of them if `alone`, else those below
+    the lowest failed lane. If `alone` and the record holds several lanes,
+    a block whose unchecked pass records a floating-point event, warns or
+    raises raises _Noisy. Returns the lanes that finished.
     """
     tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
     events = []
@@ -502,11 +544,13 @@ def _drift_segment(system, scheme, controls, rec, lanes, rows, ticks, k, failure
         targets = rows[np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)]
         targets += np.repeat(np.arange(start + 1, top + 1), counts)
         dts = rec.steps[targets]
-        moving = [False] * counts.size  # a tick without increments is a pure drift
+        channels = [[]] * counts.size  # each tick's channels with an increment; none: a pure drift
         if rec.dls is not None:
             dls = rec.dls[targets]
-            moving = np.logical_or.reduceat(dls.any(axis=1), bounds[:-1]).tolist()
+            live = np.logical_or.reduceat(dls != 0, bounds[:-1]).tolist()
+            channels = [[r for r, on in enumerate(row, 1) if on] for row in live]
         counts, bounds = counts.tolist(), bounds.tolist()
+        implicit = int(np.count_nonzero(lanes < rec.implicit))
         ps, qs = np.empty((bounds[-1], system.n)), np.empty((bounds[-1], system.n))
         p0, q0 = rec.ps[rows[: counts[0]] + start], rec.qs[rows[: counts[0]] + start]
 
@@ -519,8 +563,9 @@ def _drift_segment(system, scheme, controls, rec, lanes, rows, ticks, k, failure
                 c, a, b = counts[j], bounds[j], bounds[j + 1]
                 if c < len(p):
                     p, q = p[:c], q[:c]
-                dl = dls[a:b] if moving[j] else None
-                p, q, stalled = _step_lanes(system, scheme, p, q, dts[a:b], dl, tol, max_iters)
+                dl = dls[a:b] if channels[j] else None
+                p, q, stalled = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl, tol,
+                                            max_iters, channels[j])
                 out_p.append(p)
                 out_q.append(q)
                 if stalled is not None or checked and not _in_range(p, q):
@@ -537,11 +582,14 @@ def _drift_segment(system, scheme, controls, rec, lanes, rows, ticks, k, failure
             try:
                 with np.errstate(call=lambda kind, flag: events.append(kind), **recorded), \
                         _recording_warnings() as caught:
-                    clean = run(j0, j1, checked=False) is None
+                    stop = run(j0, j1, checked=False)
+                noisy = bool(events or caught)
             except Exception:  # the rerun raises it, or an earlier failure
-                clean = False
+                stop = noisy = True
+            if noisy and alone and len(rec.lo) > 1:
+                raise _Noisy
             block = slice(bounds[j0], bounds[j1])
-            if not (clean and not (events or caught) and _in_range(ps[block], qs[block])):
+            if noisy or stop is not None or not _in_range(ps[block], qs[block]):
                 events.clear()
                 failed = run(j0, j1, checked=True)
                 if failed is not None:
@@ -561,7 +609,7 @@ def _drift_segment(system, scheme, controls, rec, lanes, rows, ticks, k, failure
                 failures[lanes[i]] = rec.stalled(lanes[i], at[i], k, residual, max_iters)
         for i in np.flatnonzero(bad):
             failures[lanes[i]] = rec.diverged(lanes[i], at[i], k)
-        keep = lanes < min(failures)
+        keep = ~np.isin(lanes, list(failures)) if alone else lanes < min(failures)
         lanes, rows, ticks = lanes[keep], rows[keep], ticks[keep]
         start += j + 1
     return lanes
@@ -642,34 +690,36 @@ def _pathwise_record(system, initial, t0, T, paths, controls):
     _check_lane_shapes(system, p_start, q_start)
     rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
     rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
-    _run_record(system, "symplectic", controls, rec, jumps, ticks, marks)
+    failures = _run_record(system, controls, rec, jumps, ticks, marks)
+    if failures:
+        raise failures[min(failures)]
     return rec
 
 
-def _run_record(system, scheme, controls, rec, jumps, ticks, marks):
-    """Step every lane of `rec` on from its first row; raise the lowest failed lane's error.
+def _run_record(system, controls, rec, jumps, ticks, marks, alone=False):
+    """Step every lane of `rec` on from its first row; return {lane: error} of the failed lanes.
 
     Lane b drifts through ticks[b, k] ticks of its segment k and then, for
-    k < jumps[b], applies the jump flow to marks[b, k].
+    k < jumps[b], applies the jump flow to marks[b, k]. Lanes that run
+    `alone` (see _drift_segment) have one segment each.
     """
     # first[b, k]: the row holding the state segment k of lane b starts from
     first = rec.lo[:, None] + np.cumsum(ticks + 1, axis=1) - (ticks + 1)
     failures = {}
     for k in range(ticks.shape[1]):
-        # lanes above the lowest failed lane can no longer change the result
+        # lanes above the lowest failed lane can no longer change the first failure
         lanes = np.flatnonzero(jumps[: min(failures, default=len(jumps))] >= k)
         if lanes.size == 0:
             break
         lanes = lanes[np.argsort(-ticks[lanes, k], kind="stable")]
         lanes = _drift_segment(
-            system, scheme, controls, rec, lanes, first[lanes, k], ticks[lanes, k], k, failures
+            system, controls, rec, lanes, first[lanes, k], ticks[lanes, k], k, failures, alone
         )
         lanes = lanes[jumps[lanes] > k]
         if lanes.size:
             post = first[lanes, k] + ticks[lanes, k] + 1
             _jump_segment(system, controls, rec, lanes, post, marks[lanes, k], k, failures)
-    if failures:
-        raise failures[min(failures)]
+    return failures
 
 
 def write_trajectory_csv(trajectory, file_path):

@@ -268,7 +268,8 @@ def grid_increments(path, channel, grid):
     """Per-step increments of one channel over a strictly increasing grid.
 
     Element j equals increment(path, channel, grid[j], grid[j+1]); one
-    search places every node among the event times.
+    search places every node among the event times, a step holding one
+    event takes its mark and only a step holding several sums them.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -283,8 +284,11 @@ def grid_increments(path, channel, grid):
     own = path.channels == channel
     marks = path.marks[own]
     ends = np.searchsorted(path.times[own], grid, side="right")
+    counts = np.diff(ends)
     out = np.zeros(grid.size - 1)
-    for j in np.flatnonzero(ends[1:] > ends[:-1]):
+    single = counts == 1
+    out[single] = marks[ends[:-1][single]] + 0.0  # as fsum: -0.0 sums to 0.0
+    for j in np.flatnonzero(counts > 1):
         out[j] = math.fsum(marks[ends[j] : ends[j + 1]])
     return out
 

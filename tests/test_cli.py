@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from symplevy import cli, levy_path
 from symplevy._svg import _points
 from symplevy.analysis import one_step_jacobian, symplectic_defect
-from symplevy.errors import DomainError, NonConvergenceError
+from symplevy.errors import DivergenceError, DomainError, NonConvergenceError
 from symplevy.hamiltonian import KuboParams, PhaseState, kubo_exact, kubo_system
 from symplevy.integrators import StepControls, integrate_fixed_grid, integrate_pathwise
 from symplevy.levy_path import JumpEvent, LevyPath, LevyPathSpec, increment, sample_path
@@ -321,6 +322,35 @@ class TestOrbit:
         assert (tmp_path / "exact.csv").exists()
         assert (tmp_path / "symplectic.csv").exists()
         assert (tmp_path / "explicit.csv").exists()
+
+    # the symplectic lane diverges, the explicit one, both (without and
+    # with an overflow warning), neither
+    @pytest.mark.parametrize("alpha, dt, T, lam", [(25.0, 0.1, 2.0, 5.0), (10.0, 0.08, 20.0, 5.0),
+                                                   (0.1, 1e6, 3e6, 0.0), (1e300, 0.08, 1.0, 5.0),
+                                                   (0.1, 0.08, 5.0, 5.0)])
+    def test_stderr_is_that_of_the_schemes_run_in_turn(self, alpha, dt, T, lam, tmp_path, capsys,
+                                                       monkeypatch):
+        def to_stderr(message, category, filename, lineno, file=None, line=None):
+            print(warnings.formatwarning(message, category, filename, lineno, line), end="",
+                  file=sys.stderr)
+
+        system = kubo_system(KuboParams(alpha, 0.1))
+        path = sample_path(LevyPathSpec(rate=lam, mark_sigma=0.2, seed=0), T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            monkeypatch.setattr(warnings, "showwarning", to_stderr)
+            code = 0
+            for scheme in ("symplectic", "explicit"):
+                try:
+                    integrate_fixed_grid(system, scheme, cli._START, 0.0, T, path, StepControls(dt))
+                except DivergenceError as err:
+                    print(f"{scheme} scheme diverged: {err}", file=sys.stderr)
+                    code = 3
+            want = capsys.readouterr().err
+            argv = ["orbit", "--alpha", alpha, "--dt", dt, "--T", T, "--lambda", lam]
+            assert run_cli(argv + ["--out-dir", tmp_path]) == code
+        assert capsys.readouterr().err == want
+        assert (want != "") == (code == 3)
 
     def test_svg_render(self, tmp_path):
         code = run_cli(["orbit", "--T", 10, "--svg", "--out-dir", tmp_path])

@@ -759,7 +759,8 @@ class TestStepLanes:
         controls = sl.StepControls(dt=0.1)
         for increments in (dl, mixed, None):
             got_p, got_q, stalled = _step_lanes(
-                system, scheme, p, q, dt, increments, controls.implicit_tol, controls.implicit_max_iters
+                system, lanes if scheme == "symplectic" else 0, p, q, dt, increments,
+                controls.implicit_tol, controls.implicit_max_iters
             )
             assert stalled is None
             for b in range(lanes):
@@ -777,13 +778,81 @@ class TestStepLanes:
         dl = rng.uniform(-1.0, 1.0, (12, 1))
         controls = sl.StepControls(dt=0.1)
         got_p, _, stalled = _step_lanes(
-            system, "symplectic", p, q, dt, dl, controls.implicit_tol, controls.implicit_max_iters
+            system, len(p), p, q, dt, dl, controls.implicit_tol, controls.implicit_max_iters
         )
         assert np.array_equal(stalled[0], np.flatnonzero(q[:, 0] > 0.0))
         for b, residual in zip(*stalled):
             assert residual == raw_error(system, p[b], q[b], 0.1, dl[b], controls).residual
         for b in np.flatnonzero(q[:, 0] <= 0.0):
             assert np.array_equal(got_p[b], raw_step(system, "symplectic", p[b], q[b], 0.1, dl[b], controls)[0])
+
+    @pytest.mark.parametrize(
+        "system", [kubo(), anharmonic(), two_channel()], ids=["kubo", "anharmonic", "two-channel"]
+    )
+    def test_leading_lanes_symplectic_the_rest_explicit(self, system):
+        rng = np.random.default_rng(5)
+        lanes = 30
+        p = rng.uniform(-1.5, 1.5, (lanes, 1))
+        q = rng.uniform(-1.5, 1.5, (lanes, 1))
+        dt = rng.uniform(0.0, 0.1, (lanes, 1))
+        dl = rng.uniform(-1.0, 1.0, (lanes, system.m))
+        mixed = np.where(rng.uniform(size=dl.shape) < 0.5, 0.0, dl)
+        controls = sl.StepControls(dt=0.1)
+        tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
+        for s in [0, 1, lanes - 1, lanes, *rng.integers(2, lanes - 1, 4)]:
+            for increments in (dl, mixed, None):
+                got_p, got_q, stalled = _step_lanes(system, s, p, q, dt, increments, tol, max_iters)
+                assert stalled is None
+                for b in range(lanes):
+                    dL = np.zeros(system.m) if increments is None else increments[b]
+                    scheme = "symplectic" if b < s else "explicit"
+                    want_p, want_q = raw_step(system, scheme, p[b], q[b], dt[b, 0], dL, controls)
+                    assert np.array_equal(got_p[b], want_p)
+                    assert np.array_equal(got_q[b], want_q)
+                if increments is not None:
+                    # the driver's channel list gives the same bits
+                    channels = [r for r in range(1, system.m + 1) if (increments[:, r - 1] != 0).any()]
+                    listed = _step_lanes(system, s, p, q, dt, increments, tol, max_iters, channels)
+                    assert np.array_equal(listed[0], got_p) and np.array_equal(listed[1], got_q)
+
+    def test_only_leading_lanes_can_stall(self):
+        system = stiff_where_q_positive()
+        rng = np.random.default_rng(6)
+        p = rng.uniform(-1.0, 1.0, (16, 1))
+        q = rng.uniform(-1.0, 1.0, (16, 1))
+        dt = np.full((16, 1), 0.1)
+        dl = rng.uniform(-1.0, 1.0, (16, 1))
+        controls = sl.StepControls(dt=0.1)
+        for s in (0, 5, 11, 16):
+            got_p, got_q, stalled = _step_lanes(
+                system, s, p, q, dt, dl, controls.implicit_tol, controls.implicit_max_iters
+            )
+            stiff = np.flatnonzero(q[:s, 0] > 0.0)
+            if stiff.size == 0:
+                assert stalled is None
+                continue
+            assert np.array_equal(stalled[0], stiff)
+            for b, residual in zip(*stalled):
+                assert residual == raw_error(system, p[b], q[b], 0.1, dl[b], controls).residual
+            for b in range(s, 16):
+                want_p, want_q = raw_step(system, "explicit", p[b], q[b], 0.1, dl[b], controls)
+                assert np.array_equal(got_p[b], want_p) and np.array_equal(got_q[b], want_q)
+
+    @pytest.mark.parametrize("max_iters", range(2, 12))
+    def test_a_lane_settling_on_the_last_sweep_keeps_the_residuals_aligned(self, max_iters):
+        # lane 0 converges at a rate of 0.01 per sweep and settles on some
+        # sweep <= max_iters; lane 1 expands and stalls
+        system = stiff_where_q_positive()
+        p, q, dt = np.array([[0.5], [0.5]]), np.array([[-0.5], [0.5]]), np.full((2, 1), 0.1)
+        controls = sl.StepControls(dt=0.1, implicit_max_iters=max_iters)
+        _, _, stalled = _step_lanes(system, 2, p, q, dt, None, controls.implicit_tol, max_iters)
+        want = [raw_error(system, p[1], q[1], 0.1, np.zeros(1), controls).residual]
+        try:
+            raw_step(system, "symplectic", p[0], q[0], 0.1, np.zeros(1), controls)
+        except NonConvergenceError as err:
+            want.insert(0, err.residual)
+        assert stalled[0].tolist() == list(range(2 - len(want), 2))
+        assert stalled[1].tolist() == want
 
     def test_fixed_grid_stall_raises_the_reference_error(self):
         controls = sl.StepControls(dt=0.1)
@@ -1178,7 +1247,8 @@ def test_every_lane_equals_its_path_alone(seeds, dts, anharmonic_drift, scheme, 
     steps = np.array([[step.dt * (b + 1) / len(lanes)] for b, step in enumerate(controls)])
     dl = np.resize(marks, (len(lanes), 1))
     tol, max_iters = controls[0].implicit_tol, controls[0].implicit_max_iters
-    got_p, got_q, stalled = _step_lanes(system, scheme, p, q, steps, dl, tol, max_iters)
+    implicit = len(p) if scheme == "symplectic" else 0
+    got_p, got_q, stalled = _step_lanes(system, implicit, p, q, steps, dl, tol, max_iters)
     assert stalled is None
     for b in range(len(lanes)):
         want_p, want_q = raw_step(system, scheme, p[b], q[b], steps[b, 0], dl[b], controls[b])
@@ -1242,8 +1312,8 @@ def per_step_fixed_grid(system, scheme, initial, t0, T, path, controls):
     for j in range(times.size - 1):
         dl = dls[j : j + 1] if dls[j].any() else None
         step = np.array([[times[j + 1] - times[j]]])
-        p, q, stalled = _step_lanes(system, scheme, ps[-1][None], qs[-1][None], step, dl, tol,
-                                    max_iters)
+        p, q, stalled = _step_lanes(system, int(scheme == "symplectic"), ps[-1][None],
+                                    qs[-1][None], step, dl, tol, max_iters)
         if stalled is not None:
             raise NonConvergenceError(f"step {j} stalled", residual=float(stalled[1][0]), step=j)
         if not (np.abs(p).max() <= sl.DIVERGENCE_LIMIT and np.abs(q).max() <= sl.DIVERGENCE_LIMIT):
@@ -1447,6 +1517,154 @@ class TestPythonWarnings:
                     run(system, *scheme, *args)
             counts.append(len(caught))
         assert counts == [1, 1, 1, 1]
+
+
+SCHEMES = ("symplectic", "explicit")
+
+
+def issued(caught):
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def lanes_and_alone(system, T, path, controls):
+    """Each scheme's outcome from one record of both, and from its run alone, with warnings.
+
+    An outcome is a Trajectory or the error the run raises. The record's
+    warnings are split where it yields the symplectic outcome, so each
+    lane's are those issued before its outcome came.
+    """
+    lanes = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for run in integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, T, path,
+                                                 controls):
+            lanes.append((run, issued(caught)))
+            caught.clear()
+    alone = []
+    for scheme in SCHEMES:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                run = sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, T, path, controls)
+            except Exception as err:
+                run = err
+        alone.append((run, issued(caught)))
+    return lanes, alone
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert_same_error(got, want)
+        want, got = getattr(want, "partial", None), getattr(got, "partial", None)
+        if want is None:
+            return
+    assert_same_run(got, want)
+    assert got.scheme_tag == want.scheme_tag
+
+
+def hyperbolic(gamma0=lambda p, q: p):
+    # dP = Q dt, dQ = P dt: at dt = 1 the symplectic step grows by 2.618
+    # and the explicit one by 2, so the symplectic lane diverges first
+    return doubling(sigma0=lambda p, q: -q, gamma0=gamma0)
+
+
+def warns_beyond(size):
+    def gamma0(p, q):
+        if (np.abs(q) > size).any():
+            warnings.warn(f"q beyond {size:g}")
+        return p
+
+    return gamma0
+
+
+class TestFixedGridLanes:
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "system", [kubo(), anharmonic(), two_channel()], ids=["kubo", "anharmonic", "two-channel"]
+    )
+    def test_each_lane_equals_its_scheme_alone(self, monkeypatch, block, system):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        controls = sl.StepControls(dt=0.05)
+        path = sampled_on(system, 3, 6.0)
+        lanes, alone = lanes_and_alone(system, 6.0, path, controls)
+        for scheme, (got, got_warnings), (want, want_warnings) in zip(SCHEMES, lanes, alone):
+            assert got_warnings == want_warnings == []
+            assert_same_outcome(got, want)
+            assert got.scheme_tag == scheme
+            assert_same_run(got, per_step_fixed_grid(system, scheme, unit_start(), 0.0, 6.0, path,
+                                                     controls))
+
+    # (system, dt, T, outcome types, symplectic then explicit)
+    FAILURES = {
+        # the harmonic oscillator at dt = 1.5: explicit Euler grows by 1.8
+        # per step, symplectic Euler stays bounded
+        "explicit-only": (lambda: doubling(sigma0=lambda p, q: q, gamma0=lambda p, q: p), 1.5,
+                          150.0, (sl.Trajectory, DivergenceError)),
+        "symplectic-only": (hyperbolic, 1.0, 35.0, (DivergenceError, sl.Trajectory)),
+        "both": (hyperbolic, 1.0, 60.0, (DivergenceError, DivergenceError)),
+        "symplectic-stall": (stiff_where_q_positive, 0.1, 10.0,
+                             (NonConvergenceError, sl.Trajectory)),
+    }
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("case", FAILURES)
+    def test_each_lane_fails_as_alone(self, monkeypatch, block, case):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        build, dt, T, kinds = self.FAILURES[case]
+        system, controls, path = build(), sl.StepControls(dt=dt), sampled(7, T)
+        lanes, alone = lanes_and_alone(system, T, path, controls)
+        for scheme, kind, (got, got_warnings), (want, want_warnings) in zip(SCHEMES, kinds, lanes,
+                                                                             alone):
+            assert type(want) is kind
+            assert got_warnings == want_warnings == []
+            assert_same_outcome(got, want)
+            try:
+                reference = per_step_fixed_grid(system, scheme, unit_start(), 0.0, T, path, controls)
+            except NonConvergenceError as err:
+                assert (got.step, got.residual) == (err.step, err.residual)
+            except DivergenceError as err:
+                assert_same_error(got, err)
+            else:
+                assert_same_run(got, reference)
+
+    # both lanes warn before they diverge, the symplectic lane first; the
+    # record cannot tell whose warning it saw, so the schemes run in turn
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("case", ["python-warning", "overflow"])
+    def test_warnings_come_lane_by_lane_as_alone(self, monkeypatch, block, case):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+
+        def saturating(p, q):  # exp(q) overflows from step 10 on
+            return 0.0 * p + 1.0 / (1.0 + np.exp(q))
+
+        if case == "overflow":
+            system, controls, T = doubling(sigma0=saturating), sl.StepControls(dt=0.1), 10.0
+        else:
+            system, controls, T = hyperbolic(warns_beyond(1e10)), sl.StepControls(dt=1.0), 60.0
+        lanes, alone = lanes_and_alone(system, T, empty_path(T), controls)
+        for (got, got_warnings), (want, want_warnings) in zip(lanes, alone):
+            assert isinstance(want, DivergenceError)
+            assert_same_outcome(got, want)
+            assert got_warnings == want_warnings != []
+
+    def test_an_evaluator_error_raises_before_the_explicit_lane_runs(self):
+        seen = []
+
+        def gamma0(p, q):
+            seen.append(len(p))
+            if (np.abs(q) > 1e6).any():
+                raise ValueError("q beyond 1e6")
+            return p
+
+        runs = integrators._fixed_grid_lanes(hyperbolic(gamma0), SCHEMES, unit_start(), 0.0, 60.0,
+                                             empty_path(60.0), sl.StepControls(dt=1.0))
+        with pytest.raises(ValueError, match="q beyond 1e6"):
+            next(runs)
+        # the record of both lanes, dropped at the error, then the symplectic lane alone
+        first_alone = seen.index(1)
+        assert seen[:first_alone] and set(seen[:first_alone]) == {2}
+        assert set(seen[first_alone:]) == {1}
 
 
 def growth(gamma0=lambda p, q: 10.0 * q, sigma0=lambda p, q: 0.0 * p):

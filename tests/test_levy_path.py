@@ -235,6 +235,21 @@ class TestGridIncrements:
         for j in range(grid.size - 1):
             assert inc[j] == increment(path, 1, grid[j], grid[j + 1])
 
+    def test_each_step_equals_increment_bit_for_bit(self):
+        # steps with no event, one event (a -0.0 mark among them) and
+        # several, on two channels; a -0.0 sum is 0.0, as fsum gives it
+        events = [(0.1, 1, 0.3), (0.1, 2, 5.0), (0.2, 1, -0.0), (0.35, 1, 1e16), (0.4, 1, 1.0),
+                  (0.45, 1, -1e16), (0.55, 2, -0.0), (0.6, 1, -0.0), (0.65, 1, -0.0),
+                  (0.85, 1, -2.5), (0.9, 2, 7.0)]
+        spec = LevyPathSpec(rate=2.0, mark_sigma=1.0, noise_count=2)
+        path = LevyPath(spec=spec, horizon=1.0, events=tuple(JumpEvent(*ev) for ev in events))
+        grid = np.array([0.0, 0.05, 0.15, 0.25, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0])
+        for channel in (1, 2):
+            inc = grid_increments(path, channel, grid)
+            want = [increment(path, channel, a, b) for a, b in zip(grid[:-1], grid[1:])]
+            assert [float(x).hex() for x in inc] == [x.hex() for x in want]
+        assert math.copysign(1.0, grid_increments(path, 1, grid)[2]) == 1.0
+
     def test_zero_rate_grid_is_zero(self):
         path = sample_path(LevyPathSpec(rate=0.0, mark_sigma=0.2, seed=15), 5.0)
         inc = grid_increments(path, 1, np.linspace(0.0, 5.0, 21))
