@@ -88,17 +88,21 @@ class StepControls:
     """Numerical knobs shared by the steppers and drivers.
 
     dt is the nominal step; implicit_tol and implicit_max_iters bound
-    the fixed-point solve inside the symplectic step; jump_substeps is
-    forwarded to the Marcus jump flow.
+    the fixed-point solve inside the symplectic step. Each jump of the
+    jump-adapted driver takes the fewest RK4 substeps N = 2, 4, ... whose
+    step-doubling error estimate is at most jump_tol (relative to the
+    post-jump state's size, at least 1), and at most jump_substeps: a
+    jump that meets jump_tol at no smaller N takes exactly jump_substeps.
     """
 
     dt: float
     implicit_tol: float = 1e-12
     implicit_max_iters: int = 50
     jump_substeps: int = DEFAULT_SUBSTEPS
+    jump_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("dt", "implicit_tol"):
+        for name in ("dt", "implicit_tol", "jump_tol"):
             value = getattr(self, name)
             real = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (real and math.isfinite(value) and value > 0):
@@ -374,16 +378,22 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
 
 
 class _Noisy(Exception):
-    """A block of several lanes run alone warned or raised, from a lane no one can name."""
+    """A block of several lanes run alone warned or raised, from a lane no one can name.
+
+    args are the block's first tick, up to which the record holds every
+    stepping lane's rows, and the {lane: error} of the lanes that failed
+    before it.
+    """
 
 
 def _fixed_grid_lanes(system, schemes, initial, t0, T, path, controls):
     """Yield each scheme's fixed-grid Trajectory, or the error its run alone raises, in order.
 
     The schemes, symplectic first, run as the lanes of one record. If a
-    block of several lanes warns or raises (see _drift_segment), they run
-    one by one instead, each yielded before the next starts, so every
-    warning and error comes where the runs alone put it.
+    block of several lanes warns or raises (see _drift_segment), each
+    scheme that has not failed before it goes on alone from the block's
+    first state instead, yielded before the next starts, so every warning
+    and error comes where the runs alone put it.
     """
     for scheme in schemes:
         if scheme not in _SCHEMES:
@@ -394,18 +404,32 @@ def _fixed_grid_lanes(system, schemes, initial, t0, T, path, controls):
     if times.size > 1:
         for r in range(1, system.m + 1):
             dls[1:, r - 1] = grid_increments(path, r, times)
-    lanes = len(schemes)
-    rec = _Record(np.tile(times, lanes), times.size * np.arange(lanes + 1), system.n, schemes,
-                  schemes.count("symplectic"), "step {step} (t={t:g})", np.tile(dls, (lanes, 1)))
+
+    def record(tags):  # one lane per scheme in tags, symplectic first
+        return _Record(np.tile(times, len(tags)), times.size * np.arange(len(tags) + 1), system.n,
+                       tags, tags.count("symplectic"), "step {step} (t={t:g})",
+                       np.tile(dls, (len(tags), 1)))
+
+    rec = record(schemes)
     rec.ps[rec.lo], rec.qs[rec.lo] = initial.p, initial.q
+    last = times.size - 1
     try:
-        failures = _run_record(system, controls, rec, np.zeros(lanes, int),
-                               np.full((lanes, 1), times.size - 1), None, alone=True)
-    except _Noisy:
-        for scheme in schemes:
-            yield from _fixed_grid_lanes(system, (scheme,), initial, t0, T, path, controls)
+        failures = _run_record(system, controls, rec, np.zeros(len(schemes), int),
+                               np.full((len(schemes), 1), last), None, alone=True)
+    except _Noisy as noisy:
+        tick, failures = noisy.args
+        for b, scheme in enumerate(schemes):
+            if b in failures:
+                yield failures[b]
+                continue
+            one, kept = record((scheme,)), slice(rec.lo[b], rec.lo[b] + tick + 1)
+            one.ps[: tick + 1], one.qs[: tick + 1] = rec.ps[kept], rec.qs[kept]
+            failed = {}
+            _drift_segment(system, controls, one, np.zeros(1, int), np.array([tick]),
+                           np.array([last - tick]), 0, failed, alone=True)
+            yield failed[0] if failed else one.trajectory(0)
         return
-    for b in range(lanes):
+    for b in range(len(schemes)):
         yield failures[b] if b in failures else rec.trajectory(b)
 
 
@@ -531,7 +555,8 @@ def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures, alone
     others go on in a new buffer: all of them if `alone`, else those below
     the lowest failed lane. If `alone` and the record holds several lanes,
     a block whose unchecked pass records a floating-point event, warns or
-    raises raises _Noisy. Returns the lanes that finished.
+    raises raises _Noisy, once the record holds the ticks before it.
+    Returns the lanes that finished.
     """
     tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
     events = []
@@ -587,7 +612,9 @@ def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures, alone
             except Exception:  # the rerun raises it, or an earlier failure
                 stop = noisy = True
             if noisy and alone and len(rec.lo) > 1:
-                raise _Noisy
+                clean = bounds[j0]
+                rec.ps[targets[:clean]], rec.qs[targets[:clean]] = ps[:clean], qs[:clean]
+                raise _Noisy(start + j0, failures)
             block = slice(bounds[j0], bounds[j1])
             if noisy or stop is not None or not _in_range(ps[block], qs[block]):
                 events.clear()
@@ -617,9 +644,8 @@ def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures, alone
 
 def _jump_segment(system, controls, rec, lanes, post, marks, k, failures):
     """Apply jump k of each lane, from the row before `post` into `post`."""
-    p, q, failed = _flow_raw(
-        system, rec.ps[post - 1], rec.qs[post - 1], marks, controls.jump_substeps
-    )
+    p, q, failed = _flow_raw(system, rec.ps[post - 1], rec.qs[post - 1], marks,
+                             controls.jump_substeps, controls.jump_tol)
     if failed is not None:
         for i in np.flatnonzero(failed >= 0):
             failures[lanes[i]] = rec.flow_failed(lanes[i], post[i], int(failed[i]))
@@ -642,12 +668,12 @@ def _lane_controls(controls, lanes):
     if not all(isinstance(c, StepControls) for c in controls):
         raise DomainError("every entry of controls must be a StepControls")
     shared = controls[0]
-    settings = (shared.implicit_tol, shared.implicit_max_iters, shared.jump_substeps)
+    settings = (shared.implicit_tol, shared.implicit_max_iters, shared.jump_substeps, shared.jump_tol)
     for c in controls:
-        if (c.implicit_tol, c.implicit_max_iters, c.jump_substeps) != settings:
+        if (c.implicit_tol, c.implicit_max_iters, c.jump_substeps, c.jump_tol) != settings:
             raise DomainError(
-                "per-path controls may differ only in dt; implicit_tol, implicit_max_iters "
-                f"and jump_substeps must be shared, got {shared} and {c}"
+                "per-path controls may differ only in dt; implicit_tol, implicit_max_iters, "
+                f"jump_substeps and jump_tol must be shared, got {shared} and {c}"
             )
     return np.array([c.dt for c in controls]), shared
 
@@ -664,6 +690,11 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
     simultaneous events combined. Each trajectory records every substep
     state and, at each jump time, both the pre-jump and post-jump states,
     and equals the same path run alone bit for bit.
+
+    Each jump takes its own number of RK4 substeps in the jump flow, by
+    step doubling to controls.jump_tol and at most controls.jump_substeps
+    (see StepControls); its post-jump state is ``jump_flow`` at that
+    count bit for bit.
 
     controls is one StepControls for every path, or a list with one per
     path whose entries may differ in dt only, else DomainError.

@@ -12,10 +12,17 @@ than applied one channel at a time; the two differ when the channel
 fields do not commute.
 
 The flow is integrated with the classical 4th-order Runge-Kutta method
-using a fixed number of equal substeps (default 16). Accuracy scales as
-(total angle)^5 / substeps^4 on rotation-like fields, so the default is
-far below the integrators' own error for realistic mark sizes; raise
-``substeps`` when feeding unusually large marks.
+in equal substeps. Accuracy scales as (total angle)^5 / substeps^4 on
+rotation-like fields. ``jump_flow`` takes a fixed number of substeps
+(default 16); raise ``substeps`` when feeding unusually large marks.
+The jump-adapted driver gives each jump its own count by step doubling:
+it runs N = 1 and 2 substeps, then 4, 8, ..., and keeps the first 2N
+result below the cap ``jump_substeps`` whose estimated error
+|y_N - y_2N| / 15 (max norm) is at most ``jump_tol * max(1, |y_2N|)``
+(Richardson's error estimate for a 4th-order method; Hairer, Norsett
+and Wanner, Solving ODEs I, II.4). A jump that meets no such 2N, or whose
+estimate was not finite, takes exactly the cap, the fixed-count map.
+At the default model a jump takes 2 or 4 substeps instead of 16.
 
 Internally the flow runs on lanes: (B, n) states with one mark vector
 per lane, so the jump-adapted driver applies the k-th jump of many
@@ -63,16 +70,19 @@ def _make_field(system, channels, marks):
     return field
 
 
-def _rk4(system, p, q, marks, channels, substeps):
-    if not channels:
-        return p, q, None
-    field = _make_field(system, channels, marks)
+def _rk4(field, p, q, substeps, first=None):
+    """`substeps` equal RK4 steps of `field` over unit time: (p, q, failed).
+
+    first, if given, is field(p, q). failed is None or, per lane, the
+    first substep that produced a non-finite state (-1 for lanes that
+    stayed finite).
+    """
     failed = None
     h = 1.0 / substeps
     half = 0.5 * h
     sixth = h / 6.0
     for k in range(substeps):
-        kp1, kq1 = field(p, q)
+        kp1, kq1 = field(p, q) if k or first is None else first
         kp2, kq2 = field(p + half * kp1, q + half * kq1)
         kp3, kq3 = field(p + half * kp2, q + half * kq2)
         kp4, kq4 = field(p + h * kp3, q + h * kq3)
@@ -88,25 +98,79 @@ def _rk4(system, p, q, marks, channels, substeps):
     return p, q, failed
 
 
-def _flow_raw(system, p, q, marks, substeps):
+def _flow(system, p, q, marks, channels, substeps, tol):
+    """The flow of lanes that drive the same channels: (p, q, failed) as from _rk4.
+
+    With tol None every lane takes `substeps` substeps. Otherwise each
+    lane takes the first N = 2, 4, ... below `substeps` whose
+    step-doubling estimate meets tol (see the module docstring), and the
+    others, with every lane whose estimate was once not finite, exactly
+    `substeps`. The runs below the cap ignore numpy's floating-point
+    events: a lane that goes non-finite there takes the cap, so its
+    state, failed substep and warnings are those of the run at the cap.
+    """
+    if not channels:
+        return p, q, None
+    field = _make_field(system, channels, marks)
+    if tol is None or substeps <= 2:
+        return _rk4(field, p, q, substeps)
+    first = field(p, q)
+    out_p, out_q = np.empty_like(p), np.empty_like(q)
+    lanes = np.arange(len(p))  # the lanes still doubling: the rows of p, q, first, coarse
+    finite = np.ones(len(p), dtype=bool)  # which of them never had a non-finite estimate
+    n = 1
+    with np.errstate(all="ignore"):
+        coarse_p, coarse_q, _ = _rk4(field, p, q, 1, first)
+        while lanes.size and 2 * n < substeps:
+            n *= 2
+            fine_p, fine_q, _ = _rk4(field, p, q, n, first)
+            err = np.maximum(np.abs(coarse_p - fine_p), np.abs(coarse_q - fine_q)).max(axis=1)
+            size = np.maximum(np.abs(fine_p), np.abs(fine_q)).max(axis=1)
+            finite &= np.isfinite(err)
+            ok = finite & (err / 15.0 <= tol * np.maximum(size, 1.0))
+            if n == 2 and ok.all():
+                return fine_p, fine_q, None  # every lane met tol at once
+            if ok.any():
+                out_p[lanes[ok]], out_q[lanes[ok]] = fine_p[ok], fine_q[ok]
+                keep = ~ok
+                lanes, p, q, marks = lanes[keep], p[keep], q[keep], marks[keep]
+                first, finite = (first[0][keep], first[1][keep]), finite[keep]
+                fine_p, fine_q = fine_p[keep], fine_q[keep]
+                field = _make_field(system, channels, marks)
+            coarse_p, coarse_q = fine_p, fine_q
+    if not lanes.size:
+        return out_p, out_q, None
+    out_p[lanes], out_q[lanes], bad = _rk4(field, p, q, substeps, first)
+    failed = None
+    if bad is not None:
+        failed = np.full(len(out_p), -1)
+        failed[lanes] = bad
+    return out_p, out_q, failed
+
+
+def _flow_raw(system, p, q, marks, substeps, tol=None):
     """Jump flow of B lanes: (B, n) states, (B, m) marks, one row each.
 
-    Each lane's result equals its own run alone bit for bit: lanes are
-    grouped by which channels their marks drive, and a lane with no
-    nonzero mark is returned unchanged. Returns (p, q, failed), where
-    failed is None or, per lane, the first substep that produced a
-    non-finite state (-1 for lanes that stayed finite).
+    Each lane takes `substeps` substeps, or with a tol its own
+    step-doubling count capped at `substeps` (see _flow). Each lane's
+    result equals its own run alone bit for bit: lanes are grouped by
+    which channels their marks drive, and a lane with no nonzero mark is
+    returned unchanged. Returns (p, q, failed), where failed is None or,
+    per lane, the first substep that produced a non-finite state (-1 for
+    lanes that stayed finite).
     """
     active = marks != 0.0
     if (active == active[0]).all():
-        return _rk4(system, p, q, marks, (np.flatnonzero(active[0]) + 1).tolist(), substeps)
+        channels = (np.flatnonzero(active[0]) + 1).tolist()
+        return _flow(system, p, q, marks, channels, substeps, tol)
     p = p.copy()
     q = q.copy()
     failed = np.full(len(p), -1)
     for pattern in np.unique(active, axis=0):
         lanes = np.flatnonzero((active == pattern).all(axis=1))
         channels = (np.flatnonzero(pattern) + 1).tolist()
-        p[lanes], q[lanes], bad = _rk4(system, p[lanes], q[lanes], marks[lanes], channels, substeps)
+        p[lanes], q[lanes], bad = _flow(system, p[lanes], q[lanes], marks[lanes], channels,
+                                        substeps, tol)
         if bad is not None:
             failed[lanes] = bad
     return p, q, (failed if (failed >= 0).any() else None)

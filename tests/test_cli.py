@@ -35,13 +35,13 @@ SETTINGS = {
 
 CONVERGE_SEED_1 = """\
 dt,ms_error,log_dt,log_error
-0.080000000000000002,0.0031898810960333882,-2.5257286443082556,-5.7477716368507998
-0.040000000000000001,0.0016234449632780278,-3.2188758248682006,-6.4232048670403241
-0.02,0.00081176183943576594,-3.912023005428146,-7.1163035620112822
-0.01,0.00041301003226679308,-4.6051701859880909,-7.7920386740953793
-0.0050000000000000001,0.00020933726696845549,-5.2983173665480363,-8.4715638890901541
+0.080000000000000002,0.0031898811974222156,-2.5257286443082556,-5.7477716050662844
+0.040000000000000001,0.0016234449001179875,-3.2188758248682006,-6.4232049059452727
+0.02,0.00081176182601325761,-3.912023005428146,-7.1163035785463151
+0.01,0.00041301025737171558,-4.6051701859880909,-7.7920381290605283
+0.0050000000000000001,0.00020933716615678121,-5.2983173665480363,-8.4715643706656536
 slope,intercept,residual
-0.98340128946744898,-3.2630880578532224,0.0061270361936962559
+0.98340135334713397,-3.2630877999936461,0.0061270606895078572
 """
 
 

@@ -45,6 +45,7 @@ class TestStepControls:
         assert controls.implicit_max_iters == 50
         assert controls.jump_substeps == sl.DEFAULT_SUBSTEPS
         assert sl.DEFAULT_SUBSTEPS == 16
+        assert controls.jump_tol == 1e-9
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -58,6 +59,11 @@ class TestStepControls:
             {"dt": 0.1, "implicit_max_iters": 0},
             {"dt": 0.1, "implicit_max_iters": 2.5},
             {"dt": 0.1, "jump_substeps": 0},
+            {"dt": 0.1, "jump_tol": 0.0},
+            {"dt": 0.1, "jump_tol": -1e-9},
+            {"dt": 0.1, "jump_tol": float("nan")},
+            {"dt": 0.1, "jump_tol": float("inf")},
+            {"dt": 0.1, "jump_tol": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -407,9 +413,11 @@ class TestPathwiseJumps:
         i_pre = 2
         pre = traj.state(i_pre)
         post = traj.state(i_pre + 1)
-        expected = sl.jump_flow(kubo(), pre, np.array([0.8]), sl.DEFAULT_SUBSTEPS)
-        assert post.p[0] == pytest.approx(expected.p[0], abs=1e-15)
-        assert post.q[0] == pytest.approx(expected.q[0], abs=1e-15)
+        # beta R = 0.08: the 2-substep flow misses jump_tol, the 4-substep one meets it
+        expected, substeps = doubled_jump_flow(kubo(), pre, np.array([0.8]), sl.StepControls(dt=0.25))
+        assert substeps == 4
+        assert post.p[0] == expected.p[0]
+        assert post.q[0] == expected.q[0]
         assert (pre.p[0], pre.q[0]) != (post.p[0], post.q[0])
 
     def test_drift_segments_end_exactly_at_jump_times(self):
@@ -463,6 +471,49 @@ class TestPathwiseJumps:
             )
         assert gaps[0] < 1e-3
         assert gaps[1] < gaps[0]
+
+
+class TestJumpSubsteps:
+    # beta = 0.1, so marks 0.1, 0.8 and 30 are jump angles 0.01, 0.08 and 3
+    MARKS = (0.1, 0.8, 30.0)
+
+    def paths(self):
+        return [event_path([(0.6, 1, mark)], 1.0) for mark in self.MARKS]
+
+    def jumps(self, controls):
+        """Each lane's pre-jump state and post-jump row, from one batch that equals the paths alone."""
+        paths = self.paths()
+        lanes = sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, controls)
+        for path, lane in zip(paths, lanes):
+            assert_same_run(lane, sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, controls))
+            assert_same_run(lane, scalar_pathwise(kubo(), unit_start(), 0.0, 1.0, path, controls))
+        pre = [int(np.flatnonzero(lane.times == 0.6)[0]) for lane in lanes]
+        return [(lane.state(i), lane.state(i + 1)) for lane, i in zip(lanes, pre)]
+
+    def flows_at(self, pre, mark, post, counts=(1, 2, 3, 4, 8, 12, 16)):
+        """The substep counts whose fixed-count jump_flow maps pre to post bit for bit."""
+        taken = []
+        for n in counts:
+            state = sl.jump_flow(kubo(), pre, np.array([mark]), n)
+            if np.array_equal(state.p, post.p) and np.array_equal(state.q, post.q):
+                taken.append(n)
+        return taken
+
+    def test_each_jump_takes_the_substeps_its_mark_needs(self):
+        jumps = self.jumps(sl.StepControls(dt=0.25))
+        taken = [self.flows_at(pre, mark, post) for (pre, post), mark in zip(jumps, self.MARKS)]
+        assert taken == [[2], [4], [16]]
+
+    @pytest.mark.parametrize("cap", [16, 12, 3])
+    def test_a_jump_that_cannot_meet_jump_tol_takes_exactly_the_cap(self, cap):
+        jumps = self.jumps(sl.StepControls(dt=0.25, jump_substeps=cap, jump_tol=1e-300))
+        taken = [self.flows_at(pre, mark, post) for (pre, post), mark in zip(jumps, self.MARKS)]
+        assert taken == [[cap]] * 3
+
+    def test_one_jump_substep_is_one_substep_for_every_jump(self):
+        jumps = self.jumps(sl.StepControls(dt=0.25, jump_substeps=1))
+        taken = [self.flows_at(pre, mark, post) for (pre, post), mark in zip(jumps, self.MARKS)]
+        assert taken == [[1]] * 3
 
 
 class TestDivergenceGuard:
@@ -633,12 +684,13 @@ def scalar_pathwise(system, initial, t0, T, path, controls):
     """The jump-adapted scheme one state at a time, as the lane driver's reference.
 
     Drift steps are the reference symplectic map with zero increments on
-    the driver's grid nodes; each jump instant applies ``jump_flow`` to
-    the marks of all events at that time. A check after every drift tick
-    and jump raises what the driver raises for this path alone: a stalled
-    tick's NonConvergenceError, or a DivergenceError at the first state
-    beyond the divergence limit, with the trajectory before it and the
-    count of drift ticks before it as its step.
+    the driver's grid nodes; each jump instant applies
+    ``doubled_jump_flow`` to the marks of all events at that time. A
+    check after every drift tick and jump raises what the driver raises
+    for this path alone: a stalled tick's NonConvergenceError, or a
+    DivergenceError at the first state beyond the divergence limit, with
+    the trajectory before it and the count of drift ticks before it as
+    its step.
     """
     times, ps, qs = [t0], [initial.p], [initial.q]
     drifts = 0
@@ -677,10 +729,39 @@ def scalar_pathwise(system, initial, t0, T, path, controls):
             if ev.time == tau:
                 marks[ev.channel - 1] += ev.mark
         drift_to(tau)
-        after = sl.jump_flow(system, sl.PhaseState(ps[-1], qs[-1]), marks, controls.jump_substeps)
+        after, _ = doubled_jump_flow(system, sl.PhaseState(ps[-1], qs[-1]), marks, controls)
         push(tau, after.p, after.q)
     drift_to(T)
     return sl.Trajectory(times, ps, qs, "pathwise")
+
+
+def doubled_jump_flow(system, state, marks, controls):
+    """One jump by the driver's substep rule, from public ``jump_flow`` calls: (state, N).
+
+    N is the first of 2, 4, ... below controls.jump_substeps whose flow
+    y_N and half-count flow y_{N/2} have max|y_{N/2} - y_N| / 15 <=
+    jump_tol * max(1, max|y_N|). If none does, or a flow below the cap
+    is not finite (jump_flow raises) or has a non-finite difference, N
+    is jump_substeps. The flows below the cap ignore numpy's
+    floating-point events, as the driver's do.
+    """
+    cap, n = controls.jump_substeps, 1
+    try:
+        with np.errstate(all="ignore"):
+            coarse = sl.jump_flow(system, state, marks, 1)
+            while 2 * n < cap:
+                n *= 2
+                fine = sl.jump_flow(system, state, marks, n)
+                err = np.abs(np.concatenate([coarse.p - fine.p, coarse.q - fine.q])).max()
+                if not math.isfinite(err):
+                    break
+                size = np.abs(np.concatenate([fine.p, fine.q])).max()
+                if err / 15.0 <= controls.jump_tol * max(1.0, size):
+                    return fine, n
+                coarse = fine
+    except DivergenceError:
+        pass
+    return sl.jump_flow(system, state, marks, cap), cap
 
 
 def assert_same_run(a, b):
@@ -1075,6 +1156,12 @@ class TestPerLaneControls:
     def test_controls_that_do_not_fit_the_batch_are_refused(self, controls):
         paths = [sampled(0, 1.0), sampled(1, 1.0)]
         with pytest.raises(DomainError):
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, controls)
+
+    def test_controls_that_differ_in_jump_tol_are_refused_by_name(self):
+        paths = [sampled(0, 1.0), sampled(1, 1.0)]
+        controls = [sl.StepControls(dt=0.1), sl.StepControls(dt=0.1, jump_tol=1e-10)]
+        with pytest.raises(DomainError, match="jump_tol must be shared"):
             sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, controls)
 
     def test_lowest_failing_lane_of_a_mixed_dt_batch_raises_its_error(self):
@@ -1647,6 +1734,79 @@ class TestFixedGridLanes:
             assert isinstance(want, DivergenceError)
             assert_same_outcome(got, want)
             assert got_warnings == want_warnings != []
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_a_noisy_block_resumes_each_lane_alone_from_its_first_state(self, monkeypatch, block):
+        # the explicit lane diverges cleanly at step 47 (harmonic oscillator
+        # at dt = 1.5); a mark of 1.7e308 at t = 120.5 then overflows the
+        # symplectic lane alone, whose solve stalls on NaN at step 80
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        rows = []
+
+        def gamma0(p, q):
+            rows.append(len(p))
+            return p
+
+        system = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: q, lambda p, q: 100.0 * q),
+            gamma=(gamma0, lambda p, q: 0.0 * p),
+            hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
+        )
+        path, controls = event_path([(120.5, 1, 1.7e308)], 150.0), sl.StepControls(dt=1.5)
+        lanes, alone = lanes_and_alone(system, 150.0, path, controls)
+        for kind, (got, got_warnings), (want, want_warnings) in zip(
+            (NonConvergenceError, DivergenceError), lanes, alone
+        ):
+            assert type(want) is kind
+            assert_same_outcome(got, want)
+            assert got_warnings == want_warnings
+        assert lanes[0][1] != [] and lanes[1][1] == []
+        # the symplectic lane goes on alone from the noisy block: the record
+        # makes fewer one-lane steps than the two runs alone, which a
+        # restart from t0 would add to its own
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows.clear()
+            list(integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, 150.0, path,
+                                               controls))
+            resumed = rows.count(1)
+            rows.clear()
+            for scheme in SCHEMES:
+                with pytest.raises((NonConvergenceError, DivergenceError)):
+                    sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 150.0, path, controls)
+        assert 0 < resumed < len(rows)
+
+    def test_a_block_where_both_lanes_are_noisy_is_not_run_again_from_t0(self, monkeypatch):
+        # exp(q) overflows from step 10 on in both lanes; with blocks of 3
+        # ticks the record keeps rows 0-9 and each lane resumes from row 9
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", 3)
+        rows = []
+
+        def gamma0(p, q):
+            rows.append(len(p))
+            return 10.0 * q
+
+        def saturating(p, q):
+            return 0.0 * p + 1.0 / (1.0 + np.exp(q))
+
+        system, controls = doubling(sigma0=saturating, gamma0=gamma0), sl.StepControls(dt=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            runs = list(integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, 10.0,
+                                                      empty_path(10.0), controls))
+            paired = list(rows)
+            rows.clear()
+            for scheme, run in zip(SCHEMES, runs):
+                with pytest.raises(DivergenceError) as info:
+                    sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 10.0,
+                                            empty_path(10.0), controls)
+                assert_same_outcome(run, info.value)
+        # 3 clean blocks and the noisy one's unchecked pass as a pair, then
+        # every one-lane step the runs alone make after tick 9
+        assert paired[:12] == [2] * 12 and set(paired[12:]) == {1}
+        assert paired.count(1) == len(rows) - 2 * 9
 
     def test_an_evaluator_error_raises_before_the_explicit_lane_runs(self):
         seen = []

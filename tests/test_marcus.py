@@ -192,3 +192,102 @@ def test_lane_flow_equals_each_lane_alone():
         alone = jump_flow(two, PhaseState(p[i], q[i]), marks[i], substeps=8)
         assert out_p[i, 0] == alone.p[0] and out_q[i, 0] == alone.q[0]
     assert out_p[3, 0] == p[3, 0] and out_q[3, 0] == q[3, 0]
+
+
+def substeps_taken(system, p, q, marks, out_p, out_q, counts=(1, 2, 3, 4, 8, 12, 16)):
+    """For each lane, the substep counts whose fixed-count jump_flow gives its output bit for bit."""
+    taken = []
+    for b in range(len(p)):
+        state = PhaseState(p[b], q[b])
+        taken.append([
+            n for n in counts
+            if np.array_equal(jump_flow(system, state, marks[b], substeps=n).p, out_p[b])
+            and np.array_equal(jump_flow(system, state, marks[b], substeps=n).q, out_q[b])
+        ])
+    return taken
+
+
+def test_each_lane_takes_the_substeps_its_mark_needs():
+    # beta R = 0.01, 0.08 and 3: the step-doubling estimate |y_N - y_2N| / 15
+    # meets 1e-9 at 2 substeps, at 4, and below the cap of 16 not at all
+    p = np.array([[0.3], [0.0], [-0.7]])
+    q = np.array([[0.9], [1.0], [0.2]])
+    marks = np.array([[0.1], [0.8], [30.0]])
+    out_p, out_q, failed = _flow_raw(SYSTEM, p, q, marks, 16, 1e-9)
+    assert failed is None
+    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[2], [4], [16]]
+    for b in range(3):
+        alone = _flow_raw(SYSTEM, p[b : b + 1], q[b : b + 1], marks[b : b + 1], 16, 1e-9)
+        assert np.array_equal(alone[0], out_p[b : b + 1])
+        assert np.array_equal(alone[1], out_q[b : b + 1])
+
+
+def test_a_lane_that_misses_the_tolerance_takes_the_cap():
+    p = np.array([[0.3], [0.0], [-0.7]])
+    q = np.array([[0.9], [1.0], [0.2]])
+    marks = np.array([[0.1], [0.8], [30.0]])
+    for cap in (3, 4, 12, 16):
+        out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, cap, 1e-300)
+        assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[cap]] * 3
+    # a cap of 12 stops the doubling after 8: the large mark takes exactly 12
+    out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, 12, 1e-9)
+    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[2], [4], [12]]
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_a_cap_below_three_is_the_fixed_count_flow(cap):
+    p = np.array([[0.3], [0.0], [-0.7]])
+    q = np.array([[0.9], [1.0], [0.2]])
+    marks = np.array([[0.1], [0.8], [30.0]])
+    out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, cap, 1e-9)
+    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[cap]] * 3
+
+
+def test_a_non_finite_estimate_sends_the_lane_to_the_cap():
+    # the rotation field is NaN beyond |p| or |q| = 3, which only the
+    # one-substep flow of beta R = 3 reaches: its estimate against 2
+    # substeps is NaN, so the lane takes the cap although 4 substeps
+    # already meet the loose tolerance against 2
+    def rotation(scale):
+        def evaluate(p, q):
+            return np.where((np.abs(p) > 3.0) | (np.abs(q) > 3.0), np.nan, scale(p, q))
+
+        return evaluate
+
+    clipped = HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: 0.0 * q, rotation(lambda p, q: 0.1 * q)),
+        gamma=(lambda p, q: 0.0 * p, rotation(lambda p, q: 0.1 * p)),
+        hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+    )
+    p, q, marks = np.array([[0.0]]), np.array([[1.0]]), np.array([[30.0]])
+    with pytest.raises(DivergenceError):
+        jump_flow(clipped, PhaseState(p[0], q[0]), marks[0], substeps=1)
+    out_p, out_q, failed = _flow_raw(clipped, p, q, marks, 16, 1e-2)
+    assert failed is None
+    assert substeps_taken(clipped, p, q, marks, out_p, out_q, counts=(2, 4, 8, 16)) == [[16]]
+    loose = jump_flow(clipped, PhaseState(p[0], q[0]), marks[0], substeps=2)
+    finer = jump_flow(clipped, PhaseState(p[0], q[0]), marks[0], substeps=4)
+    assert np.abs(np.concatenate([loose.p - finer.p, loose.q - finer.q])).max() / 15.0 <= 1e-2
+
+
+def test_a_non_finite_flow_reports_the_substep_of_the_cap():
+    quad = HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: 0.0 * p, lambda p, q: -(p * p)),
+        gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.0 * p),
+        hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+    )
+    p, q = np.array([[0.5], [1e160], [0.2]]), np.array([[0.0], [0.0], [0.0]])
+    marks = np.array([[0.3], [1.0], [0.1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            jump_flow(quad, PhaseState(p[1], q[1]), marks[1], substeps=8)
+        out_p, out_q, failed = _flow_raw(quad, p, q, marks, 8, 1e-9)
+    assert list(failed) == [-1, info.value.step, -1]
+    # the finite lanes: dP/ds = 0.3 P^2 from 0.5 misses 1e-9 below the cap
+    fine = [0, 2]
+    taken = substeps_taken(quad, p[fine], q[fine], marks[fine], out_p[fine], out_q[fine])
+    assert taken == [[8], [2]]
