@@ -42,18 +42,17 @@ its state, so the rerun ends exactly where a check after every tick would.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._csv import fmt_rows, write_csv
+from ._noise import Recording
 from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from .hamiltonian import PhaseState
 from .levy_path import grid_increments
-from .marcus import DEFAULT_SUBSTEPS, _flow_error, _flow_raw
+from .marcus import _JUMP_TOL, DEFAULT_SUBSTEPS, _flow_error, _flow_raw
 
 __all__ = [
     "StepControls",
@@ -89,20 +88,17 @@ class StepControls:
 
     dt is the nominal step; implicit_tol and implicit_max_iters bound
     the fixed-point solve inside the symplectic step. Each jump of the
-    jump-adapted driver takes the fewest RK4 substeps N = 2, 4, ... whose
-    step-doubling error estimate is at most jump_tol (relative to the
-    post-jump state's size, at least 1), and at most jump_substeps: a
-    jump that meets jump_tol at no smaller N takes exactly jump_substeps.
+    jump-adapted driver takes the RK4 substeps its mark needs by step
+    doubling, at most jump_substeps (see ``marcus``).
     """
 
     dt: float
     implicit_tol: float = 1e-12
     implicit_max_iters: int = 50
     jump_substeps: int = DEFAULT_SUBSTEPS
-    jump_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("dt", "implicit_tol", "jump_tol"):
+        for name in ("dt", "implicit_tol"):
             value = getattr(self, name)
             real = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (real and math.isfinite(value) and value > 0):
@@ -345,23 +341,6 @@ def _stalled(residual, max_iters):
     )
 
 
-@contextlib.contextmanager
-def _recording_warnings():
-    """Collect every Python warning in the yielded list instead of issuing it.
-
-    Unlike ``warnings.catch_warnings`` this keeps the filters' version, so
-    the once-per-location registries stay valid for the caller.
-    """
-    caught = []
-    filters, show = warnings.filters, warnings.showwarning
-    warnings.filters = [("always", None, Warning, None, 0)]
-    warnings.showwarning = lambda *args: caught.append(args)
-    try:
-        yield caught
-    finally:
-        warnings.filters, warnings.showwarning = filters, show
-
-
 def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     """Run a one-step scheme on a uniform grid with raw path increments.
 
@@ -380,21 +359,13 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
 class _Noisy(Exception):
     """A block of several lanes run alone warned or raised, from a lane no one can name.
 
-    args are the block's first tick, up to which the record holds every
-    stepping lane's rows, and the {lane: error} of the lanes that failed
-    before it.
+    Its arg is the block's first tick, up to which the record holds every
+    stepping lane's rows.
     """
 
 
 def _fixed_grid_lanes(system, schemes, initial, t0, T, path, controls):
-    """Yield each scheme's fixed-grid Trajectory, or the error its run alone raises, in order.
-
-    The schemes, symplectic first, run as the lanes of one record. If a
-    block of several lanes warns or raises (see _drift_segment), each
-    scheme that has not failed before it goes on alone from the block's
-    first state instead, yielded before the next starts, so every warning
-    and error comes where the runs alone put it.
-    """
+    """Yield each scheme's fixed-grid Trajectory, or the error its run alone raises, in order."""
     for scheme in schemes:
         if scheme not in _SCHEMES:
             raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
@@ -404,32 +375,38 @@ def _fixed_grid_lanes(system, schemes, initial, t0, T, path, controls):
     if times.size > 1:
         for r in range(1, system.m + 1):
             dls[1:, r - 1] = grid_increments(path, r, times)
+    yield from _grid_runs(system, schemes, times, dls, initial.p[None], initial.q[None], controls)
 
-    def record(tags):  # one lane per scheme in tags, symplectic first
-        return _Record(np.tile(times, len(tags)), times.size * np.arange(len(tags) + 1), system.n,
-                       tags, tags.count("symplectic"), "step {step} (t={t:g})",
-                       np.tile(dls, (len(tags), 1)))
 
-    rec = record(schemes)
-    rec.ps[rec.lo], rec.qs[rec.lo] = initial.p, initial.q
-    last = times.size - 1
+def _grid_runs(system, schemes, times, dls, head_p, head_q, controls):
+    """Yield each scheme's run on the grid, or its error, from its states at times[:len(head_p)].
+
+    The schemes, symplectic first, run as the lanes of one record. If a
+    block of several lanes warns or raises (see _drift_segment), each
+    scheme that has not failed before it goes on alone from the block's
+    first state instead, yielded before the next starts, so every warning
+    and error comes where the runs alone put it.
+    """
+    lanes, head = len(schemes), len(head_p) - 1
+    rec = _Record(np.tile(times, lanes), times.size * np.arange(lanes + 1), system.n, schemes,
+                  schemes.count("symplectic"), "step {step} (t={t:g})", np.tile(dls, (lanes, 1)))
+    rows = rec.lo[:, None] + np.arange(head + 1)
+    rec.ps[rows], rec.qs[rows] = head_p, head_q
+    failures = {}
     try:
-        failures = _run_record(system, controls, rec, np.zeros(len(schemes), int),
-                               np.full((len(schemes), 1), last), None, alone=True)
+        _drift_segment(system, controls, rec, np.arange(lanes), rec.lo + head,
+                       np.full(lanes, times.size - 1 - head), 0, failures, alone=True)
     except _Noisy as noisy:
-        tick, failures = noisy.args
+        tick = head + noisy.args[0]
         for b, scheme in enumerate(schemes):
             if b in failures:
                 yield failures[b]
                 continue
-            one, kept = record((scheme,)), slice(rec.lo[b], rec.lo[b] + tick + 1)
-            one.ps[: tick + 1], one.qs[: tick + 1] = rec.ps[kept], rec.qs[kept]
-            failed = {}
-            _drift_segment(system, controls, one, np.zeros(1, int), np.array([tick]),
-                           np.array([last - tick]), 0, failed, alone=True)
-            yield failed[0] if failed else one.trajectory(0)
+            kept = slice(rec.lo[b], rec.lo[b] + tick + 1)
+            yield from _grid_runs(system, (scheme,), times, dls, rec.ps[kept], rec.qs[kept],
+                                  controls)
         return
-    for b in range(len(schemes)):
+    for b in range(lanes):
         yield failures[b] if b in failures else rec.trajectory(b)
 
 
@@ -559,8 +536,6 @@ def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures, alone
     Returns the lanes that finished.
     """
     tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
-    events = []
-    recorded = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
     start = 0  # the ticks before it are in the record
     while lanes.size and ticks[0] > start:
         top = min(int(ticks[0]), start + _CHECK_BLOCK**2)
@@ -605,19 +580,17 @@ def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures, alone
         for j0 in range(0, len(counts), _CHECK_BLOCK):
             j1 = min(j0 + _CHECK_BLOCK, len(counts))
             try:
-                with np.errstate(call=lambda kind, flag: events.append(kind), **recorded), \
-                        _recording_warnings() as caught:
+                with Recording() as noise:
                     stop = run(j0, j1, checked=False)
-                noisy = bool(events or caught)
+                noisy = bool(noise)
             except Exception:  # the rerun raises it, or an earlier failure
                 stop = noisy = True
             if noisy and alone and len(rec.lo) > 1:
                 clean = bounds[j0]
                 rec.ps[targets[:clean]], rec.qs[targets[:clean]] = ps[:clean], qs[:clean]
-                raise _Noisy(start + j0, failures)
+                raise _Noisy(start + j0)
             block = slice(bounds[j0], bounds[j1])
             if noisy or stop is not None or not _in_range(ps[block], qs[block]):
-                events.clear()
                 failed = run(j0, j1, checked=True)
                 if failed is not None:
                     break
@@ -645,7 +618,7 @@ def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures, alone
 def _jump_segment(system, controls, rec, lanes, post, marks, k, failures):
     """Apply jump k of each lane, from the row before `post` into `post`."""
     p, q, failed = _flow_raw(system, rec.ps[post - 1], rec.qs[post - 1], marks,
-                             controls.jump_substeps, controls.jump_tol)
+                             controls.jump_substeps, _JUMP_TOL)
     if failed is not None:
         for i in np.flatnonzero(failed >= 0):
             failures[lanes[i]] = rec.flow_failed(lanes[i], post[i], int(failed[i]))
@@ -668,12 +641,12 @@ def _lane_controls(controls, lanes):
     if not all(isinstance(c, StepControls) for c in controls):
         raise DomainError("every entry of controls must be a StepControls")
     shared = controls[0]
-    settings = (shared.implicit_tol, shared.implicit_max_iters, shared.jump_substeps, shared.jump_tol)
+    settings = (shared.implicit_tol, shared.implicit_max_iters, shared.jump_substeps)
     for c in controls:
-        if (c.implicit_tol, c.implicit_max_iters, c.jump_substeps, c.jump_tol) != settings:
+        if (c.implicit_tol, c.implicit_max_iters, c.jump_substeps) != settings:
             raise DomainError(
-                "per-path controls may differ only in dt; implicit_tol, implicit_max_iters, "
-                f"jump_substeps and jump_tol must be shared, got {shared} and {c}"
+                "per-path controls may differ only in dt; implicit_tol, implicit_max_iters "
+                f"and jump_substeps must be shared, got {shared} and {c}"
             )
     return np.array([c.dt for c in controls]), shared
 
@@ -692,9 +665,8 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
     and equals the same path run alone bit for bit.
 
     Each jump takes its own number of RK4 substeps in the jump flow, by
-    step doubling to controls.jump_tol and at most controls.jump_substeps
-    (see StepControls); its post-jump state is ``jump_flow`` at that
-    count bit for bit.
+    step doubling and at most controls.jump_substeps (see ``marcus``);
+    its post-jump state is ``jump_flow`` at that count bit for bit.
 
     controls is one StepControls for every path, or a list with one per
     path whose entries may differ in dt only, else DomainError.
@@ -721,20 +693,9 @@ def _pathwise_record(system, initial, t0, T, paths, controls):
     _check_lane_shapes(system, p_start, q_start)
     rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
     rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
-    failures = _run_record(system, controls, rec, jumps, ticks, marks)
-    if failures:
-        raise failures[min(failures)]
-    return rec
-
-
-def _run_record(system, controls, rec, jumps, ticks, marks, alone=False):
-    """Step every lane of `rec` on from its first row; return {lane: error} of the failed lanes.
-
-    Lane b drifts through ticks[b, k] ticks of its segment k and then, for
-    k < jumps[b], applies the jump flow to marks[b, k]. Lanes that run
-    `alone` (see _drift_segment) have one segment each.
-    """
-    # first[b, k]: the row holding the state segment k of lane b starts from
+    # Lane b drifts through ticks[b, k] ticks of its segment k and then, for
+    # k < jumps[b], applies the jump flow to marks[b, k]. first[b, k]: the
+    # row holding the state segment k of lane b starts from
     first = rec.lo[:, None] + np.cumsum(ticks + 1, axis=1) - (ticks + 1)
     failures = {}
     for k in range(ticks.shape[1]):
@@ -744,13 +705,15 @@ def _run_record(system, controls, rec, jumps, ticks, marks, alone=False):
             break
         lanes = lanes[np.argsort(-ticks[lanes, k], kind="stable")]
         lanes = _drift_segment(
-            system, controls, rec, lanes, first[lanes, k], ticks[lanes, k], k, failures, alone
+            system, controls, rec, lanes, first[lanes, k], ticks[lanes, k], k, failures, alone=False
         )
         lanes = lanes[jumps[lanes] > k]
         if lanes.size:
             post = first[lanes, k] + ticks[lanes, k] + 1
             _jump_segment(system, controls, rec, lanes, post, marks[lanes, k], k, failures)
-    return failures
+    if failures:
+        raise failures[min(failures)]
+    return rec
 
 
 def write_trajectory_csv(trajectory, file_path):

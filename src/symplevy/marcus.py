@@ -16,13 +16,18 @@ in equal substeps. Accuracy scales as (total angle)^5 / substeps^4 on
 rotation-like fields. ``jump_flow`` takes a fixed number of substeps
 (default 16); raise ``substeps`` when feeding unusually large marks.
 The jump-adapted driver gives each jump its own count by step doubling:
-it runs N = 1 and 2 substeps, then 4, 8, ..., and keeps the first 2N
-result below the cap ``jump_substeps`` whose estimated error
-|y_N - y_2N| / 15 (max norm) is at most ``jump_tol * max(1, |y_2N|)``
-(Richardson's error estimate for a 4th-order method; Hairer, Norsett
-and Wanner, Solving ODEs I, II.4). A jump that meets no such 2N, or whose
-estimate was not finite, takes exactly the cap, the fixed-count map.
-At the default model a jump takes 2 or 4 substeps instead of 16.
+it runs N = 1 and 2 substeps, then 4, ..., and keeps the first 2N
+result whose estimated error |y_N - y_2N| / 15 (max norm) is at most
+``_JUMP_TOL`` = 1e-9 times max(1, |y_2N|) (Richardson's error estimate
+for a 4th-order method; Hairer, Norsett and Wanner, Solving ODEs I,
+II.4). It tries 2N only while 4N < ``jump_substeps``, the cap (2N = 2
+and 4 at the default cap of 16): the runs up to 2N take 4N - 1
+substeps, so a larger 2N would save little where it is met and cost
+much where it is not. A jump that meets the tolerance at none of them,
+whose estimate was not finite, or whose runs below the cap warn, raise
+or meet a floating-point event takes exactly the cap, the fixed-count
+map, so each jump warns and fails as ``jump_flow`` at its count. At
+the default model a jump takes 2 or 4 substeps instead of 16.
 
 Internally the flow runs on lanes: (B, n) states with one mark vector
 per lane, so the jump-adapted driver applies the k-th jump of many
@@ -33,12 +38,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._noise import Recording
 from .errors import DivergenceError, DomainError
 from .hamiltonian import PhaseState, _kubo_rotation
 
 __all__ = ["jump_flow", "kubo_jump_closed_form"]
 
 DEFAULT_SUBSTEPS = 16
+# the step-doubling tolerance of the jump-adapted driver's jumps
+_JUMP_TOL = 1e-9
 
 
 def _make_field(system, channels, marks):
@@ -102,50 +110,64 @@ def _flow(system, p, q, marks, channels, substeps, tol):
     """The flow of lanes that drive the same channels: (p, q, failed) as from _rk4.
 
     With tol None every lane takes `substeps` substeps. Otherwise each
-    lane takes the first N = 2, 4, ... below `substeps` whose
+    lane takes the first 2N = 2, 4, ... with 4N < `substeps` whose
     step-doubling estimate meets tol (see the module docstring), and the
-    others, with every lane whose estimate was once not finite, exactly
-    `substeps`. The runs below the cap ignore numpy's floating-point
-    events: a lane that goes non-finite there takes the cap, so its
-    state, failed substep and warnings are those of the run at the cap.
+    others exactly `substeps`. The runs below the cap issue no noise
+    (see _noise.Recording): a lane whose estimate is not finite, or whose
+    run there is noisy or raises, takes the cap, whose run is as noisy
+    as jump_flow's. Noise in a run of several lanes names none of them,
+    so each of those lanes starts over alone.
     """
     if not channels:
         return p, q, None
-    field = _make_field(system, channels, marks)
-    if tol is None or substeps <= 2:
-        return _rk4(field, p, q, substeps)
-    first = field(p, q)
+    if tol is None:
+        return _rk4(_make_field(system, channels, marks), p, q, substeps)
     out_p, out_q = np.empty_like(p), np.empty_like(q)
-    lanes = np.arange(len(p))  # the lanes still doubling: the rows of p, q, first, coarse
-    finite = np.ones(len(p), dtype=bool)  # which of them never had a non-finite estimate
-    n = 1
-    with np.errstate(all="ignore"):
-        coarse_p, coarse_q, _ = _rk4(field, p, q, 1, first)
-        while lanes.size and 2 * n < substeps:
-            n *= 2
-            fine_p, fine_q, _ = _rk4(field, p, q, n, first)
-            err = np.maximum(np.abs(coarse_p - fine_p), np.abs(coarse_q - fine_q)).max(axis=1)
-            size = np.maximum(np.abs(fine_p), np.abs(fine_q)).max(axis=1)
-            finite &= np.isfinite(err)
-            ok = finite & (err / 15.0 <= tol * np.maximum(size, 1.0))
-            if n == 2 and ok.all():
-                return fine_p, fine_q, None  # every lane met tol at once
-            if ok.any():
+    failed = np.full(len(p), -1)
+    lanes = np.arange(len(p))  # the lanes still doubling: the rows of x_p, x_q, first, coarse
+    capped = [lanes[:0]]  # the lanes whose estimate was not finite
+    x_p, x_q, field, n = p, q, _make_field(system, channels, marks), 1
+    try:
+        with Recording() as noise:
+            while lanes.size and 4 * n < substeps:
+                if n == 1:
+                    first = field(x_p, x_q)
+                    coarse_p, coarse_q, _ = _rk4(field, x_p, x_q, 1, first)
+                n *= 2
+                fine_p, fine_q, _ = _rk4(field, x_p, x_q, n, first)
+                if noise:
+                    break
+                with np.errstate(all="ignore"):  # non-finite lanes take the cap
+                    err = np.maximum(np.abs(coarse_p - fine_p), np.abs(coarse_q - fine_q)).max(1)
+                    size = np.maximum(np.abs(fine_p), np.abs(fine_q)).max(1)
+                    ok = err / 15.0 <= tol * np.maximum(size, 1.0)
                 out_p[lanes[ok]], out_q[lanes[ok]] = fine_p[ok], fine_q[ok]
-                keep = ~ok
-                lanes, p, q, marks = lanes[keep], p[keep], q[keep], marks[keep]
-                first, finite = (first[0][keep], first[1][keep]), finite[keep]
-                fine_p, fine_q = fine_p[keep], fine_q[keep]
-                field = _make_field(system, channels, marks)
-            coarse_p, coarse_q = fine_p, fine_q
-    if not lanes.size:
-        return out_p, out_q, None
-    out_p[lanes], out_q[lanes], bad = _rk4(field, p, q, substeps, first)
-    failed = None
-    if bad is not None:
-        failed = np.full(len(out_p), -1)
-        failed[lanes] = bad
-    return out_p, out_q, failed
+                finite = np.isfinite(err)
+                capped.append(lanes[~finite])
+                keep = finite & ~ok
+                if not keep.all():
+                    lanes, x_p, x_q = lanes[keep], x_p[keep], x_q[keep]
+                    first = first[0][keep], first[1][keep]
+                    fine_p, fine_q = fine_p[keep], fine_q[keep]
+                    field = _make_field(system, channels, marks[lanes])
+                coarse_p, coarse_q = fine_p, fine_q
+        noisy = bool(noise)
+    except Exception:  # an evaluator raised below the cap; the cap run raises it, or not
+        noisy = True
+    if noisy and lanes.size > 1:
+        for b in lanes:
+            alone = slice(b, b + 1)
+            out_p[alone], out_q[alone], bad = _flow(system, p[alone], q[alone], marks[alone],
+                                                    channels, substeps, tol)
+            failed[alone] = -1 if bad is None else bad
+        lanes = lanes[:0]
+    cap = np.sort(np.concatenate([lanes, *capped]))
+    if cap.size:
+        field = _make_field(system, channels, marks[cap])
+        out_p[cap], out_q[cap], bad = _rk4(field, p[cap], q[cap], substeps)
+        if bad is not None:
+            failed[cap] = bad
+    return out_p, out_q, (failed if (failed >= 0).any() else None)
 
 
 def _flow_raw(system, p, q, marks, substeps, tol=None):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,16 +227,19 @@ def test_a_lane_that_misses_the_tolerance_takes_the_cap():
     p = np.array([[0.3], [0.0], [-0.7]])
     q = np.array([[0.9], [1.0], [0.2]])
     marks = np.array([[0.1], [0.8], [30.0]])
-    for cap in (3, 4, 12, 16):
+    for cap in (5, 8, 9, 12, 16):
         out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, cap, 1e-300)
-        assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[cap]] * 3
-    # a cap of 12 stops the doubling after 8: the large mark takes exactly 12
-    out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, 12, 1e-9)
-    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[2], [4], [12]]
+        taken = substeps_taken(SYSTEM, p, q, marks, out_p, out_q, counts=sorted({1, 2, 4, cap}))
+        assert taken == [[cap]] * 3
+    # a cap of 8 tries only 2 substeps: the mark that needs 4 takes the cap
+    out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, 8, 1e-9)
+    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[2], [8], [8]]
+    out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, 9, 1e-9)
+    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q, counts=(2, 4, 8, 9)) == [[2], [4], [9]]
 
 
-@pytest.mark.parametrize("cap", [1, 2])
-def test_a_cap_below_three_is_the_fixed_count_flow(cap):
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_a_cap_of_four_or_less_is_the_fixed_count_flow(cap):
     p = np.array([[0.3], [0.0], [-0.7]])
     q = np.array([[0.9], [1.0], [0.2]])
     marks = np.array([[0.1], [0.8], [30.0]])
@@ -243,14 +247,37 @@ def test_a_cap_below_three_is_the_fixed_count_flow(cap):
     assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[cap]] * 3
 
 
-def test_a_non_finite_estimate_sends_the_lane_to_the_cap():
-    # the rotation field is NaN beyond |p| or |q| = 3, which only the
-    # one-substep flow of beta R = 3 reaches: its estimate against 2
-    # substeps is NaN, so the lane takes the cap although 4 substeps
-    # already meet the loose tolerance against 2
+def nan_beyond(beyond, value):
+    return np.where(beyond, np.nan, value)
+
+
+def raise_beyond(beyond, value):
+    if beyond.any():
+        raise ValueError("outside the domain")
+    return value
+
+
+def warn_beyond(beyond, value):
+    if beyond.any():
+        warnings.warn("outside the domain", UserWarning)
+    return value
+
+
+def overflow_beyond(beyond, value):
+    np.exp(1000.0 * beyond)  # a masked branch: it overflows, and its result is dropped
+    return value
+
+
+@pytest.mark.parametrize("beyond", [nan_beyond, raise_beyond, warn_beyond, overflow_beyond])
+def test_a_lane_whose_runs_below_the_cap_fail_takes_the_cap(beyond):
+    # the rotation field meets `beyond` past |p| or |q| = 3, which only the
+    # one-substep flow of beta R = 3 reaches: that lane takes the cap
+    # although 4 substeps already meet the loose tolerance against 2, and
+    # the flow raises and issues nothing, as jump_flow at the cap; the
+    # small mark beside it still takes 2 substeps, as alone
     def rotation(scale):
         def evaluate(p, q):
-            return np.where((np.abs(p) > 3.0) | (np.abs(q) > 3.0), np.nan, scale(p, q))
+            return beyond((np.abs(p) > 3.0) | (np.abs(q) > 3.0), scale(p, q))
 
         return evaluate
 
@@ -261,15 +288,58 @@ def test_a_non_finite_estimate_sends_the_lane_to_the_cap():
         gamma=(lambda p, q: 0.0 * p, rotation(lambda p, q: 0.1 * p)),
         hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
     )
-    p, q, marks = np.array([[0.0]]), np.array([[1.0]]), np.array([[30.0]])
-    with pytest.raises(DivergenceError):
-        jump_flow(clipped, PhaseState(p[0], q[0]), marks[0], substeps=1)
-    out_p, out_q, failed = _flow_raw(clipped, p, q, marks, 16, 1e-2)
+    p, q, marks = np.array([[0.0], [0.3]]), np.array([[1.0], [0.9]]), np.array([[30.0], [0.1]])
+    with pytest.raises(Exception):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            jump_flow(clipped, PhaseState(p[0], q[0]), marks[0], substeps=1)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        out_p, out_q, failed = _flow_raw(clipped, p, q, marks, 16, 1e-2)
+        alone = [_flow_raw(clipped, p[b : b + 1], q[b : b + 1], marks[b : b + 1], 16, 1e-2)
+                 for b in range(2)]
     assert failed is None
-    assert substeps_taken(clipped, p, q, marks, out_p, out_q, counts=(2, 4, 8, 16)) == [[16]]
+    assert substeps_taken(clipped, p, q, marks, out_p, out_q, counts=(2, 4, 8, 16)) == [[16], [2]]
+    for b in range(2):
+        assert np.array_equal(alone[b][0], out_p[b : b + 1])
+        assert np.array_equal(alone[b][1], out_q[b : b + 1])
     loose = jump_flow(clipped, PhaseState(p[0], q[0]), marks[0], substeps=2)
     finer = jump_flow(clipped, PhaseState(p[0], q[0]), marks[0], substeps=4)
     assert np.abs(np.concatenate([loose.p - finer.p, loose.q - finer.q])).max() / 15.0 <= 1e-2
+
+
+@pytest.mark.parametrize("act", ["warn", "raise"])
+def test_a_cap_run_warns_and_raises_as_jump_flow_at_the_cap(act):
+    # the exact flow of beta R = 1.5 from (0, 1) takes |p| past 0.9, so
+    # every run meets the evaluator's noise; the runs below the cap keep it
+    # and send the lane to the cap, whose run issues what jump_flow issues
+    def noisy(p, q):
+        if (np.abs(p) > 0.9).any():
+            if act == "raise":
+                raise ValueError("far out")
+            warnings.warn("far out", UserWarning)
+        return 0.1 * q
+
+    system = HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: 0.0 * q, noisy),
+        gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.1 * p),
+        hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+    )
+    p, q, marks = np.array([[0.0]]), np.array([[1.0]]), np.array([[15.0]])
+    if act == "raise":
+        for run in (lambda: jump_flow(system, PhaseState(p[0], q[0]), marks[0], substeps=16),
+                    lambda: _flow_raw(system, p, q, marks, 16, 1e-9)):
+            with pytest.raises(ValueError, match="far out"):
+                run()
+        return
+    with pytest.warns(UserWarning, match="far out") as fixed:
+        expected = jump_flow(system, PhaseState(p[0], q[0]), marks[0], substeps=16)
+    with pytest.warns(UserWarning, match="far out") as doubled:
+        out_p, out_q, _ = _flow_raw(system, p, q, marks, 16, 1e-9)
+    assert len(doubled) == len(fixed)
+    assert out_p[0] == expected.p and out_q[0] == expected.q
 
 
 def test_a_non_finite_flow_reports_the_substep_of_the_cap():
