@@ -17,8 +17,8 @@ that are symplectic. The public steps, every step of both drivers and
 the Jacobians of ``analysis`` call it (``_step_lanes`` says when rows
 are bit exact).
 
-Two drivers build trajectories on noise realizations, and one loop,
-``_drift_segment``, steps the states of both as lanes:
+Two drivers build trajectories on noise realizations, and one pass,
+``_step_record``, steps the drift ticks and jumps of both as lanes:
 
 * ``integrate_fixed_grid``: uniform grid with the final step truncated
   to land on T, feeding each step the raw path increment over that step
@@ -33,11 +33,11 @@ Two drivers build trajectories on noise realizations, and one loop,
   in dt only. ``integrate_pathwise`` is the same driver on one path.
 
 Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
-The loop checks for it once per block of ticks, not after each tick: a
-block in which a step stalls, numpy records a floating-point event, an
-evaluator raises or warns, or a state is out of range runs again from its
-first state one checked tick at a time. Each step is a pure function of
-its state, so the rerun ends exactly where a check after every tick would.
+The pass checks for it once per block of steps (ticks and jumps), not
+after each: a block in which a step stalls, numpy records a floating-point
+event, an evaluator raises or warns, or a state is out of range runs again
+from its first state one checked step at a time. Each step is a pure
+function of its state, so the rerun ends where a check after each would.
 """
 
 from __future__ import annotations
@@ -319,17 +319,12 @@ def _validate_run(system, initial, t0, T, path):
         raise DomainError(f"[t0, T]=[{t0}, {T}] must lie within [0, horizon={path.horizon}]")
 
 
-# Ticks the stepping loop runs between two divergence checks; one state
-# buffer holds as many blocks.
+# Steps (drift ticks or jumps) the stepping pass runs between two divergence checks
 _CHECK_BLOCK = 64
 
 
-def _in_range(p, q):
-    # NaN comparisons are False, so non-finite states fail this test too
-    return np.abs(p).max() <= DIVERGENCE_LIMIT and np.abs(q).max() <= DIVERGENCE_LIMIT
-
-
 def _lanes_in_range(p, q):
+    # NaN comparisons are False, so non-finite states fail this test too
     in_range = (np.abs(p) <= DIVERGENCE_LIMIT).all(axis=1)
     return in_range & (np.abs(q) <= DIVERGENCE_LIMIT).all(axis=1)
 
@@ -357,10 +352,9 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
 
 
 class _Noisy(Exception):
-    """A block of several lanes run alone warned or raised, from a lane no one can name.
+    """A block warned or raised while a lane after the first stepped; no one can name the lane.
 
-    Its arg is the block's first tick, up to which the record holds every
-    stepping lane's rows.
+    Its args: its first tick, before which the record holds every lane's rows, and the failures.
     """
 
 
@@ -382,27 +376,27 @@ def _grid_runs(system, schemes, times, dls, head_p, head_q, controls):
     """Yield each scheme's run on the grid, or its error, from its states at times[:len(head_p)].
 
     The schemes, symplectic first, run as the lanes of one record. If a
-    block of several lanes warns or raises (see _drift_segment), each
-    scheme that has not failed before it goes on alone from the block's
-    first state instead, yielded before the next starts, so every warning
-    and error comes where the runs alone put it.
+    block warns or raises while a later scheme still steps (see
+    _step_record), each scheme that has not failed before it goes on
+    alone from the block's first state instead, yielded before the next
+    starts, so every warning and error comes where the runs alone put it.
     """
     lanes, head = len(schemes), len(head_p) - 1
     rec = _Record(np.tile(times, lanes), times.size * np.arange(lanes + 1), system.n, schemes,
                   schemes.count("symplectic"), "step {step} (t={t:g})", np.tile(dls, (lanes, 1)))
     rows = rec.lo[:, None] + np.arange(head + 1)
     rec.ps[rows], rec.qs[rows] = head_p, head_q
-    failures = {}
     try:
-        _drift_segment(system, controls, rec, np.arange(lanes), rec.lo + head,
-                       np.full(lanes, times.size - 1 - head), 0, failures, alone=True)
+        failures = _step_record(system, controls, rec, rec.lo + head,
+                                np.full((lanes, 1), times.size - 1 - head), np.zeros(lanes, int),
+                                None, alone=True)
     except _Noisy as noisy:
-        tick = head + noisy.args[0]
+        tick, failures = noisy.args
         for b, scheme in enumerate(schemes):
             if b in failures:
                 yield failures[b]
                 continue
-            kept = slice(rec.lo[b], rec.lo[b] + tick + 1)
+            kept = slice(rec.lo[b], rec.lo[b] + head + tick + 1)
             yield from _grid_runs(system, (scheme,), times, dls, rec.ps[kept], rec.qs[kept],
                                   controls)
         return
@@ -467,17 +461,13 @@ class _Record:
         hi = self.hi[lane] if end is None else end
         return Trajectory(self.times[lo:hi], self.ps[lo:hi], self.qs[lo:hi], self.tags[lane])
 
-    def _step(self, lane, row, k):
-        # rows before `row` are the start, the drift steps and k jumps
-        return int(row - self.lo[lane]) - 1 - k
-
     def diverged(self, lane, row, k):
-        step, t = self._step(lane, row, k), float(self.times[row])
+        step, t = int(row - self.lo[lane]) - 1 - k, float(self.times[row])  # after k jumps
         message = f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at step {step} (t={t:g})"
         return DivergenceError(message, step=step, time=t, partial=self.trajectory(lane, row))
 
     def stalled(self, lane, row, k, residual, max_iters):
-        inner, step = _stalled(float(residual), max_iters), self._step(lane, row, k)
+        inner, step = _stalled(float(residual), max_iters), int(row - self.lo[lane]) - 1 - k
         at = self.stall_at.format(step=step, t=self.times[row - 1])
         err = NonConvergenceError(f"{at}: {inner}", residual=inner.residual, step=step)
         err.__cause__ = inner
@@ -521,115 +511,141 @@ def _lane_record(system, paths, t0, T, dts):
     return rec, jumps, ticks, marks
 
 
-def _drift_segment(system, controls, rec, lanes, rows, ticks, k, failures, alone):
-    """Step each lane through its ticks of segment k, from record row `rows`.
+def _step_record(system, controls, rec, start, ticks, jumps, marks, alone):
+    """Step each lane b from row start[b]: ticks[b, k] drift ticks of segment k, then jump k.
 
-    Lanes come sorted by tick count, largest first, so the lanes still
-    stepping at tick j are the first c_j of them, and their states fill
-    one contiguous slice per tick of a tick-major buffer, scattered into
-    the record at the end; symplectic lanes lead each tick's slice. A lane
-    that fails a checked tick is entered in `failures` and stops, and the
-    others go on in a new buffer: all of them if `alone`, else those below
-    the lowest failed lane. If `alone` and the record holds several lanes,
-    a block whose unchecked pass records a floating-point event, warns or
-    raises raises _Noisy, once the record holds the ticks before it.
-    Returns the lanes that finished.
+    Lane b applies jump k, the flow of marks[b, k], for k < jumps[b], each
+    state into the row after the one it steps from. The pass is laid out
+    once as entries, for each k segment k's ticks and then jump k; row 2k of
+    `lanes` lists the lanes by their ticks in segment k, most first, and row
+    2k + 1 those that then jump first, so an entry steps the first count
+    lanes of its row. Returns the failed lanes' errors by lane; a failed lane
+    leaves the pass, with every lane above the lowest one unless `alone`.
+    If `alone` and a lane but lane 0 still steps, a noisy block raises _Noisy.
     """
     tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
-    start = 0  # the ticks before it are in the record
-    while lanes.size and ticks[0] > start:
-        top = min(int(ticks[0]), start + _CHECK_BLOCK**2)
-        counts = np.searchsorted(-ticks, -np.arange(start, top))  # lanes stepping per tick
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        targets = rows[np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)]
-        targets += np.repeat(np.arange(start + 1, top + 1), counts)
+    live, K, failures = np.arange(len(start)), ticks.shape[1], {}
+    lanes = np.empty((2 * K, len(start)), dtype=np.min_scalar_type(len(start)))  # held all run
+    lanes[::2] = np.argsort(np.negative(ticks, dtype=np.int32), axis=0, kind="stable").T
+    lanes[1::2] = np.lexsort((np.negative(ticks, dtype=np.int32), jumps[:, None] <= np.arange(K)), 0).T
+    most = np.stack([ticks.max(axis=0), jumps.max() > np.arange(K)], 1).ravel()  # entries per row
+    begin = np.cumsum(most) - most
+    col = np.repeat(np.arange(2 * K), most)  # each entry's row of lanes
+    shift = np.arange(col.size) - begin[col] + 1 - col % 2  # its row past its segment's first row
+    opens = np.flatnonzero(np.diff(col)) + 1  # the entries that open a row, after the first
+
+    def entries():
+        """The states of the entries before each entry, and whether it goes on from the last."""
+        t = ticks if live.size == len(ticks) else ticks[live]
+        jumping = live.size - np.cumsum(np.bincount(jumps[live], minlength=K))[:K]
+        gone = np.cumsum(np.bincount((begin[::2] + t).ravel(), minlength=col.size + 1))
+        gone = np.concatenate([[0], gone])  # lanes past their ticks in a row, before each entry
+        count = np.where(col % 2, jumping[col // 2], live.size - gone[1:-1] + gone[begin[col]])
+        same = lanes[1:] == lanes[:-1]  # rows of `lanes` that list the same lanes first
+        np.logical_and.accumulate(same, axis=1, out=same)
+        lead = count > 0  # from the previous entry's states: its lanes lead that entry's
+        lead[opens] &= ((col[opens] - 1 == col[opens - 1]) & (count[opens] <= count[opens - 1])
+                        & same[col[opens] - 1, count[opens] - 1])
+        return np.concatenate([[0], np.cumsum(count)]), lead
+
+    cum, lead = entries()
+    first = np.cumsum(ticks, axis=1)  # each segment's first row: after earlier ticks and jumps
+    first -= ticks  # in place: no array of this size beside it
+    first += start[:, None]
+    first += np.arange(K)
+    e0 = 0  # the entries before it are in the record
+    while e0 < col.size and live.size:
+        # lay out the whole blocks from e0 that hold _CHECK_BLOCK**2 rows, or one block
+        e1 = np.searchsorted(cum, cum[e0] + _CHECK_BLOCK**2, side="right") - 1
+        e1 = min(e0 + max(_CHECK_BLOCK, (e1 - e0) // _CHECK_BLOCK * _CHECK_BLOCK), col.size)
+        bounds, counts = cum[e0 : e1 + 1] - cum[e0], np.diff(cum[e0 : e1 + 1])
+        targets = np.repeat(col[e0:e1], counts)  # each state's row of lanes, then its place there
+        targets = first[lanes[targets, np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)],
+                        (targets + 1) // 2] + np.repeat(shift[e0:e1], counts)
         dts = rec.steps[targets]
-        channels = [[]] * counts.size  # each tick's channels with an increment; none: a pure drift
+        channels = [[]] * len(counts)  # each entry's channels with an increment; none: a pure drift
         if rec.dls is not None:
             dls = rec.dls[targets]
-            live = np.logical_or.reduceat(dls != 0, bounds[:-1]).tolist()
-            channels = [[r for r, on in enumerate(row, 1) if on] for row in live]
-        counts, bounds = counts.tolist(), bounds.tolist()
-        implicit = int(np.count_nonzero(lanes < rec.implicit))
-        ps, qs = np.empty((bounds[-1], system.n)), np.empty((bounds[-1], system.n))
-        p0, q0 = rec.ps[rows[: counts[0]] + start], rec.qs[rows[: counts[0]] + start]
+            on = np.logical_or.reduceat(dls != 0, bounds[:-1]).tolist()
+            channels = [[r for r, o in enumerate(row, 1) if o] for row in on]
+        follow = [False] + lead[e0 + 1 : e1].tolist()  # a layout starts from the record
+        cols, counts, bounds = col[e0:e1].tolist(), counts.tolist(), bounds.tolist()
+        implicit = int(np.count_nonzero(live < rec.implicit))
 
-        def run(j0, j1, checked):
-            """Ticks j0..j1-1 into the buffer; (tick, stalled) where one stalls or fails a check."""
-            prev = slice(bounds[j0 - 1], bounds[j0])
-            p, q = (ps[prev], qs[prev]) if j0 else (p0, q0)
-            out_p, out_q, stop = [], [], None
+        def run(j0, j1, p, q, checked):
+            """Entries j0..j1-1 after states p, q: (p, q, a stall or failed check, or a bool)."""
+            out_p, out_q, done, stop, ok = [], [], j0, None, True
+
+            def flush(upto):  # the states of entries done..upto-1 into the record
+                nonlocal done
+                rows, done = targets[bounds[done] : bounds[upto]], upto
+                if not rows.size:
+                    return True
+                p_out, q_out = np.concatenate(out_p), np.concatenate(out_q)
+                rec.ps[rows], rec.qs[rows] = p_out, q_out
+                out_p.clear(), out_q.clear()
+                return _lanes_in_range(p_out, q_out).all()
+
             for j in range(j0, j1):
                 c, a, b = counts[j], bounds[j], bounds[j + 1]
-                if c < len(p):
-                    p, q = p[:c], q[:c]
-                dl = dls[a:b] if channels[j] else None
-                p, q, stalled = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl, tol,
+                if follow[j]:
+                    if c < len(p):
+                        p, q = p[:c], q[:c]
+                elif c:
+                    ok = flush(j) and ok
+                    p, q = rec.ps[targets[a:b] - 1], rec.qs[targets[a:b] - 1]
+                else:
+                    continue
+                if cols[j] % 2:
+                    p, q, bad = _flow_raw(system, p, q, marks[lanes[cols[j], :c], cols[j] // 2],
+                                          controls.jump_substeps, _JUMP_TOL)
+                else:
+                    dl = dls[a:b] if channels[j] else None
+                    p, q, bad = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl, tol,
                                             max_iters, channels[j])
                 out_p.append(p)
                 out_q.append(q)
-                if stalled is not None or checked and not _in_range(p, q):
-                    stop = j, stalled
+                if bad is not None or checked and not _lanes_in_range(p, q).all():
+                    stop = j, bad
                     break
-            filled = slice(bounds[j0], bounds[j0 + len(out_p)])
-            np.concatenate(out_p, out=ps[filled])
-            np.concatenate(out_q, out=qs[filled])
-            return stop
+            ok = flush(stop[0] + 1 if stop else j1) and ok
+            return p, q, stop if checked else stop is not None or not ok
 
-        failed = None
+        p = q = None  # the states of the entry before the block
         for j0 in range(0, len(counts), _CHECK_BLOCK):
             j1 = min(j0 + _CHECK_BLOCK, len(counts))
             try:
                 with Recording() as noise:
-                    stop = run(j0, j1, checked=False)
+                    after_p, after_q, failed = run(j0, j1, p, q, checked=False)
                 noisy = bool(noise)
             except Exception:  # the rerun raises it, or an earlier failure
-                stop = noisy = True
-            if noisy and alone and len(rec.lo) > 1:
-                clean = bounds[j0]
-                rec.ps[targets[:clean]], rec.qs[targets[:clean]] = ps[:clean], qs[:clean]
-                raise _Noisy(start + j0)
-            block = slice(bounds[j0], bounds[j1])
-            if noisy or stop is not None or not _in_range(ps[block], qs[block]):
-                failed = run(j0, j1, checked=True)
-                if failed is not None:
+                failed = noisy = True
+            if noisy and alone and live[-1] > 0:
+                raise _Noisy(e0 + j0, failures)
+            if noisy or failed:
+                after_p, after_q, failed = run(j0, j1, p, q, checked=True)
+                if failed:
                     break
-        # the record must hold a failed lane's rows before its error's partial trajectory is built
-        end = bounds[len(counts) if failed is None else failed[0] + 1]
-        rec.ps[targets[:end]], rec.qs[targets[:end]] = ps[:end], qs[:end]
-        if failed is None:
-            start = top
+            p, q = after_p, after_q
+        if not failed:
+            e0 = e1
             continue
-        j, stalled = failed
-        at = rows[: counts[j]] + (start + j + 1)
-        bad = ~_lanes_in_range(ps[bounds[j] : bounds[j + 1]], qs[bounds[j] : bounds[j + 1]])
-        if stalled is not None:
-            bad[stalled[0]] = False
-            for i, residual in zip(*stalled):
-                failures[lanes[i]] = rec.stalled(lanes[i], at[i], k, residual, max_iters)
-        for i in np.flatnonzero(bad):
-            failures[lanes[i]] = rec.diverged(lanes[i], at[i], k)
-        keep = ~np.isin(lanes, list(failures)) if alone else lanes < min(failures)
-        lanes, rows, ticks = lanes[keep], rows[keep], ticks[keep]
-        start += j + 1
-    return lanes
-
-
-def _jump_segment(system, controls, rec, lanes, post, marks, k, failures):
-    """Apply jump k of each lane, from the row before `post` into `post`."""
-    p, q, failed = _flow_raw(system, rec.ps[post - 1], rec.qs[post - 1], marks,
-                             controls.jump_substeps, _JUMP_TOL)
-    if failed is not None:
-        for i in np.flatnonzero(failed >= 0):
-            failures[lanes[i]] = rec.flow_failed(lanes[i], post[i], int(failed[i]))
-    if not _in_range(p, q):
-        bad = ~_lanes_in_range(p, q)
-        if failed is not None:
-            bad &= failed < 0
-        for i in np.flatnonzero(bad):
-            failures[lanes[i]] = rec.diverged(lanes[i], post[i], k)
-    rec.ps[post] = p
-    rec.qs[post] = q
+        j, bad = failed
+        lane, row, k = lanes[cols[j], : counts[j]], targets[bounds[j] : bounds[j + 1]], cols[j] // 2
+        for i in np.flatnonzero(~_lanes_in_range(rec.ps[row], rec.qs[row])):
+            failures[lane[i]] = rec.diverged(lane[i], row[i], k)
+        if bad is not None and cols[j] % 2:  # a failed flow or a stall is the lane's error
+            for i in np.flatnonzero(bad >= 0):
+                failures[lane[i]] = rec.flow_failed(lane[i], row[i], int(bad[i]))
+        elif bad is not None:
+            for i, residual in zip(*bad):
+                failures[lane[i]] = rec.stalled(lane[i], row[i], k, residual, max_iters)
+        live = live[~np.isin(live, list(failures)) if alone else live < min(failures)]
+        lanes = lanes[np.isin(lanes, live)].reshape(2 * K, live.size)
+        e0 += j + 1
+        if live.size:
+            cum, lead = entries()
+    return failures
 
 
 def _lane_controls(controls, lanes):
@@ -693,24 +709,7 @@ def _pathwise_record(system, initial, t0, T, paths, controls):
     _check_lane_shapes(system, p_start, q_start)
     rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
     rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
-    # Lane b drifts through ticks[b, k] ticks of its segment k and then, for
-    # k < jumps[b], applies the jump flow to marks[b, k]. first[b, k]: the
-    # row holding the state segment k of lane b starts from
-    first = rec.lo[:, None] + np.cumsum(ticks + 1, axis=1) - (ticks + 1)
-    failures = {}
-    for k in range(ticks.shape[1]):
-        # lanes above the lowest failed lane can no longer change the first failure
-        lanes = np.flatnonzero(jumps[: min(failures, default=len(jumps))] >= k)
-        if lanes.size == 0:
-            break
-        lanes = lanes[np.argsort(-ticks[lanes, k], kind="stable")]
-        lanes = _drift_segment(
-            system, controls, rec, lanes, first[lanes, k], ticks[lanes, k], k, failures, alone=False
-        )
-        lanes = lanes[jumps[lanes] > k]
-        if lanes.size:
-            post = first[lanes, k] + ticks[lanes, k] + 1
-            _jump_segment(system, controls, rec, lanes, post, marks[lanes, k], k, failures)
+    failures = _step_record(system, controls, rec, rec.lo, ticks, jumps, marks, alone=False)
     if failures:
         raise failures[min(failures)]
     return rec

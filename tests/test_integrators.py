@@ -1911,3 +1911,151 @@ class TestLaneBlocks:
             scalar_pathwise(system, unit_start(), 0.0, 3.0, paths[2], sl.StepControls(dt=0.01))
         assert 20 < first.value.step < want.step
         assert_same_error(got, want)
+
+
+def stall_after_a_huge_mark():
+    # the system of the resume test above: the explicit lane diverges
+    # cleanly at step 47, and a mark of 1.7e308 at t = 120.5 overflows
+    # the symplectic lane, whose solve stalls on NaN at step 80
+    system = sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: q, lambda p, q: 100.0 * q),
+        gamma=(lambda p, q: p, lambda p, q: 0.0 * p),
+        hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
+    )
+    return system, event_path([(120.5, 1, 1.7e308)], 150.0), sl.StepControls(dt=1.5)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_a_noisy_block_of_the_first_lane_alone_runs_again_in_the_record(monkeypatch, block):
+    # once the explicit lane has failed, the symplectic lane's noisy block
+    # is checked in place: its warnings still come before either outcome
+    monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+    entered = []
+    grid_runs = integrators._grid_runs
+
+    def counted(system, schemes, *args):
+        entered.append(schemes)
+        return grid_runs(system, schemes, *args)
+
+    monkeypatch.setattr(integrators, "_grid_runs", counted)
+    system, path, controls = stall_after_a_huge_mark()
+    lanes, alone = lanes_and_alone(system, 150.0, path, controls)
+    for kind, (got, got_warnings), (want, want_warnings) in zip(
+        (NonConvergenceError, DivergenceError), lanes, alone
+    ):
+        assert type(want) is kind
+        assert_same_outcome(got, want)
+        assert got_warnings == want_warnings
+    assert lanes[0][1] != [] and lanes[1][1] == []
+    assert entered == [SCHEMES, ("symplectic",), ("explicit",)]  # the record, then each run alone
+
+
+def kicks(gamma1=lambda p, q: 0.0 * q + 1.0):
+    # drift steps scale Q by 1 + dt; a jump adds its mark to Q, exactly,
+    # in any number of RK4 substeps, and a mark of 1e308 overflows it
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: 0.0 * p, lambda p, q: 0.0 * p),
+        gamma=(lambda p, q: q, gamma1),
+        hamiltonians=(lambda p, q: 0.0 * p[..., 0], lambda p, q: 0.0 * p[..., 0]),
+    )
+
+
+def outcome(run, *args):
+    """run(*args)'s trajectories or error, with the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = run(*args)
+        except (DivergenceError, NonConvergenceError) as err:
+            got = err
+    return got, issued(caught)
+
+
+def assert_batch_as_alone(system, paths, dts, T):
+    """The batch ends as its paths alone and as scalar_pathwise, warnings included.
+
+    That is each path's run, or the lowest failing path's error after the
+    warnings of the paths before it; returns the batch's outcome.
+    """
+    controls = [sl.StepControls(dt=dt) for dt in dts]
+    got, got_warnings = outcome(sl.integrate_pathwise_batch, system, unit_start(), 0.0, T, paths,
+                                controls)
+    seen = []
+    for b, (path, step) in enumerate(zip(paths, controls)):
+        want, want_warnings = outcome(sl.integrate_pathwise, system, unit_start(), 0.0, T, path, step)
+        scalar, scalar_warnings = outcome(scalar_pathwise, system, unit_start(), 0.0, T, path, step)
+        assert want_warnings == scalar_warnings
+        seen += want_warnings
+        if isinstance(want, Exception):
+            # scalar_pathwise raises a failed flow's own error, the driver's cause
+            assert str(scalar) == str(want.__cause__ if "jump flow" in str(want) else want)
+            assert_same_error(got, want)
+            assert got_warnings == seen
+            return got
+        assert_same_run(want, scalar)
+        if not isinstance(got, Exception):  # else a later path fails, and the batch with it
+            assert_same_run(got[b], want)
+    assert got_warnings == seen and not isinstance(got, Exception)
+    return got
+
+
+class TestOnePass:
+    # the lanes jump every 2, 13 and 3 or 4 ticks, so a block of 64 entries
+    # holds several jump indices; the kicked lane's fifth jump puts Q just
+    # below the divergence limit and its next tick beyond it, and the flow
+    # lane's tenth jump overflows, later in the pass
+    QUIET = [(0.1 * i, 1, 0.01) for i in range(1, 20)]
+    FLOW = [(0.13 * i, 1, 0.01) for i in range(1, 10)] + [(1.3, 1, 1e308), (1.5, 1, 0.01)]
+    KICK = [(0.07 * i, 1, 0.01) for i in range(1, 5)] + [(0.35, 1, 0.99e12), (0.5, 1, 0.01)]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_a_flow_and_a_tick_after_a_jump_fail_as_alone(self, monkeypatch, block):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        lanes = {name: (event_path(events, 2.0), dt) for name, events, dt in (
+            ("quiet", self.QUIET, 0.05), ("flow", self.FLOW, 0.01), ("kick", self.KICK, 0.02))}
+        kick, _ = outcome(sl.integrate_pathwise, kicks(), unit_start(), 0.0, 2.0, lanes["kick"][0],
+                          sl.StepControls(dt=0.02))
+        assert list(kick.partial.times[-2:]) == [0.35, 0.35] and kick.time > 0.35
+        flow, flow_warnings = outcome(sl.integrate_pathwise, kicks(), unit_start(), 0.0, 2.0,
+                                      lanes["flow"][0], sl.StepControls(dt=0.01))
+        assert str(flow).startswith("jump flow diverged at t=1.3") and flow_warnings
+        for order in (["quiet", "flow", "kick"], ["quiet", "kick", "flow"], ["kick", "flow"],
+                      ["flow", "quiet", "kick"]):
+            err = assert_batch_as_alone(kicks(), [lanes[n][0] for n in order],
+                                        [lanes[n][1] for n in order], 2.0)
+            lowest = min(order.index("flow"), order.index("kick"))
+            assert_same_error(err, flow if order[lowest] == "flow" else kick)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_an_evaluator_that_warns_only_in_a_flow_at_the_cap(self, monkeypatch, block):
+        # gamma_1 = q, called by jump flows only, warns once |Q| passes 100,
+        # which only the second path's marks reach; a noisy run below the
+        # cap sends a jump to the cap, whose warnings the run issues
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+
+        def gamma1(p, q):
+            if (np.abs(q) > 100.0).any():
+                warnings.warn("q beyond 100")
+            return q
+
+        loud = event_path([(0.4, 1, 2.0), (0.9, 1, 2.0), (1.2, 1, -0.1)], 2.0)
+        paths, dts = [sampled(4, 2.0), loud, sampled(5, 2.0)], [0.05, 0.02, 0.1]
+        for path, dt in zip(paths, dts):
+            _, warned = outcome(sl.integrate_pathwise, kicks(gamma1), unit_start(), 0.0, 2.0, path,
+                                sl.StepControls(dt=dt))
+            assert bool(warned) == (path is loud)
+        for order in ([0, 1, 2], [1, 2, 0]):
+            assert_batch_as_alone(kicks(gamma1), [paths[i] for i in order], [dts[i] for i in order],
+                                  2.0)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_an_empty_path_beside_a_busy_one(self, monkeypatch, block):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        busy = sampled(6, 40.0)
+        assert 180 < len(busy) < 220
+        for paths in ([empty_path(40.0), busy], [busy, empty_path(40.0)]):
+            assert_batch_as_alone(kubo(), paths, [0.05, 0.03], 40.0)
