@@ -55,7 +55,6 @@ from .integrators import (
     Trajectory,
     _fixed_grid_lanes,
     _pathwise_record,
-    integrate_fixed_grid,
     write_trajectory_csv,
 )
 from .levy_path import LevyPathSpec, increment, sample_path, write_path_csv
@@ -316,16 +315,12 @@ def _cell_seed(seed, dt_index, sample_index):
 def _end_differences(settings, params, system, paths, controls):
     """Final state minus exact final state of each path, as (B, 2n) rows in path order.
 
-    controls holds each path's StepControls.
+    Each path is one lane of one jump-adapted record whose drift is the
+    --scheme map; controls holds each path's StepControls.
     """
     T = settings["T"]
-    if settings["scheme"] == "symplectic":
-        rec = _pathwise_record(system, _START, 0.0, T, paths, controls)
-        ends = np.hstack([rec.ps[rec.hi - 1], rec.qs[rec.hi - 1]])
-    else:
-        runs = (integrate_fixed_grid(system, "explicit", _START, 0.0, T, path, step)
-                for path, step in zip(paths, controls))
-        ends = np.array([run.final_state().as_vector() for run in runs])
+    rec = _pathwise_record(system, _START, 0.0, T, paths, controls, settings["scheme"])
+    ends = np.hstack([rec.ps[rec.hi - 1], rec.qs[rec.hi - 1]])
     levels = np.array([[increment(path, 1, 0.0, T)] for path in paths])
     exact = _kubo_rotation(params, _START.p, _START.q, T, levels)
     return ends - np.hstack(exact)
@@ -334,12 +329,13 @@ def _end_differences(settings, params, system, paths, controls):
 def _end_errors(settings, params, system):
     """RMS end-state error of each dt's samples against the exact solution.
 
-    Every (dt, sample) cell is one lane at its own dt. Cells run in
-    dt-major order, in consecutive chunks of at most MAX_GRID_STEPS
-    estimated record rows (at least one cell each), so the budget bounds
-    memory whatever the sample count, and a failure raises the error of
-    the first failing cell in that order; only final-state differences
-    are kept.
+    Every (dt, sample) cell is one jump-adapted lane at its own dt, with
+    the --scheme map between jumps and the Marcus jump flow at them.
+    Cells run in dt-major order, in consecutive chunks of at most
+    MAX_GRID_STEPS estimated record rows (at least one cell each), so the
+    budget bounds memory whatever the sample count, and a failure raises
+    the error of the first failing cell in that order; only final-state
+    differences are kept.
     """
     T = settings["T"]
     samples = settings["samples"]

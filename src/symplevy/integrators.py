@@ -21,16 +21,16 @@ Two drivers build trajectories on noise realizations, and one pass,
 ``_step_record``, steps the drift ticks and jumps of both as lanes:
 
 * ``integrate_fixed_grid``: uniform grid with the final step truncated
-  to land on T, feeding each step the raw path increment over that step
-  (jumps are linearized into the increments). One record holds a lane
-  per scheme on one grid (the CLI runs both schemes as two lanes), and
-  each lane ends exactly as its scheme's run alone.
+  to land on T, each step fed the raw path increment over it (jumps
+  linearized). A record holds a lane per scheme (``orbit`` and
+  ``hamiltonian`` run both), each ending as its scheme's run alone.
 * ``integrate_pathwise_batch``: jump-adapted stepping of several paths
-  at once, one lane per path. Between jumps it substeps the drift ODE
-  with the symplectic Euler map; at each jump time it applies the Marcus
-  jump flow to that instant's marks and records both the pre-jump and
-  the post-jump state at the jump time. Per-path StepControls may differ
-  in dt only. ``integrate_pathwise`` is the same driver on one path.
+  at once, one lane per path (``integrate_pathwise``: one path). Between
+  jumps it substeps the drift ODE with the symplectic Euler map
+  (``converge --scheme explicit`` runs the same lanes with explicit
+  Euler drift); at each jump time it applies the Marcus jump flow to
+  that instant's marks and records both the pre-jump and the post-jump
+  state at the jump time. Per-path StepControls may differ in dt only.
 
 Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
 The pass checks for it once per block of steps (ticks and jumps), not
@@ -263,16 +263,19 @@ def explicit_euler_step(system, state, dt, dL, controls):
     return _single_step(system, "explicit", state, dt, dL, controls)
 
 
-def _segment_grids(starts, ends, dts):
-    """The drift nodes of every segment [starts[s], ends[s]] at step dts[s].
+def _segment_grids(starts, ends, dts, opening):
+    """The drift nodes of every segment [starts[s], ends[s]] at step dts[s], lane by lane.
 
-    Returns (times, ticks): segment s owns ticks[s] + 1 consecutive rows
-    of the flat times, its start and then ticks[s] nodes. The nodes are
-    start + k * dt for k = 1 .. ceil(span / dt) - 1 and then the end; a
-    last such node that rounding puts at or past the end is dropped, and
-    an empty segment has no nodes. A segment over MAX_GRID_STEPS steps
-    raises InvalidSpecError, for the first such segment, before any row
-    is allocated.
+    Returns (times, ticks, offsets): segment s owns ticks[s] + 1
+    consecutive rows of the flat times, its start and then ticks[s]
+    nodes, and lane b, whose segments start at segment opening[b], owns
+    rows offsets[b]:offsets[b + 1]. The nodes are start + k * dt for
+    k = 1 .. ceil(span / dt) - 1 and then the end; a last such node that
+    rounding puts at or past the end is dropped, and an empty segment has
+    no nodes. A segment over MAX_GRID_STEPS steps raises
+    InvalidSpecError, for the first such segment, and then so does a lane
+    whose drift ticks and jumps (one between consecutive segments) exceed
+    it, for the first such lane, before any row is allocated.
     """
     span = ends - starts
     with np.errstate(over="ignore"):  # an infinite count is refused below
@@ -287,6 +290,13 @@ def _segment_grids(starts, ends, dts):
     overshot = starts + dts * (nominal - 1.0) >= ends
     ticks = np.where(span > 0.0, nominal - overshot, 0.0).astype(np.int64)
     counts = ticks + 1
+    rows = np.add.reduceat(counts, opening)  # a lane's steps are its rows but its first
+    over = np.flatnonzero(rows - 1 > MAX_GRID_STEPS)
+    if over.size:
+        raise InvalidSpecError(
+            f"path {over[0]} takes {rows[over[0]] - 1} steps (drift ticks and jumps), over the "
+            f"limit MAX_GRID_STEPS = {MAX_GRID_STEPS:g}"
+        )
     last = np.cumsum(counts) - 1
     lead = last - ticks
     times = np.arange(last[-1] + 1, dtype=float)
@@ -295,7 +305,7 @@ def _segment_grids(starts, ends, dts):
     times += np.repeat(starts, counts)
     times[last] = ends
     times[lead] = starts
-    return times, ticks
+    return times, ticks, np.concatenate([[0], np.cumsum(rows)])
 
 
 def _validate_run(system, initial, t0, T, path):
@@ -364,7 +374,8 @@ def _fixed_grid_lanes(system, schemes, initial, t0, T, path, controls):
         if scheme not in _SCHEMES:
             raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     _validate_run(system, initial, t0, T, path)
-    times = _segment_grids(np.array([float(t0)]), np.array([float(T)]), np.array([controls.dt]))[0]
+    times = _segment_grids(np.array([float(t0)]), np.array([float(T)]), np.array([controls.dt]),
+                           np.array([0]))[0]
     dls = np.zeros((times.size, system.m))  # row j + 1: the increment of step j
     if times.size > 1:
         for r in range(1, system.m + 1):
@@ -481,7 +492,7 @@ class _Record:
         return err
 
 
-def _lane_record(system, paths, t0, T, dts):
+def _lane_record(system, paths, t0, T, dts, implicit):
     """The record of every lane, plus per-lane jump counts, ticks and marks.
 
     Lane b's segment k drifts at step dts[b] from its (k-1)-th jump (or
@@ -501,9 +512,8 @@ def _lane_record(system, paths, t0, T, dts):
     ends[opening[lane] + k] = jump_times
     starts[opening[lane] + k + 1] = jump_times
     segment_lane = np.repeat(np.arange(len(paths)), segments)
-    times, segment_ticks = _segment_grids(starts, ends, dts[segment_lane])
-    offsets = np.concatenate([[0], np.cumsum(np.add.reduceat(segment_ticks + 1, opening))])
-    rec = _Record(times, offsets, system.n, ("pathwise",) * len(paths), len(paths))
+    times, segment_ticks, offsets = _segment_grids(starts, ends, dts[segment_lane], opening)
+    rec = _Record(times, offsets, system.n, ("pathwise",) * len(paths), implicit)
     ticks = np.zeros((len(paths), jumps.max() + 1), dtype=np.int64)
     ticks[segment_lane, np.arange(segment_lane.size) - opening[segment_lane]] = segment_ticks
     marks = np.zeros((len(paths), max(jumps.max(), 1), system.m))
@@ -688,17 +698,17 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
     path whose entries may differ in dt only, else DomainError.
 
     Returns one Trajectory per path, in order. Invalid input (DomainError,
-    or InvalidSpecError for a segment over MAX_GRID_STEPS steps) is
-    refused before any lane runs. If lanes fail numerically, the error
+    or InvalidSpecError for a segment over MAX_GRID_STEPS steps or a path
+    whose drift ticks and jumps exceed it) is refused before any lane runs. If lanes fail numerically, the error
     of the lowest-index failing lane is raised, exactly as that path
     raises it alone.
     """
-    rec = _pathwise_record(system, initial, t0, T, paths, controls)
+    rec = _pathwise_record(system, initial, t0, T, paths, controls, "symplectic")
     return [rec.trajectory(b) for b in range(len(rec.lo))]
 
 
-def _pathwise_record(system, initial, t0, T, paths, controls):
-    """``integrate_pathwise_batch`` up to its filled _Record: lane b owns rows lo[b]:hi[b]."""
+def _pathwise_record(system, initial, t0, T, paths, controls, scheme):
+    """``integrate_pathwise_batch`` up to its filled _Record, with `scheme` drift on every lane."""
     paths = list(paths)
     if not paths:
         raise DomainError("paths must hold at least one path")
@@ -707,7 +717,8 @@ def _pathwise_record(system, initial, t0, T, paths, controls):
     dts, controls = _lane_controls(controls, len(paths))
     p_start, q_start = np.tile(initial.p, (len(paths), 1)), np.tile(initial.q, (len(paths), 1))
     _check_lane_shapes(system, p_start, q_start)
-    rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
+    implicit = len(paths) if scheme == "symplectic" else 0
+    rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts, implicit)
     rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
     failures = _step_record(system, controls, rec, rec.lo, ticks, jumps, marks, alone=False)
     if failures:

@@ -5,8 +5,9 @@ its wall-clock time, so `pytest tests/test_acceptance.py -v -s` doubles
 as a run report. The checks exercise the library end to end: mean-square
 convergence order, symplecticity of the one-step map, long-run energy
 behavior, jump-flow accuracy, pathwise coupling to the closed-form
-solution, noise statistics, and the qualitative orbit separation between
-the structure-preserving and the explicit scheme.
+solution, noise statistics, the qualitative orbit separation between
+the structure-preserving and the explicit scheme, and the convergence of
+the explicit study where the linearized fixed grid keeps a plateau.
 """
 
 import csv
@@ -17,6 +18,7 @@ import numpy as np
 
 import symplevy as sl
 from symplevy import cli
+from test_integrators import scalar_fixed_grid
 
 
 KUBO = sl.KuboParams(alpha=0.1, beta=0.1)
@@ -238,3 +240,41 @@ def test_criterion_7_orbit_separation(capsys):
             f"(> 1.5); deviation from 1: {abs(r2_sym - 1.0):.4f} < {abs(r2_exp - 1.0):.4f}"
         )
         report(7, "orbit separation", ok, detail, t0)
+
+
+def test_criterion_8_explicit_study_converges_to_the_marcus_solution(tmp_path, capsys):
+    # the explicit study steps explicit Euler drift and the Marcus jump
+    # flow at every jump time; the linearized fixed grid, which folds each
+    # jump into its step's increment, keeps an error plateau on the same
+    # (dt, sample) cells
+    t0 = time.perf_counter()
+    T, samples, dts = 5.0, 20, [0.08, 0.04, 0.02, 0.01, 0.005]
+    argv = ["converge", "--scheme", "explicit", "--samples", str(samples), "--T", str(T),
+            "--seed", "0", "--out-dir", str(tmp_path)]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    with capsys.disabled():
+        slope = float(out.split("slope=")[1].split()[0])
+        rows = read_rows(tmp_path / "convergence.csv")
+        errors = [float(r[1]) for r in rows[1:-2]]
+        falling = all(b < a for a, b in zip(errors, errors[1:]))
+        system = kubo()
+        linearized = []
+        for i, dt in enumerate(dts):
+            diffs = []
+            for s in range(samples):
+                spec = sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=cli._cell_seed(0, i, s))
+                path = sl.sample_path(spec, T)
+                run = scalar_fixed_grid(system, "explicit", unit_start(), 0.0, T, path,
+                                        sl.StepControls(dt=dt))
+                exact = sl.kubo_exact(KUBO, unit_start(), T, sl.increment(path, 1, 0.0, T))
+                diffs.append(run.final_state().as_vector() - exact.as_vector())
+            linearized.append(sl.ms_error(diffs))
+        plateau = sl.estimate_order(dts, linearized).slope
+        ok = code == 0 and slope >= 0.9 and falling and plateau < 0.3
+        detail = (
+            f"explicit study slope {slope:.4f} (>= 0.9), errors "
+            + "/".join(f"{e:.2e}" for e in errors)
+            + f", falling: {falling}; linearized fixed grid slope {plateau:.4f} (< 0.3)"
+        )
+        report(8, "explicit study convergence", ok, detail, t0)

@@ -15,13 +15,14 @@ import warnings
 import numpy as np
 import pytest
 
-from symplevy import cli, levy_path
+from symplevy import cli, integrators, levy_path
 from symplevy._svg import _points
 from symplevy.analysis import one_step_jacobian, symplectic_defect
 from symplevy.errors import DivergenceError, DomainError, NonConvergenceError
 from symplevy.hamiltonian import KuboParams, PhaseState, kubo_exact, kubo_system
 from symplevy.integrators import StepControls, integrate_fixed_grid, integrate_pathwise
 from symplevy.levy_path import JumpEvent, LevyPath, LevyPathSpec, increment, sample_path
+from test_integrators import assert_same_run, scalar_pathwise
 
 # Every setting each subcommand takes, as flag and as config key.
 SETTINGS = {
@@ -280,6 +281,16 @@ class TestUsageErrors:
         assert code == 2
         assert "MAX_GRID_STEPS" in capsys.readouterr().err
 
+    def test_converge_lane_over_the_step_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # every segment fits in 45 steps; a lane at dt 0.05 has 40 drift
+        # ticks and more with its jumps
+        monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 45)
+        argv = ["converge", "--samples", 2, "--dts", "0.2,0.1,0.05", "--T", 2, "--out-dir", tmp_path]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: path 4 takes ") and "over the limit MAX_GRID_STEPS = 45" in err
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 2
 
@@ -492,10 +503,9 @@ class TestConverge:
         assert diffs.shape == (4, 2)
         start = PhaseState([0.0], [1.0])
         for path, step, diff in zip(paths, controls, diffs):
+            traj = scalar_pathwise(system, start, 0.0, 3.0, path, step, scheme)
             if scheme == "symplectic":
-                traj = integrate_pathwise(system, start, 0.0, 3.0, path, step)
-            else:
-                traj = integrate_fixed_grid(system, "explicit", start, 0.0, 3.0, path, step)
+                assert_same_run(traj, integrate_pathwise(system, start, 0.0, 3.0, path, step))
             exact = kubo_exact(params, start, 3.0, increment(path, 1, 0.0, 3.0))
             assert np.array_equal(diff, traj.final_state().as_vector() - exact.as_vector())
 

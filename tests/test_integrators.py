@@ -18,6 +18,7 @@ from symplevy.integrators import (
     _lane_jumps,
     _lane_record,
     _one_step,
+    _pathwise_record,
     _step_lanes,
 )
 
@@ -675,10 +676,10 @@ def scalar_fixed_grid(system, scheme, initial, t0, T, path, controls):
     return sl.Trajectory(times, ps, qs, scheme)
 
 
-def scalar_pathwise(system, initial, t0, T, path, controls):
+def scalar_pathwise(system, initial, t0, T, path, controls, scheme="symplectic"):
     """The jump-adapted scheme one state at a time, as the lane driver's reference.
 
-    Drift steps are the reference symplectic map with zero increments on
+    Drift steps are the reference map of `scheme` with zero increments on
     the driver's grid nodes; each jump instant applies
     ``doubled_jump_flow`` to the marks of all events at that time. A
     check after every drift tick and jump raises what the driver raises
@@ -709,7 +710,7 @@ def scalar_pathwise(system, initial, t0, T, path, controls):
         nodes = grid_times(times[-1], t_end, controls.dt)
         for a, b in zip(nodes[:-1], nodes[1:]):
             try:
-                p, q = raw_step(system, "symplectic", ps[-1], qs[-1], b - a, np.zeros(system.m), controls)
+                p, q = raw_step(system, scheme, ps[-1], qs[-1], b - a, np.zeros(system.m), controls)
             except NonConvergenceError as inner:
                 raise NonConvergenceError(
                     f"drift substep at t={a:g}: {inner}", residual=inner.residual, step=drifts
@@ -1047,7 +1048,7 @@ class TestPathwiseLanes:
 
 
 def assert_record_matches_reference(system, paths, t0, T, dts):
-    rec, jumps, ticks, marks = _lane_record(system, paths, t0, T, np.array(dts))
+    rec, jumps, ticks, marks = _lane_record(system, paths, t0, T, np.array(dts), len(paths))
     for b, (path, dt) in enumerate(zip(paths, dts)):
         times, lane_ticks, lane_marks = lane_grid(system, path, t0, T, dt)
         assert np.array_equal(rec.times[rec.lo[b] : rec.hi[b]], times)
@@ -1092,7 +1093,7 @@ class TestLaneRecord:
         ]
         for dts in ([0.05, 0.01, 0.3], [0.01, 0.05, 0.05]):
             assert_record_matches_reference(kubo(), paths, 4940.0, 5000.0, dts)
-        rec, _, ticks, _ = _lane_record(kubo(), paths[:1], 4999.0, 5000.0, np.array([0.05]))
+        rec, _, ticks, _ = _lane_record(kubo(), paths[:1], 4999.0, 5000.0, np.array([0.05]), 1)
         assert ticks[0, 1] == 1
 
     def test_an_over_budget_segment_is_refused_with_the_reference_message(self, monkeypatch):
@@ -1108,8 +1109,28 @@ class TestLaneRecord:
 
         monkeypatch.setattr(sl.integrators, "_Record", refuse)
         with pytest.raises(InvalidSpecError) as got:
-            _lane_record(kubo(), paths, 0.0, 10.0, np.array([0.1, 1e-7, 1e-8]))
+            _lane_record(kubo(), paths, 0.0, 10.0, np.array([0.1, 1e-7, 1e-8]), 3)
         assert str(got.value) == str(want.value)
+
+    def test_a_lane_over_budget_is_refused_though_every_segment_fits(self, monkeypatch):
+        # lane 1 drifts 20 ticks in each of its 4 segments and takes 3
+        # jumps: 83 steps, though no segment has more than 20
+        paths = [empty_path(4.0), event_path([(1.0, 1, 0.1), (2.0, 1, 0.2), (3.0, 1, 0.3)], 4.0)]
+        controls = [sl.StepControls(dt=0.1), sl.StepControls(dt=0.05)]
+        monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 83)
+        rec = _pathwise_record(kubo(), unit_start(), 0.0, 4.0, paths, controls, "explicit")
+        assert list(rec.hi - rec.lo) == [41, 84]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("record rows allocated before the size check")
+
+        monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 82)
+        monkeypatch.setattr(integrators, "_Record", refuse)
+        with pytest.raises(InvalidSpecError) as err:
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 4.0, paths, controls)
+        assert str(err.value) == (
+            "path 1 takes 83 steps (drift ticks and jumps), over the limit MAX_GRID_STEPS = 82"
+        )
 
 
 def sampled_on(system, seed, horizon):
@@ -1191,6 +1212,45 @@ class TestPerLaneControls:
                 want = alone[next(b for b in order if b in alone)]
                 assert_same_error(got, want)
                 assert getattr(got, "residual", None) == getattr(want, "residual", None)
+
+    def test_a_diverging_explicit_lane_of_a_mixed_dt_batch_raises_its_error(self):
+        # explicit Euler grows a rotation at rate 30 by sqrt(1 + (30 dt)^2)
+        # a step: over T = 3 the lanes at dt >= 0.05 pass 1e12, the others
+        # finish
+        spin = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: 30.0 * q, lambda p, q: 0.1 * q),
+            gamma=(lambda p, q: 30.0 * p, lambda p, q: 0.1 * p),
+            hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+        )
+        paths = [sampled(seed, 3.0) for seed in range(5)]
+        controls = [sl.StepControls(dt=dt) for dt in (0.01, 0.1, 0.02, 0.05, 0.005)]
+
+        def explicit_error(lanes):
+            with pytest.raises(DivergenceError) as info:
+                _pathwise_record(spin, unit_start(), 0.0, 3.0, [paths[b] for b in lanes],
+                                 [controls[b] for b in lanes], "explicit")
+            return info.value
+
+        alone = {}
+        for b in range(5):
+            if controls[b].dt >= 0.05:
+                alone[b] = explicit_error([b])
+                with pytest.raises(DivergenceError) as scalar:
+                    scalar_pathwise(spin, unit_start(), 0.0, 3.0, paths[b], controls[b], "explicit")
+                assert_same_error(alone[b], scalar.value)
+            else:
+                rec = _pathwise_record(spin, unit_start(), 0.0, 3.0, [paths[b]], controls[b],
+                                       "explicit")
+                want = scalar_pathwise(spin, unit_start(), 0.0, 3.0, paths[b], controls[b],
+                                       "explicit")
+                assert_same_run(rec.trajectory(0), want)
+        assert alone[1].step != alone[3].step
+        # one diverging lane among finishing ones, then two: the lowest raises
+        for order in ([0, 1, 2, 4], [4, 2, 0, 3], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 1, 3]):
+            want = alone[next(b for b in order if b in alone)]
+            assert_same_error(explicit_error(order), want)
 
 
 def run_error(system, paths, T, controls):
@@ -1319,6 +1379,11 @@ def test_every_lane_equals_its_path_alone(seeds, dts, anharmonic_drift, scheme, 
             sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, step),
             scalar_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, step),
         )
+    # the same mixed-dt batch with `scheme` drift: every lane as the scalar run
+    rec = _pathwise_record(system, unit_start(), 0.0, 3.0, paths, controls, scheme)
+    for b, (path, step) in enumerate(zip(paths, controls)):
+        assert_same_run(rec.trajectory(b),
+                        scalar_pathwise(system, unit_start(), 0.0, 3.0, path, step, scheme))
     # one kernel step from every lane's end state, each lane with its own
     # step and a nonzero increment
     p = np.array([lane.ps[-1] for lane in lanes])
