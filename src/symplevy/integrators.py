@@ -492,7 +492,7 @@ class _Record:
         return err
 
 
-def _lane_record(system, paths, t0, T, dts, implicit):
+def _lane_record(system, paths, t0, T, dts):
     """The record of every lane, plus per-lane jump counts, ticks and marks.
 
     Lane b's segment k drifts at step dts[b] from its (k-1)-th jump (or
@@ -513,7 +513,7 @@ def _lane_record(system, paths, t0, T, dts, implicit):
     starts[opening[lane] + k + 1] = jump_times
     segment_lane = np.repeat(np.arange(len(paths)), segments)
     times, segment_ticks, offsets = _segment_grids(starts, ends, dts[segment_lane], opening)
-    rec = _Record(times, offsets, system.n, ("pathwise",) * len(paths), implicit)
+    rec = _Record(times, offsets, system.n, ("pathwise",) * len(paths), len(paths))
     ticks = np.zeros((len(paths), jumps.max() + 1), dtype=np.int64)
     ticks[segment_lane, np.arange(segment_lane.size) - opening[segment_lane]] = segment_ticks
     marks = np.zeros((len(paths), max(jumps.max(), 1), system.m))
@@ -699,9 +699,9 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
 
     Returns one Trajectory per path, in order. Invalid input (DomainError,
     or InvalidSpecError for a segment over MAX_GRID_STEPS steps or a path
-    whose drift ticks and jumps exceed it) is refused before any lane runs. If lanes fail numerically, the error
-    of the lowest-index failing lane is raised, exactly as that path
-    raises it alone.
+    whose drift ticks and jumps exceed it) is refused before any lane
+    runs. If lanes fail numerically, the error of the lowest-index failing
+    lane is raised, exactly as that path raises it alone.
     """
     rec = _pathwise_record(system, initial, t0, T, paths, controls, "symplectic")
     return [rec.trajectory(b) for b in range(len(rec.lo))]
@@ -717,8 +717,9 @@ def _pathwise_record(system, initial, t0, T, paths, controls, scheme):
     dts, controls = _lane_controls(controls, len(paths))
     p_start, q_start = np.tile(initial.p, (len(paths), 1)), np.tile(initial.q, (len(paths), 1))
     _check_lane_shapes(system, p_start, q_start)
-    implicit = len(paths) if scheme == "symplectic" else 0
-    rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts, implicit)
+    rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
+    if scheme == "explicit":
+        rec.implicit = 0  # explicit Euler drift on every lane
     rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
     failures = _step_record(system, controls, rec, rec.lo, ticks, jumps, marks, alone=False)
     if failures:

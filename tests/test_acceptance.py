@@ -263,7 +263,8 @@ def test_criterion_8_explicit_study_converges_to_the_marcus_solution(tmp_path, c
         for i, dt in enumerate(dts):
             diffs = []
             for s in range(samples):
-                spec = sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=cli._cell_seed(0, i, s))
+                seed = cli._cell_seed(0, i, s)
+                spec = sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=seed)
                 path = sl.sample_path(spec, T)
                 run = scalar_fixed_grid(system, "explicit", unit_start(), 0.0, T, path,
                                         sl.StepControls(dt=dt))

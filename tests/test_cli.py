@@ -285,10 +285,11 @@ class TestUsageErrors:
         # every segment fits in 45 steps; a lane at dt 0.05 has 40 drift
         # ticks and more with its jumps
         monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 45)
-        argv = ["converge", "--samples", 2, "--dts", "0.2,0.1,0.05", "--T", 2, "--out-dir", tmp_path]
-        assert run_cli(argv) == 2
+        argv = ["converge", "--samples", 2, "--dts", "0.2,0.1,0.05", "--T", 2]
+        assert run_cli(argv + ["--out-dir", tmp_path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: path 4 takes ") and "over the limit MAX_GRID_STEPS = 45" in err
+        assert err.startswith("error: path 4 takes ")
+        assert "over the limit MAX_GRID_STEPS = 45" in err
         assert not (tmp_path / "convergence.csv").exists()
 
     def test_unknown_subcommand(self, capsys):

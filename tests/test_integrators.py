@@ -1048,7 +1048,7 @@ class TestPathwiseLanes:
 
 
 def assert_record_matches_reference(system, paths, t0, T, dts):
-    rec, jumps, ticks, marks = _lane_record(system, paths, t0, T, np.array(dts), len(paths))
+    rec, jumps, ticks, marks = _lane_record(system, paths, t0, T, np.array(dts))
     for b, (path, dt) in enumerate(zip(paths, dts)):
         times, lane_ticks, lane_marks = lane_grid(system, path, t0, T, dt)
         assert np.array_equal(rec.times[rec.lo[b] : rec.hi[b]], times)
@@ -1093,7 +1093,7 @@ class TestLaneRecord:
         ]
         for dts in ([0.05, 0.01, 0.3], [0.01, 0.05, 0.05]):
             assert_record_matches_reference(kubo(), paths, 4940.0, 5000.0, dts)
-        rec, _, ticks, _ = _lane_record(kubo(), paths[:1], 4999.0, 5000.0, np.array([0.05]), 1)
+        rec, _, ticks, _ = _lane_record(kubo(), paths[:1], 4999.0, 5000.0, np.array([0.05]))
         assert ticks[0, 1] == 1
 
     def test_an_over_budget_segment_is_refused_with_the_reference_message(self, monkeypatch):
@@ -1109,7 +1109,7 @@ class TestLaneRecord:
 
         monkeypatch.setattr(sl.integrators, "_Record", refuse)
         with pytest.raises(InvalidSpecError) as got:
-            _lane_record(kubo(), paths, 0.0, 10.0, np.array([0.1, 1e-7, 1e-8]), 3)
+            _lane_record(kubo(), paths, 0.0, 10.0, np.array([0.1, 1e-7, 1e-8]))
         assert str(got.value) == str(want.value)
 
     def test_a_lane_over_budget_is_refused_though_every_segment_fits(self, monkeypatch):
