@@ -20,13 +20,13 @@ def main():
     system = sl.kubo_system(params)
     start = sl.PhaseState([0.0], [1.0])
     T = 200.0
-    controls = sl.StepControls(dt=0.08)
+    dt = 0.08
 
     path = sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=0), T)
     print(f"shared noise path: {len(path.events)} jumps over [0, {T:g}]")
 
-    sym = sl.integrate_fixed_grid(system, "symplectic", start, 0.0, T, path, controls)
-    exp = sl.integrate_fixed_grid(system, "explicit", start, 0.0, T, path, controls)
+    sym = sl.integrate_fixed_grid(system, "symplectic", start, 0.0, T, path, dt)
+    exp = sl.integrate_fixed_grid(system, "explicit", start, 0.0, T, path, dt)
 
     r_sym = np.hypot(sym.ps[:, 0], sym.qs[:, 0])
     r_exp = np.hypot(exp.ps[:, 0], exp.qs[:, 0])

@@ -20,11 +20,11 @@ def main():
     system = sl.kubo_system(params)
     start = sl.PhaseState([0.0], [1.0])
     T = 200.0
-    controls = sl.StepControls(dt=0.08)
+    dt = 0.08
     path = sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=1), T)
 
-    sym = sl.integrate_fixed_grid(system, "symplectic", start, 0.0, T, path, controls)
-    exp = sl.integrate_fixed_grid(system, "explicit", start, 0.0, T, path, controls)
+    sym = sl.integrate_fixed_grid(system, "symplectic", start, 0.0, T, path, dt)
+    exp = sl.integrate_fixed_grid(system, "explicit", start, 0.0, T, path, dt)
 
     h_sym = sl.hamiltonian_series(system, sym)
     h_exp = sl.hamiltonian_series(system, exp)

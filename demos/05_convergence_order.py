@@ -5,8 +5,8 @@ Run from the repository root:
     python demos/05_convergence_order.py
 
 The script integrates independent noisy paths at every step size as
-the lanes of one ``integrate_pathwise_batch`` call, each lane with its
-own ``StepControls``, evaluates the closed-form solution at the end
+the lanes of one ``integrate_pathwise_batch`` call, each lane at its
+own step size, evaluates the closed-form solution at the end
 time on the same paths, and fits a log-log line through each step
 size's root-mean-square error. The demo uses a reduced batch so it
 finishes in a few seconds; the CLI's converge command runs the
@@ -33,8 +33,7 @@ def main():
         sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=_cell_seed(0, i, j)), T)
         for i, j in cells
     ]
-    controls = [sl.StepControls(dt=dts[i]) for i, _ in cells]
-    trajs = sl.integrate_pathwise_batch(system, start, 0.0, T, paths, controls)
+    trajs = sl.integrate_pathwise_batch(system, start, 0.0, T, paths, [dts[i] for i, _ in cells])
     diffs = np.empty((len(cells), 2))
     for c, (path, traj) in enumerate(zip(paths, trajs)):
         exact = sl.kubo_exact(params, start, T, sl.increment(path, 1, 0.0, T))

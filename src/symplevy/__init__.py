@@ -48,7 +48,6 @@ from .hamiltonian import (
 )
 from .integrators import (
     DIVERGENCE_LIMIT,
-    StepControls,
     Trajectory,
     explicit_euler_step,
     integrate_fixed_grid,
@@ -98,7 +97,6 @@ __all__ = [
     "jump_flow",
     "kubo_jump_closed_form",
     "DEFAULT_SUBSTEPS",
-    "StepControls",
     "Trajectory",
     "symplectic_euler_step",
     "explicit_euler_step",

@@ -113,7 +113,7 @@ def hamiltonian_series(system, trajectory, r=None):
     return np.column_stack([trajectory.times, values])
 
 
-def _jacobian_lanes(system, scheme, p, q, dt, dl, controls, step=FD_STEP):
+def _jacobian_lanes(system, scheme, p, q, dt, dl, step=FD_STEP):
     """Central finite-difference Jacobians of one step from each of B states.
 
     p and q are (B, n), dt is (B,) and dl (B, m). The 2·2n perturbed
@@ -136,14 +136,14 @@ def _jacobian_lanes(system, scheme, p, q, dt, dl, controls, step=FD_STEP):
     x[:, 2 * k + 1, k] -= step
     x = x.reshape(-1, dim)
     n = dim // 2
-    p1, q1, stalled = _one_step(system, scheme, x[:, :n], x[:, n:], dt, dl, controls)
+    p1, q1, stalled = _one_step(system, scheme, x[:, :n], x[:, n:], dt, dl)
     out = np.hstack([p1, q1]).reshape(states, copies, dim)
     bad = np.flatnonzero(~np.isfinite(out).all(axis=(1, 2)))
     first = bad[0] if bad.size else states
     failure = None
     if stalled is not None and stalled[0][0] // copies <= first:
         first = stalled[0][0] // copies
-        failure = (first, _stalled(float(stalled[1][0]), controls.implicit_max_iters))
+        failure = (first, _stalled(float(stalled[1][0])))
     elif bad.size:
         failure = (first, DomainError("phase-space entries must be finite"))
     # only finite states are differenced
@@ -151,7 +151,7 @@ def _jacobian_lanes(system, scheme, p, q, dt, dl, controls, step=FD_STEP):
     return ((out[:, 0::2] - out[:, 1::2]) / (2.0 * step)).swapaxes(1, 2), failure
 
 
-def one_step_jacobian(system, scheme, state, dt, dL, controls, step=FD_STEP):
+def one_step_jacobian(system, scheme, state, dt, dL, step=FD_STEP):
     """Central finite-difference Jacobian of one step of a scheme.
 
     Coordinates are ordered (p_1..p_n, q_1..q_n); column k differentiates
@@ -161,8 +161,7 @@ def one_step_jacobian(system, scheme, state, dt, dL, controls, step=FD_STEP):
     x0 = state.as_vector()
     n = x0.size // 2
     dL = np.atleast_1d(np.asarray(dL, dtype=float))
-    jac, failure = _jacobian_lanes(system, scheme, x0[None, :n], x0[None, n:], [dt], dL[None],
-                                   controls, step)
+    jac, failure = _jacobian_lanes(system, scheme, x0[None, :n], x0[None, n:], [dt], dL[None], step)
     if failure is not None:
         raise failure[1]
     return jac[0]

@@ -51,7 +51,6 @@ from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergen
 from .hamiltonian import KuboParams, PhaseState, _kubo_rotation, kubo_system
 from .integrators import (
     MAX_GRID_STEPS,
-    StepControls,
     Trajectory,
     _fixed_grid_lanes,
     _pathwise_record,
@@ -243,11 +242,10 @@ def _fixed_grid_runs(settings):
     params, system = _kubo(settings)
     T = settings["T"]
     path = _sample(settings, T if T > 0 else 1.0, settings["seed"])
-    controls = StepControls(dt=settings["dt"])
     code = 0
     runs = {}
     for scheme, run in zip(_SCHEMES, _fixed_grid_lanes(system, _SCHEMES, _START, 0.0, T, path,
-                                                       controls)):
+                                                       settings["dt"])):
         if isinstance(run, DivergenceError):
             print(f"{scheme} scheme diverged: {run}", file=sys.stderr)
             run, code = run.partial, 3
@@ -312,14 +310,14 @@ def _cell_seed(seed, dt_index, sample_index):
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _end_differences(settings, params, system, paths, controls):
+def _end_differences(settings, params, system, paths, dts):
     """Final state minus exact final state of each path, as (B, 2n) rows in path order.
 
     Each path is one lane of one jump-adapted record whose drift is the
-    --scheme map; controls holds each path's StepControls.
+    --scheme map; dts holds each path's step.
     """
     T = settings["T"]
-    rec = _pathwise_record(system, _START, 0.0, T, paths, controls, settings["scheme"])
+    rec = _pathwise_record(system, _START, 0.0, T, paths, dts, settings["scheme"])
     ends = np.hstack([rec.ps[rec.hi - 1], rec.qs[rec.hi - 1]])
     levels = np.array([[increment(path, 1, 0.0, T)] for path in paths])
     exact = _kubo_rotation(params, _START.p, _START.q, T, levels)
@@ -335,24 +333,28 @@ def _end_errors(settings, params, system):
     MAX_GRID_STEPS estimated record rows (at least one cell each), so the
     budget bounds memory whatever the sample count, and a failure raises
     the error of the first failing cell in that order; only final-state
-    differences are kept.
+    differences are kept. A cell over the budget alone runs before the
+    next is drawn, so no two such paths are held at once.
     """
     T = settings["T"]
     samples = settings["samples"]
-    chunks, paths, controls, rows = [], [], [], 0.0
+    chunks, paths, dts, rows = [], [], [], 0.0
     for i, dt in enumerate(settings["dts"]):
-        step = StepControls(dt=dt)
         for s in range(samples):
             path = _sample(settings, T, _cell_seed(settings["seed"], i, s))
             # drift rows, a pre-jump and a post-jump row per event, and the ends
             lane_rows = np.ceil(T / dt) + 2 * len(path) + 2
             if paths and rows + lane_rows > MAX_GRID_STEPS:
-                chunks.append(_end_differences(settings, params, system, paths, controls))
-                paths, controls, rows = [], [], 0.0
+                chunks.append(_end_differences(settings, params, system, paths, dts))
+                paths, dts, rows = [], [], 0.0
             paths.append(path)
-            controls.append(step)
+            dts.append(dt)
             rows += lane_rows
-    chunks.append(_end_differences(settings, params, system, paths, controls))
+            if rows > MAX_GRID_STEPS:
+                chunks.append(_end_differences(settings, params, system, paths, dts))
+                paths, dts, rows = [], [], 0.0
+    if paths:
+        chunks.append(_end_differences(settings, params, system, paths, dts))
     diffs = np.concatenate(chunks)
     return [ms_error(diffs[i : i + samples]) for i in range(0, len(diffs), samples)]
 
@@ -376,7 +378,7 @@ def _cmd_converge(settings):
     return 0
 
 
-def _defects(system, controls, samples):
+def _defects(system, samples):
     """Both schemes' defects at sample rows (p, q, dt, dL), as (B, 2).
 
     A failure raises the error of the first failing sample, its
@@ -393,33 +395,32 @@ def _defects(system, controls, samples):
                 break
             # past a failure only the earlier samples can fail first
             jac, failure = _jacobian_lanes(system, scheme, p[:stop], q[:stop], dt[:stop],
-                                           dl[:stop], controls)
+                                           dl[:stop])
             jacobians.append(jac)
             if failure is not None:
                 stop, failed = failure[0], scheme
     if failed is not None:
         # the failing sample alone raises its error with its own warnings
         one = slice(stop, stop + 1)
-        _, failure = _jacobian_lanes(system, failed, p[one], q[one], dt[one], dl[one], controls)
+        _, failure = _jacobian_lanes(system, failed, p[one], q[one], dt[one], dl[one])
         raise failure[1]
     return np.column_stack([_defect_lanes(jac) for jac in jacobians])
 
 
 def _cmd_symplectic_check(settings):
     _, system = _kubo(settings)
-    controls = StepControls(dt=1.0)
     rng = np.random.default_rng(settings["seed"])
     # five controls first: at dt = dL = 0 both maps are the identity
     identity = np.zeros((5, 4))
     identity[:, :2] = rng.uniform(-2.0, 2.0, (5, 2))
-    tables = [np.hstack([identity, _defects(system, controls, identity)])]
+    tables = [np.hstack([identity, _defects(system, identity)])]
     # draws in the order of one sample at a time: p, q, dt, dL
     low, high = [-2.0, -2.0, 0.0, -1.0], [2.0, 2.0, 0.1, 1.0]
     for start in range(0, settings["samples"], _CHECK_CHUNK):
         size = min(_CHECK_CHUNK, settings["samples"] - start)
         rows = rng.uniform(low, high, (size, 4))
         rows[:, 2] = 0.1 - rows[:, 2]
-        tables.append(np.hstack([rows, _defects(system, controls, rows)]))
+        tables.append(np.hstack([rows, _defects(system, rows)]))
     table = np.concatenate(tables)
     header = "p,q,dt,dL,defect_symplectic,defect_explicit"
     lines = fmt_rows(table)

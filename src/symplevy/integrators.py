@@ -30,7 +30,7 @@ Two drivers build trajectories on noise realizations, and one pass,
   (``converge --scheme explicit`` runs the same lanes with explicit
   Euler drift); at each jump time it applies the Marcus jump flow to
   that instant's marks and records both the pre-jump and the post-jump
-  state at the jump time. Per-path StepControls may differ in dt only.
+  state at the jump time. Each path may have its own step size.
 
 Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
 The pass checks for it once per block of steps (ticks and jumps), not
@@ -55,7 +55,6 @@ from .levy_path import grid_increments
 from .marcus import _JUMP_TOL, DEFAULT_SUBSTEPS, _flow_error, _flow_raw
 
 __all__ = [
-    "StepControls",
     "Trajectory",
     "symplectic_euler_step",
     "explicit_euler_step",
@@ -81,32 +80,10 @@ _SCHEMES = ("symplectic", "explicit")
 # residual checks: (array, axis) -> maxima, bit for bit those of .max
 _max = np.maximum.reduce
 
-
-@dataclass(frozen=True)
-class StepControls:
-    """Numerical knobs shared by the steppers and drivers.
-
-    dt is the nominal step; implicit_tol and implicit_max_iters bound
-    the fixed-point solve inside the symplectic step. Each jump of the
-    jump-adapted driver takes the RK4 substeps its mark needs by step
-    doubling, at most jump_substeps (see ``marcus``).
-    """
-
-    dt: float
-    implicit_tol: float = 1e-12
-    implicit_max_iters: int = 50
-    jump_substeps: int = DEFAULT_SUBSTEPS
-
-    def __post_init__(self):
-        for name in ("dt", "implicit_tol"):
-            value = getattr(self, name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (real and math.isfinite(value) and value > 0):
-                raise InvalidSpecError(f"{name} must be a finite positive number, got {value!r}")
-        for name in ("implicit_max_iters", "jump_substeps"):
-            value = getattr(self, name)
-            if not (type(value) is int and value >= 1):
-                raise InvalidSpecError(f"{name} must be an integer >= 1, got {value!r}")
+# The symplectic step's momentum solve stops at an update of max-norm <= _IMPLICIT_TOL,
+# and stalls after _IMPLICIT_MAX_ITERS sweeps
+_IMPLICIT_TOL = 1e-12
+_IMPLICIT_MAX_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -215,52 +192,57 @@ def _step_lanes(system, s, p0, q0, dt, dl, tol, max_iters, channels=None):
     return p, q, stalled
 
 
-def _one_step(system, scheme, p, q, dt, dL, controls):
+def _one_step(system, scheme, p, q, dt, dL):
     """`scheme` from (L, n) lanes in B equal groups: (p, q, stalled) as from _step_lanes.
 
     Group b is consecutive lanes stepping at dt[b] with increments
     dL[b]; dt is (B,) and dL (B, m). An argument outside the domain
-    raises DomainError with the first bad group's value.
+    (a negative, non-finite or boolean dt, a non-finite dL) raises
+    DomainError with the first bad group's value.
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
+    if np.asarray(dt).dtype == bool:
+        raise DomainError(f"dt must be a number, not a boolean, got {dt[0]!r}")
     steps = np.asarray(dt, dtype=float)
-    bad = np.flatnonzero(steps < 0)
+    bad = np.flatnonzero(~(steps >= 0) | (steps == np.inf))
     if bad.size:
-        raise DomainError(f"dt must be >= 0, got {dt[bad[0]]}")
+        raise DomainError(f"dt must be {'>= 0' if dt[bad[0]] < 0 else 'finite'}, got {dt[bad[0]]}")
     dL = np.asarray(dL, dtype=float)
     if dL.shape[1:] != (system.m,):
         raise DomainError(f"dL must have length m={system.m}, got shape {dL.shape[1:]}")
+    bad = np.flatnonzero(~np.isfinite(dL).all(axis=1))
+    if bad.size:
+        raise DomainError(f"dL must be finite, got {dL[bad[0]]}")
     group = len(p) // len(steps)
     implicit = len(p) if scheme == "symplectic" else 0
     return _step_lanes(system, implicit, p, q, np.repeat(steps, group)[:, None],
-                       np.repeat(dL, group, axis=0), controls.implicit_tol,
-                       controls.implicit_max_iters)
+                       np.repeat(dL, group, axis=0), _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS)
 
 
-def _single_step(system, scheme, state, dt, dL, controls):
+def _single_step(system, scheme, state, dt, dL):
     """One state's step, the B = 1 case of _one_step; a stall raises."""
     p, q = state.p[None], state.q[None]
     dL = np.atleast_1d(np.asarray(dL, dtype=float))
-    p, q, stalled = _one_step(system, scheme, p, q, [dt], dL[None], controls)
+    p, q, stalled = _one_step(system, scheme, p, q, [dt], dL[None])
     if stalled is not None:
-        raise _stalled(float(stalled[1][0]), controls.implicit_max_iters)
+        raise _stalled(float(stalled[1][0]))
     return PhaseState(p[0], q[0])
 
 
-def symplectic_euler_step(system, state, dt, dL, controls):
+def symplectic_euler_step(system, state, dt, dL):
     """Semi-implicit Euler step: P implicit at (P1, Q0), then Q explicit.
 
     Solves P1 = P0 - sigma_0(P1,Q0) dt - sum_r sigma_r(P1,Q0) dL_r by
-    fixed-point iteration to controls.implicit_tol in the max norm, then
-    sets Q1 = Q0 + gamma_0(P1,Q0) dt + sum_r gamma_r(P1,Q0) dL_r.
+    fixed-point iteration to 1e-12 in the max norm (at most 50 sweeps),
+    then sets Q1 = Q0 + gamma_0(P1,Q0) dt + sum_r gamma_r(P1,Q0) dL_r.
     """
-    return _single_step(system, "symplectic", state, dt, dL, controls)
+    return _single_step(system, "symplectic", state, dt, dL)
 
 
-def explicit_euler_step(system, state, dt, dL, controls):
+def explicit_euler_step(system, state, dt, dL):
     """Explicit Euler step: both updates evaluated at (P0, Q0)."""
-    return _single_step(system, "explicit", state, dt, dL, controls)
+    return _single_step(system, "explicit", state, dt, dL)
 
 
 def _segment_grids(starts, ends, dts, opening):
@@ -308,6 +290,14 @@ def _segment_grids(starts, ends, dts, opening):
     return times, ticks, np.concatenate([[0], np.cumsum(rows)])
 
 
+def _step_size(dt):
+    """A driver's step as a float; InvalidSpecError unless a finite positive real, not a bool."""
+    real = isinstance(dt, (int, float)) and not isinstance(dt, bool)
+    if not (real and math.isfinite(dt) and dt > 0):
+        raise InvalidSpecError(f"dt must be a finite positive number, got {dt!r}")
+    return float(dt)
+
+
 def _validate_run(system, initial, t0, T, path):
     if not isinstance(initial, PhaseState):
         raise DomainError(f"initial must be a PhaseState, got {type(initial).__name__}")
@@ -339,14 +329,15 @@ def _lanes_in_range(p, q):
     return in_range & (np.abs(q) <= DIVERGENCE_LIMIT).all(axis=1)
 
 
-def _stalled(residual, max_iters):
+def _stalled(residual):
     return NonConvergenceError(
-        f"implicit momentum solve stalled at residual {residual:.3e} after {max_iters} iterations",
+        f"implicit momentum solve stalled at residual {residual:.3e} after "
+        f"{_IMPLICIT_MAX_ITERS} iterations",
         residual=residual,
     )
 
 
-def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
+def integrate_fixed_grid(system, scheme, initial, t0, T, path, dt):
     """Run a one-step scheme on a uniform grid with raw path increments.
 
     The grid has ceil((T-t0)/dt) steps, the last truncated so that
@@ -355,7 +346,7 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, controls):
     that linearized increment rather than through the jump flow. It runs
     as the one-scheme case of ``_fixed_grid_lanes``.
     """
-    (run,) = _fixed_grid_lanes(system, (scheme,), initial, t0, T, path, controls)
+    (run,) = _fixed_grid_lanes(system, (scheme,), initial, t0, T, path, dt)
     if isinstance(run, Exception):
         raise run
     return run
@@ -368,22 +359,23 @@ class _Noisy(Exception):
     """
 
 
-def _fixed_grid_lanes(system, schemes, initial, t0, T, path, controls):
+def _fixed_grid_lanes(system, schemes, initial, t0, T, path, dt):
     """Yield each scheme's fixed-grid Trajectory, or the error its run alone raises, in order."""
+    dt = _step_size(dt)
     for scheme in schemes:
         if scheme not in _SCHEMES:
             raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
     _validate_run(system, initial, t0, T, path)
-    times = _segment_grids(np.array([float(t0)]), np.array([float(T)]), np.array([controls.dt]),
+    times = _segment_grids(np.array([float(t0)]), np.array([float(T)]), np.array([dt]),
                            np.array([0]))[0]
     dls = np.zeros((times.size, system.m))  # row j + 1: the increment of step j
     if times.size > 1:
         for r in range(1, system.m + 1):
             dls[1:, r - 1] = grid_increments(path, r, times)
-    yield from _grid_runs(system, schemes, times, dls, initial.p[None], initial.q[None], controls)
+    yield from _grid_runs(system, schemes, times, dls, initial.p[None], initial.q[None])
 
 
-def _grid_runs(system, schemes, times, dls, head_p, head_q, controls):
+def _grid_runs(system, schemes, times, dls, head_p, head_q):
     """Yield each scheme's run on the grid, or its error, from its states at times[:len(head_p)].
 
     The schemes, symplectic first, run as the lanes of one record. If a
@@ -398,7 +390,7 @@ def _grid_runs(system, schemes, times, dls, head_p, head_q, controls):
     rows = rec.lo[:, None] + np.arange(head + 1)
     rec.ps[rows], rec.qs[rows] = head_p, head_q
     try:
-        failures = _step_record(system, controls, rec, rec.lo + head,
+        failures = _step_record(system, rec, rec.lo + head,
                                 np.full((lanes, 1), times.size - 1 - head), np.zeros(lanes, int),
                                 None, alone=True)
     except _Noisy as noisy:
@@ -408,16 +400,15 @@ def _grid_runs(system, schemes, times, dls, head_p, head_q, controls):
                 yield failures[b]
                 continue
             kept = slice(rec.lo[b], rec.lo[b] + head + tick + 1)
-            yield from _grid_runs(system, (scheme,), times, dls, rec.ps[kept], rec.qs[kept],
-                                  controls)
+            yield from _grid_runs(system, (scheme,), times, dls, rec.ps[kept], rec.qs[kept])
         return
     for b in range(lanes):
         yield failures[b] if b in failures else rec.trajectory(b)
 
 
-def integrate_pathwise(system, initial, t0, T, path, controls):
+def integrate_pathwise(system, initial, t0, T, path, dt):
     """Jump-adapted run of one path: ``integrate_pathwise_batch`` on [path]."""
-    return integrate_pathwise_batch(system, initial, t0, T, [path], controls)[0]
+    return integrate_pathwise_batch(system, initial, t0, T, [path], dt)[0]
 
 
 def _check_lane_shapes(system, p, q):
@@ -477,8 +468,8 @@ class _Record:
         message = f"state magnitude exceeded {DIVERGENCE_LIMIT:g} at step {step} (t={t:g})"
         return DivergenceError(message, step=step, time=t, partial=self.trajectory(lane, row))
 
-    def stalled(self, lane, row, k, residual, max_iters):
-        inner, step = _stalled(float(residual), max_iters), int(row - self.lo[lane]) - 1 - k
+    def stalled(self, lane, row, k, residual):
+        inner, step = _stalled(float(residual)), int(row - self.lo[lane]) - 1 - k
         at = self.stall_at.format(step=step, t=self.times[row - 1])
         err = NonConvergenceError(f"{at}: {inner}", residual=inner.residual, step=step)
         err.__cause__ = inner
@@ -521,7 +512,7 @@ def _lane_record(system, paths, t0, T, dts):
     return rec, jumps, ticks, marks
 
 
-def _step_record(system, controls, rec, start, ticks, jumps, marks, alone):
+def _step_record(system, rec, start, ticks, jumps, marks, alone):
     """Step each lane b from row start[b]: ticks[b, k] drift ticks of segment k, then jump k.
 
     Lane b applies jump k, the flow of marks[b, k], for k < jumps[b], each
@@ -533,7 +524,6 @@ def _step_record(system, controls, rec, start, ticks, jumps, marks, alone):
     leaves the pass, with every lane above the lowest one unless `alone`.
     If `alone` and a lane but lane 0 still steps, a noisy block raises _Noisy.
     """
-    tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
     live, K, failures = np.arange(len(start)), ticks.shape[1], {}
     lanes = np.empty((2 * K, len(start)), dtype=np.min_scalar_type(len(start)))  # held all run
     lanes[::2] = np.argsort(np.negative(ticks, dtype=np.int32), axis=0, kind="stable").T
@@ -608,11 +598,11 @@ def _step_record(system, controls, rec, start, ticks, jumps, marks, alone):
                     continue
                 if cols[j] % 2:
                     p, q, bad = _flow_raw(system, p, q, marks[lanes[cols[j], :c], cols[j] // 2],
-                                          controls.jump_substeps, _JUMP_TOL)
+                                          DEFAULT_SUBSTEPS, _JUMP_TOL)
                 else:
                     dl = dls[a:b] if channels[j] else None
-                    p, q, bad = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl, tol,
-                                            max_iters, channels[j])
+                    p, q, bad = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl,
+                                            _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS, channels[j])
                 out_p.append(p)
                 out_q.append(q)
                 if bad is not None or checked and not _lanes_in_range(p, q).all():
@@ -649,7 +639,7 @@ def _step_record(system, controls, rec, start, ticks, jumps, marks, alone):
                 failures[lane[i]] = rec.flow_failed(lane[i], row[i], int(bad[i]))
         elif bad is not None:
             for i, residual in zip(*bad):
-                failures[lane[i]] = rec.stalled(lane[i], row[i], k, residual, max_iters)
+                failures[lane[i]] = rec.stalled(lane[i], row[i], k, residual)
         live = live[~np.isin(live, list(failures)) if alone else live < min(failures)]
         lanes = lanes[np.isin(lanes, live)].reshape(2 * K, live.size)
         e0 += j + 1
@@ -658,26 +648,16 @@ def _step_record(system, controls, rec, start, ticks, jumps, marks, alone):
     return failures
 
 
-def _lane_controls(controls, lanes):
-    """Each lane's step, and the controls whose solver settings all lanes share."""
-    if isinstance(controls, StepControls):
-        return np.full(lanes, controls.dt), controls
-    if not isinstance(controls, (list, tuple)) or len(controls) != lanes:
-        raise DomainError(f"controls must be one StepControls or a list of {lanes}, one per path")
-    if not all(isinstance(c, StepControls) for c in controls):
-        raise DomainError("every entry of controls must be a StepControls")
-    shared = controls[0]
-    settings = (shared.implicit_tol, shared.implicit_max_iters, shared.jump_substeps)
-    for c in controls:
-        if (c.implicit_tol, c.implicit_max_iters, c.jump_substeps) != settings:
-            raise DomainError(
-                "per-path controls may differ only in dt; implicit_tol, implicit_max_iters "
-                f"and jump_substeps must be shared, got {shared} and {c}"
-            )
-    return np.array([c.dt for c in controls]), shared
+def _lane_dts(dt, lanes):
+    """Each lane's step: dt, or the entries of a list with one per path."""
+    if not isinstance(dt, (list, tuple)):
+        return np.full(lanes, _step_size(dt))
+    if len(dt) != lanes:
+        raise DomainError(f"dt must be one number or a list of {lanes}, one per path")
+    return np.array([_step_size(d) for d in dt])
 
 
-def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
+def integrate_pathwise_batch(system, initial, t0, T, paths, dt):
     """Jump-adapted runs of several paths from one initial state, as lanes.
 
     Each path is one lane of (B, n) state arrays, so every coefficient
@@ -691,11 +671,12 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
     and equals the same path run alone bit for bit.
 
     Each jump takes its own number of RK4 substeps in the jump flow, by
-    step doubling and at most controls.jump_substeps (see ``marcus``);
-    its post-jump state is ``jump_flow`` at that count bit for bit.
+    step doubling and at most DEFAULT_SUBSTEPS (see ``marcus``); its
+    post-jump state is ``jump_flow`` at that count bit for bit.
 
-    controls is one StepControls for every path, or a list with one per
-    path whose entries may differ in dt only, else DomainError.
+    dt is one step for every path or a list with one per path; a list of
+    another length raises DomainError, and a step that is not a finite
+    positive number InvalidSpecError.
 
     Returns one Trajectory per path, in order. Invalid input (DomainError,
     or InvalidSpecError for a segment over MAX_GRID_STEPS steps or a path
@@ -703,25 +684,25 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, controls):
     runs. If lanes fail numerically, the error of the lowest-index failing
     lane is raised, exactly as that path raises it alone.
     """
-    rec = _pathwise_record(system, initial, t0, T, paths, controls, "symplectic")
+    rec = _pathwise_record(system, initial, t0, T, paths, dt, "symplectic")
     return [rec.trajectory(b) for b in range(len(rec.lo))]
 
 
-def _pathwise_record(system, initial, t0, T, paths, controls, scheme):
+def _pathwise_record(system, initial, t0, T, paths, dt, scheme):
     """``integrate_pathwise_batch`` up to its filled _Record, with `scheme` drift on every lane."""
     paths = list(paths)
     if not paths:
         raise DomainError("paths must hold at least one path")
     for path in paths:
         _validate_run(system, initial, t0, T, path)
-    dts, controls = _lane_controls(controls, len(paths))
+    dts = _lane_dts(dt, len(paths))
     p_start, q_start = np.tile(initial.p, (len(paths), 1)), np.tile(initial.q, (len(paths), 1))
     _check_lane_shapes(system, p_start, q_start)
     rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
     if scheme == "explicit":
         rec.implicit = 0  # explicit Euler drift on every lane
     rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
-    failures = _step_record(system, controls, rec, rec.lo, ticks, jumps, marks, alone=False)
+    failures = _step_record(system, rec, rec.lo, ticks, jumps, marks, alone=False)
     if failures:
         raise failures[min(failures)]
     return rec

@@ -20,10 +20,10 @@ it runs N = 1 and 2 substeps, then 4, ..., and keeps the first 2N
 result whose estimated error |y_N - y_2N| / 15 (max norm) is at most
 ``_JUMP_TOL`` = 1e-9 times max(1, |y_2N|) (Richardson's error estimate
 for a 4th-order method; Hairer, Norsett and Wanner, Solving ODEs I,
-II.4). It tries 2N only while 4N < ``jump_substeps``, the cap (2N = 2
-and 4 at the default cap of 16): the runs up to 2N take 4N - 1
-substeps, so a larger 2N would save little where it is met and cost
-much where it is not. A jump that meets the tolerance at none of them,
+II.4). It tries 2N only while 4N < the cap ``DEFAULT_SUBSTEPS`` = 16
+(so 2N = 2 and 4): the runs up to 2N take 4N - 1 substeps, so a
+larger 2N would save little where it is met and cost much where it is
+not. A jump that meets the tolerance at none of them,
 whose estimate was not finite, or whose runs below the cap warn, raise
 or meet a floating-point event takes exactly the cap, the fixed-count
 map, so each jump warns and fails as ``jump_flow`` at its count. At

@@ -93,7 +93,7 @@ def test_criterion_3_energy_behavior(capsys):
     t0 = time.perf_counter()
     with capsys.disabled():
         system = kubo()
-        controls = sl.StepControls(dt=0.08)
+        dt = 0.08
         T = 200.0
 
         path0 = sl.sample_path(sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=0), T)
@@ -109,11 +109,11 @@ def test_criterion_3_energy_behavior(capsys):
         explicit_monotone = True
         for seed in range(100):
             path = sl.sample_path(sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=seed), T)
-            sym = sl.integrate_fixed_grid(system, "symplectic", unit_start(), 0.0, T, path, controls)
+            sym = sl.integrate_fixed_grid(system, "symplectic", unit_start(), 0.0, T, path, dt)
             h_sym = 0.5 * (sym.ps[:, 0] ** 2 + sym.qs[:, 0] ** 2)
             h_lo = min(h_lo, float(h_sym.min()))
             h_hi = max(h_hi, float(h_sym.max()))
-            exp = sl.integrate_fixed_grid(system, "explicit", unit_start(), 0.0, T, path, controls)
+            exp = sl.integrate_fixed_grid(system, "explicit", unit_start(), 0.0, T, path, dt)
             h_exp = 0.5 * (exp.ps[:, 0] ** 2 + exp.qs[:, 0] ** 2)
             dls = sl.grid_increments(path, 1, exp.times)
             a = KUBO.alpha * np.diff(exp.times) + KUBO.beta * dls
@@ -186,12 +186,12 @@ def test_criterion_5_pathwise_oracle_coupling(capsys):
     t0 = time.perf_counter()
     with capsys.disabled():
         system = kubo()
-        controls = sl.StepControls(dt=1e-3)
+        dt = 1e-3
         paths = [
             sl.sample_path(sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=seed), 10.0)
             for seed in range(20)
         ]
-        trajs = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 10.0, paths, controls)
+        trajs = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 10.0, paths, dt)
         worst = 0.0
         for path, traj in zip(paths, trajs):
             exact = sl.kubo_exact(KUBO, unit_start(), 10.0, sl.increment(path, 1, 0.0, 10.0))
@@ -228,10 +228,10 @@ def test_criterion_7_orbit_separation(capsys):
     t0 = time.perf_counter()
     with capsys.disabled():
         system = kubo()
-        controls = sl.StepControls(dt=0.08)
+        dt = 0.08
         path = sl.sample_path(sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=0), 200.0)
-        sym = sl.integrate_fixed_grid(system, "symplectic", unit_start(), 0.0, 200.0, path, controls)
-        exp = sl.integrate_fixed_grid(system, "explicit", unit_start(), 0.0, 200.0, path, controls)
+        sym = sl.integrate_fixed_grid(system, "symplectic", unit_start(), 0.0, 200.0, path, dt)
+        exp = sl.integrate_fixed_grid(system, "explicit", unit_start(), 0.0, 200.0, path, dt)
         r2_sym = float(sym.ps[-1, 0] ** 2 + sym.qs[-1, 0] ** 2)
         r2_exp = float(exp.ps[-1, 0] ** 2 + exp.qs[-1, 0] ** 2)
         ok = r2_exp > 1.5 and abs(r2_sym - 1.0) < abs(r2_exp - 1.0)
@@ -266,8 +266,7 @@ def test_criterion_8_explicit_study_converges_to_the_marcus_solution(tmp_path, c
                 seed = cli._cell_seed(0, i, s)
                 spec = sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=seed)
                 path = sl.sample_path(spec, T)
-                run = scalar_fixed_grid(system, "explicit", unit_start(), 0.0, T, path,
-                                        sl.StepControls(dt=dt))
+                run = scalar_fixed_grid(system, "explicit", unit_start(), 0.0, T, path, dt)
                 exact = sl.kubo_exact(KUBO, unit_start(), T, sl.increment(path, 1, 0.0, T))
                 diffs.append(run.final_state().as_vector() - exact.as_vector())
             linearized.append(sl.ms_error(diffs))

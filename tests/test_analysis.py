@@ -138,8 +138,7 @@ class TestHamiltonianSeries:
     def test_equals_per_row_hamiltonian_value(self):
         path = sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=4), 20.0)
         traj = sl.integrate_fixed_grid(
-            kubo(), "explicit", sl.PhaseState([0.0], [1.0]), 0.0, 20.0, path,
-            sl.StepControls(dt=0.08),
+            kubo(), "explicit", sl.PhaseState([0.0], [1.0]), 0.0, 20.0, path, 0.08
         )
         for r in (None, 0, 1):
             series = sl.hamiltonian_series(kubo(), traj, r)
@@ -152,8 +151,7 @@ class TestHamiltonianSeries:
             spec=sl.LevyPathSpec(rate=0.0, mark_sigma=0.0), horizon=20.0, events=()
         )
         traj = sl.integrate_fixed_grid(
-            kubo(), "explicit", sl.PhaseState([0.0], [1.0]), 0.0, 20.0, path,
-            sl.StepControls(dt=0.08),
+            kubo(), "explicit", sl.PhaseState([0.0], [1.0]), 0.0, 20.0, path, 0.08
         )
         series = sl.hamiltonian_series(kubo(), traj)
         assert np.all(np.diff(series[:, 1]) > 0)
@@ -171,7 +169,7 @@ def anharmonic():
     )
 
 
-def column_jacobian(system, scheme, state, dt, dL, controls, step=FD_STEP):
+def column_jacobian(system, scheme, state, dt, dL, step=FD_STEP):
     """The Jacobian one perturbed state at a time through the public steps."""
     one_step = sl.symplectic_euler_step if scheme == "symplectic" else sl.explicit_euler_step
     x0 = state.as_vector()
@@ -181,8 +179,8 @@ def column_jacobian(system, scheme, state, dt, dL, controls, step=FD_STEP):
         xm = x0.copy()
         xp[k] += step
         xm[k] -= step
-        sp = one_step(system, sl.PhaseState.from_vector(xp), dt, dL, controls)
-        sm = one_step(system, sl.PhaseState.from_vector(xm), dt, dL, controls)
+        sp = one_step(system, sl.PhaseState.from_vector(xp), dt, dL)
+        sm = one_step(system, sl.PhaseState.from_vector(xm), dt, dL)
         jac[:, k] = (sp.as_vector() - sm.as_vector()) / (2.0 * step)
     return jac
 
@@ -191,14 +189,13 @@ class TestOneStepJacobian:
     @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
     @pytest.mark.parametrize("system", [kubo(), anharmonic()], ids=["kubo", "anharmonic"])
     def test_equals_column_by_column_public_steps(self, system, scheme):
-        controls = sl.StepControls(dt=1.0)
         rng = np.random.default_rng(21)
         for _ in range(50):
             state = sl.PhaseState([rng.uniform(-2, 2)], [rng.uniform(-2, 2)])
             dt = rng.uniform(0.0, 0.1)
             dl = np.array([rng.choice([0.0, rng.uniform(-1, 1)])])
-            jac = sl.one_step_jacobian(system, scheme, state, dt, dl, controls)
-            assert np.array_equal(jac, column_jacobian(system, scheme, state, dt, dl, controls))
+            jac = sl.one_step_jacobian(system, scheme, state, dt, dl)
+            assert np.array_equal(jac, column_jacobian(system, scheme, state, dt, dl))
 
     def test_stall_is_the_first_failing_column_error(self):
         # The sweep expands only off q = 0.7: the +q and -q perturbed
@@ -212,59 +209,50 @@ class TestOneStepJacobian:
             gamma=(lambda p, q: 0.1 * p, lambda p, q: 0.1 * p),
             hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
         )
-        controls = sl.StepControls(dt=0.1)
         state = sl.PhaseState([0.4], [0.7])
         errors = []
         for q in (0.7 + FD_STEP, 0.7 - FD_STEP):
             with pytest.raises(NonConvergenceError) as info:
-                sl.symplectic_euler_step(stiff, sl.PhaseState([0.4], [q]), 0.1, [0.2], controls)
+                sl.symplectic_euler_step(stiff, sl.PhaseState([0.4], [q]), 0.1, [0.2])
             errors.append(info.value)
         assert errors[0].residual != errors[1].residual
         with pytest.raises(NonConvergenceError) as info:
-            column_jacobian(stiff, "symplectic", state, 0.1, [0.2], controls)
+            column_jacobian(stiff, "symplectic", state, 0.1, [0.2])
         assert (str(info.value), info.value.residual) == (str(errors[0]), errors[0].residual)
         with pytest.raises(NonConvergenceError) as info:
-            sl.one_step_jacobian(stiff, "symplectic", state, 0.1, [0.2], controls)
+            sl.one_step_jacobian(stiff, "symplectic", state, 0.1, [0.2])
         assert (str(info.value), info.value.residual) == (str(errors[0]), errors[0].residual)
 
     def test_zero_step_gives_identity(self):
-        controls = sl.StepControls(dt=0.1)
         state = sl.PhaseState([0.4], [-0.2])
         for scheme in ("symplectic", "explicit"):
-            jac = sl.one_step_jacobian(kubo(), scheme, state, 0.0, np.zeros(1), controls)
+            jac = sl.one_step_jacobian(kubo(), scheme, state, 0.0, np.zeros(1))
             assert np.allclose(jac, np.eye(2), atol=1e-9)
 
     def test_symplectic_jacobian_matches_linear_map(self):
         # With a = alpha dt + beta dL the map is linear, so finite
         # differences recover ((1, -a), (a, 1 - a^2)) to roundoff.
-        controls = sl.StepControls(dt=0.08)
         dl = np.array([0.3])
         a = KUBO.alpha * 0.08 + KUBO.beta * 0.3
-        jac = sl.one_step_jacobian(
-            kubo(), "symplectic", sl.PhaseState([0.2], [0.7]), 0.08, dl, controls
-        )
+        jac = sl.one_step_jacobian(kubo(), "symplectic", sl.PhaseState([0.2], [0.7]), 0.08, dl)
         expected = np.array([[1.0, -a], [a, 1.0 - a * a]])
         assert np.allclose(jac, expected, atol=1e-9)
         assert np.linalg.det(jac) == pytest.approx(1.0, abs=1e-8)
 
     def test_explicit_jacobian_matches_linear_map(self):
-        controls = sl.StepControls(dt=0.08)
         dl = np.array([0.3])
         a = KUBO.alpha * 0.08 + KUBO.beta * 0.3
-        jac = sl.one_step_jacobian(
-            kubo(), "explicit", sl.PhaseState([0.2], [0.7]), 0.08, dl, controls
-        )
+        jac = sl.one_step_jacobian(kubo(), "explicit", sl.PhaseState([0.2], [0.7]), 0.08, dl)
         expected = np.array([[1.0, -a], [a, 1.0]])
         assert np.allclose(jac, expected, atol=1e-9)
         assert np.linalg.det(jac) == pytest.approx(1.0 + a * a, abs=1e-8)
 
     def test_step_size_parameter_is_used(self):
-        controls = sl.StepControls(dt=0.08)
         jac_default = sl.one_step_jacobian(
-            kubo(), "symplectic", sl.PhaseState([0.2], [0.7]), 0.08, np.zeros(1), controls
+            kubo(), "symplectic", sl.PhaseState([0.2], [0.7]), 0.08, np.zeros(1)
         )
         jac_wide = sl.one_step_jacobian(
-            kubo(), "symplectic", sl.PhaseState([0.2], [0.7]), 0.08, np.zeros(1), controls,
+            kubo(), "symplectic", sl.PhaseState([0.2], [0.7]), 0.08, np.zeros(1),
             step=1e-4,
         )
         assert np.allclose(jac_default, jac_wide, atol=1e-8)
@@ -297,36 +285,32 @@ class TestJacobianLanes:
     @pytest.mark.parametrize("system", [kubo(), anharmonic(), two_channel()],
                              ids=["kubo", "anharmonic", "two-channel"])
     def test_each_lane_equals_the_column_reference(self, system, scheme):
-        controls = sl.StepControls(dt=1.0)
         p, q, dt, dl = random_lanes(system, np.random.default_rng(31), 40)
         assert not dt.all() and not dl.any(axis=1).all() and dl.any()
-        jacs, failure = _jacobian_lanes(system, scheme, p, q, dt, dl, controls)
+        jacs, failure = _jacobian_lanes(system, scheme, p, q, dt, dl)
         assert failure is None and jacs.shape == (40, 2, 2)
         for b in range(40):
             state = sl.PhaseState(p[b], q[b])
-            expected = column_jacobian(system, scheme, state, dt[b], dl[b], controls)
+            expected = column_jacobian(system, scheme, state, dt[b], dl[b])
             assert np.array_equal(jacs[b], expected)
 
     def test_one_state_is_the_public_jacobian(self):
-        controls = sl.StepControls(dt=1.0)
         state = sl.PhaseState([0.4], [-1.1])
         for scheme in ("symplectic", "explicit"):
             jacs, failure = _jacobian_lanes(
-                anharmonic(), scheme, state.p[None], state.q[None], [0.07], [[0.3]], controls
+                anharmonic(), scheme, state.p[None], state.q[None], [0.07], [[0.3]]
             )
-            public = sl.one_step_jacobian(anharmonic(), scheme, state, 0.07, 0.3, controls)
+            public = sl.one_step_jacobian(anharmonic(), scheme, state, 0.07, 0.3)
             assert failure is None and np.array_equal(jacs[0], public)
 
     def test_validates_the_first_bad_state(self):
-        controls = sl.StepControls(dt=1.0)
         p = q = np.zeros((3, 1))
         with pytest.raises(DomainError, match=r"dt must be >= 0, got -0\.2$"):
-            _jacobian_lanes(kubo(), "symplectic", p, q, [0.1, -0.2, -0.3], np.zeros((3, 1)),
-                            controls)
+            _jacobian_lanes(kubo(), "symplectic", p, q, [0.1, -0.2, -0.3], np.zeros((3, 1)))
         with pytest.raises(DomainError, match=r"got shape \(2,\)$"):
-            _jacobian_lanes(kubo(), "symplectic", p, q, [0.1] * 3, np.zeros((3, 2)), controls)
+            _jacobian_lanes(kubo(), "symplectic", p, q, [0.1] * 3, np.zeros((3, 2)))
         with pytest.raises(DomainError, match="scheme must be one of"):
-            _jacobian_lanes(kubo(), "implicit", p, q, [0.1] * 3, np.zeros((3, 1)), controls)
+            _jacobian_lanes(kubo(), "implicit", p, q, [0.1] * 3, np.zeros((3, 1)))
 
 
 def trap():
@@ -355,12 +339,12 @@ STALL = (0.3, -60.0, 0.1, 0.0)  # stalls the symplectic map only
 STALL_AND_EXPLICIT = (60.0, -60.0, 0.1, 0.0)
 
 
-def first_failure_one_at_a_time(system, samples, controls):
+def first_failure_one_at_a_time(system, samples):
     """The error of checking the samples in order, one public Jacobian at a time."""
     for p, q, dt, dl in samples:
         for scheme in ("symplectic", "explicit"):
             try:
-                sl.one_step_jacobian(system, scheme, sl.PhaseState([p], [q]), dt, [dl], controls)
+                sl.one_step_jacobian(system, scheme, sl.PhaseState([p], [q]), dt, [dl])
             except (DomainError, NonConvergenceError) as err:
                 return err
     return None
@@ -381,41 +365,37 @@ class TestLaneFailures:
         ],
     )
     def test_the_lowest_failing_sample_raises_first(self, samples, kind):
-        controls = sl.StepControls(dt=1.0)
-        expected = first_failure_one_at_a_time(trap(), samples, controls)
+        expected = first_failure_one_at_a_time(trap(), samples)
         assert isinstance(expected, kind)
         with np.errstate(all="ignore"), pytest.raises(kind) as info:
-            cli._defects(trap(), controls, np.array(samples))
+            cli._defects(trap(), np.array(samples))
         assert str(info.value) == str(expected)
         if kind is NonConvergenceError:
             assert info.value.residual == expected.residual
 
     def test_failure_reports_the_state_index(self):
-        controls = sl.StepControls(dt=1.0)
         rows = np.array([FINE, FINE, EXPLICIT_ONLY, SYMPLECTIC_ONLY, STALL, NON_FINITE])
         p, q, dt, dl = rows[:, :1], rows[:, 1:2], rows[:, 2], rows[:, 3:]
         with np.errstate(all="ignore"):
-            jacs, (b, err) = _jacobian_lanes(trap(), "symplectic", p, q, dt, dl, controls)
+            jacs, (b, err) = _jacobian_lanes(trap(), "symplectic", p, q, dt, dl)
             assert b == 3 and isinstance(err, DomainError) and jacs.shape == (3, 2, 2)
-            jacs, (b, err) = _jacobian_lanes(trap(), "symplectic", p[4:], q[4:], dt[4:], dl[4:],
-                                             controls)
+            jacs, (b, err) = _jacobian_lanes(trap(), "symplectic", p[4:], q[4:], dt[4:], dl[4:])
             assert b == 0 and isinstance(err, NonConvergenceError) and jacs.shape == (0, 2, 2)
-            jacs, (b, err) = _jacobian_lanes(trap(), "explicit", p, q, dt, dl, controls)
+            jacs, (b, err) = _jacobian_lanes(trap(), "explicit", p, q, dt, dl)
             assert b == 2 and isinstance(err, DomainError) and jacs.shape == (2, 2, 2)
         for j in range(2):
             state = sl.PhaseState(p[j], q[j])
             assert np.array_equal(jacs[j], sl.one_step_jacobian(trap(), "explicit", state,
-                                                                dt[j], dl[j], controls))
+                                                                dt[j], dl[j]))
 
 
 class TestSymplecticDefect:
     def test_stacked_defects_equal_one_at_a_time(self):
         rng = np.random.default_rng(17)
-        controls = sl.StepControls(dt=1.0)
         for system in (kubo(), two_channel()):
             for scheme in ("symplectic", "explicit"):
                 p, q, dt, dl = random_lanes(system, rng, 30)
-                jacs, _ = _jacobian_lanes(system, scheme, p, q, dt, dl, controls)
+                jacs, _ = _jacobian_lanes(system, scheme, p, q, dt, dl)
                 stacked = _defect_lanes(jacs)
                 assert stacked.shape == (30,)
                 assert [float(d) for d in stacked] == [sl.symplectic_defect(j) for j in jacs]
@@ -442,21 +422,19 @@ class TestSymplecticDefect:
             sl.symplectic_defect(np.eye(3))
 
     def test_symplectic_steps_have_small_defect_everywhere(self):
-        controls = sl.StepControls(dt=0.08)
         rng = np.random.default_rng(9)
         worst = 0.0
         for _ in range(50):
             state = sl.PhaseState([rng.uniform(-2, 2)], [rng.uniform(-2, 2)])
             dt = rng.uniform(0.0, 0.1)
             dl = np.array([rng.uniform(-1, 1)])
-            jac = sl.one_step_jacobian(kubo(), "symplectic", state, dt, dl, controls)
+            jac = sl.one_step_jacobian(kubo(), "symplectic", state, dt, dl)
             worst = max(worst, sl.symplectic_defect(jac))
         assert worst < 1e-6
 
     def test_explicit_steps_violate_the_structure(self):
-        controls = sl.StepControls(dt=0.08)
         jac = sl.one_step_jacobian(
-            kubo(), "explicit", sl.PhaseState([0.0], [1.0]), 0.08, np.array([0.9]), controls
+            kubo(), "explicit", sl.PhaseState([0.0], [1.0]), 0.08, np.array([0.9])
         )
         # a = 0.098 gives a defect near a^2, far above discretization noise.
         assert sl.symplectic_defect(jac) > 1e-3

@@ -7,6 +7,7 @@ numerical wiring, and the exit-code contract together.
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ from symplevy._svg import _points
 from symplevy.analysis import one_step_jacobian, symplectic_defect
 from symplevy.errors import DivergenceError, DomainError, NonConvergenceError
 from symplevy.hamiltonian import KuboParams, PhaseState, kubo_exact, kubo_system
-from symplevy.integrators import StepControls, integrate_fixed_grid, integrate_pathwise
+from symplevy.integrators import integrate_fixed_grid, integrate_pathwise
 from symplevy.levy_path import JumpEvent, LevyPath, LevyPathSpec, increment, sample_path
 from test_integrators import assert_same_run, scalar_pathwise
 
@@ -354,7 +355,7 @@ class TestOrbit:
             code = 0
             for scheme in ("symplectic", "explicit"):
                 try:
-                    integrate_fixed_grid(system, scheme, cli._START, 0.0, T, path, StepControls(dt))
+                    integrate_fixed_grid(system, scheme, cli._START, 0.0, T, path, dt)
                 except DivergenceError as err:
                     print(f"{scheme} scheme diverged: {err}", file=sys.stderr)
                     code = 3
@@ -458,11 +459,11 @@ class TestConverge:
         chunks = []
         real = cli._end_differences
 
-        def spy(settings, params, system, paths, controls):
-            cells = [(step.dt, path) for path, step in zip(paths, controls, strict=True)]
+        def spy(settings, params, system, paths, dts):
+            cells = list(zip(dts, paths, strict=True))
             rows = sum(math.ceil(2 / dt) + 2 * len(path) + 2 for dt, path in cells)
             chunks.append((cells, rows))
-            return real(settings, params, system, paths, controls)
+            return real(settings, params, system, paths, dts)
 
         monkeypatch.setattr(cli, "_end_differences", spy)
         assert run_cli(argv + [tmp_path / "whole"]) == 0
@@ -482,6 +483,38 @@ class TestConverge:
         assert any(len(cells) > 1 for cells, _ in chunks)
         assert any(len(cells) == 1 and rows > 65 for cells, rows in chunks)
 
+    def test_a_cell_over_the_budget_runs_before_the_next_is_drawn(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # at a budget of 45 rows a lane at dt 0.05 (40 drift ticks) with a
+        # jump is over it, and over the step limit: the run stops there, and
+        # no path beside it is held
+        argv = ["converge", "--samples", 3, "--dts", "0.2,0.1,0.05", "--T", 2, "--seed", 3]
+        dts = {cli._cell_seed(3, i, s): dt for i, dt in enumerate((0.2, 0.1, 0.05)) for s in range(3)}
+        events = []
+        real_sample, real_run = cli._sample, cli._end_differences
+
+        def sample(settings, horizon, seed):
+            path = real_sample(settings, horizon, seed)
+            events.append(("draw", seed, math.ceil(2 / dts[seed]) + 2 * len(path) + 2))
+            return path
+
+        def run(settings, params, system, paths, steps):
+            events.append(("run", [path.spec.seed for path in paths]))
+            return real_run(settings, params, system, paths, steps)
+
+        monkeypatch.setattr(cli, "_sample", sample)
+        monkeypatch.setattr(cli, "_end_differences", run)
+        monkeypatch.setattr(cli, "MAX_GRID_STEPS", 45)
+        monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 45)
+        assert run_cli(argv + ["--out-dir", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("error: path 0 takes ")
+        over = [k for k, event in enumerate(events) if event[0] == "draw" and event[2] > 45]
+        assert over and dts[events[over[-1]][1]] == 0.05
+        for k in over:  # the runs right after its draw include it alone
+            following = itertools.takewhile(lambda event: event[0] == "run", events[k + 1 :])
+            assert ("run", [events[k][1]]) in following
+        assert events[-1] == ("run", [events[over[-1]][1]])
+
     def test_benchmark_flags_write_the_pinned_bytes(self, tmp_path, capsys):
         # the benchmark's converge operation at seed 1: how the cells are
         # batched must not change a digit
@@ -499,11 +532,11 @@ class TestConverge:
         params = KuboParams(0.1, 0.1)
         system = kubo_system(params)
         paths = [sample_path(LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=s), 3.0) for s in range(4)]
-        controls = [StepControls(dt=dt) for dt in (0.1, 0.05, 0.1, 0.02)]
-        diffs = cli._end_differences({"T": 3.0, "scheme": scheme}, params, system, paths, controls)
+        dts = [0.1, 0.05, 0.1, 0.02]
+        diffs = cli._end_differences({"T": 3.0, "scheme": scheme}, params, system, paths, dts)
         assert diffs.shape == (4, 2)
         start = PhaseState([0.0], [1.0])
-        for path, step, diff in zip(paths, controls, diffs):
+        for path, step, diff in zip(paths, dts, diffs):
             traj = scalar_pathwise(system, start, 0.0, 3.0, path, step, scheme)
             if scheme == "symplectic":
                 assert_same_run(traj, integrate_pathwise(system, start, 0.0, 3.0, path, step))
@@ -584,9 +617,9 @@ class TestSymplecticCheck:
         sizes = []
         real = cli._defects
 
-        def spy(system, controls, samples):
+        def spy(system, samples):
             sizes.append(len(samples))
-            return real(system, controls, samples)
+            return real(system, samples)
 
         monkeypatch.setattr(cli, "_defects", spy)
         assert run_cli(argv + [tmp_path / "whole"]) == 0
@@ -616,7 +649,7 @@ class TestSymplecticCheck:
                 if k >= 5:
                     dt, dl = 0.1 - rng.uniform(0.0, 0.1), rng.uniform(-1.0, 1.0)
                 for scheme in ("symplectic", "explicit"):
-                    jac = one_step_jacobian(system, scheme, state, dt, [dl], StepControls(dt=1.0))
+                    jac = one_step_jacobian(system, scheme, state, dt, [dl])
                     symplectic_defect(jac)
 
         def seen(records):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,8 @@ from symplevy import integrators
 from symplevy._csv import fmt, fmt_rows
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from symplevy.integrators import (
+    _IMPLICIT_MAX_ITERS,
+    _IMPLICIT_TOL,
     MAX_GRID_STEPS,
     _lane_jumps,
     _lane_record,
@@ -37,33 +40,6 @@ def unit_start():
 def empty_path(horizon):
     spec = sl.LevyPathSpec(rate=0.0, mark_sigma=0.0)
     return sl.LevyPath(spec=spec, horizon=horizon, events=())
-
-
-class TestStepControls:
-    def test_defaults(self):
-        controls = sl.StepControls(dt=0.08)
-        assert controls.implicit_tol == 1e-12
-        assert controls.implicit_max_iters == 50
-        assert controls.jump_substeps == sl.DEFAULT_SUBSTEPS
-        assert sl.DEFAULT_SUBSTEPS == 16
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"dt": 0.0},
-            {"dt": -0.1},
-            {"dt": float("nan")},
-            {"dt": float("inf")},
-            {"dt": 0.1, "implicit_tol": 0.0},
-            {"dt": 0.1, "implicit_tol": -1e-9},
-            {"dt": 0.1, "implicit_max_iters": 0},
-            {"dt": 0.1, "implicit_max_iters": 2.5},
-            {"dt": 0.1, "jump_substeps": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidSpecError):
-            sl.StepControls(**kwargs)
 
 
 class TestTrajectory:
@@ -118,93 +94,113 @@ class TestTrajectory:
 
 
 class TestOneStepMaps:
+    def test_solver_settings_are_constants(self):
+        assert (integrators._IMPLICIT_TOL, integrators._IMPLICIT_MAX_ITERS) == (1e-12, 50)
+        assert sl.DEFAULT_SUBSTEPS == 16
+
     def test_zero_step_is_identity(self):
         state = sl.PhaseState([0.3], [-0.7])
-        controls = sl.StepControls(dt=0.1)
         dl = np.zeros(1)
         for step in (sl.symplectic_euler_step, sl.explicit_euler_step):
-            out = step(kubo(), state, 0.0, dl, controls)
+            out = step(kubo(), state, 0.0, dl)
             assert out.p[0] == state.p[0]
             assert out.q[0] == state.q[0]
 
     def test_symplectic_drift_step_values(self):
         # One drift-only step from (P, Q) = (0, 1) with a = alpha * dt = 0.008:
         # P1 = -a, Q1 = 1 - a^2.
-        controls = sl.StepControls(dt=0.08)
-        out = sl.symplectic_euler_step(kubo(), unit_start(), 0.08, np.zeros(1), controls)
+        out = sl.symplectic_euler_step(kubo(), unit_start(), 0.08, np.zeros(1))
         assert out.p[0] == pytest.approx(-0.008, abs=1e-15)
         assert out.q[0] == pytest.approx(0.999936, abs=1e-15)
 
     def test_explicit_drift_step_values(self):
         # Explicit update evaluates both fields at the old state, so Q1
         # stays exactly 1 when P0 = 0.
-        controls = sl.StepControls(dt=0.08)
-        out = sl.explicit_euler_step(kubo(), unit_start(), 0.08, np.zeros(1), controls)
+        out = sl.explicit_euler_step(kubo(), unit_start(), 0.08, np.zeros(1))
         assert out.p[0] == pytest.approx(-0.008, abs=1e-15)
         assert out.q[0] == 1.0
 
     def test_symplectic_matches_linear_map_with_jump_increment(self):
         # For the oscillator both updates reduce to the linear map
         # (P1, Q1) = (P0 - a Q0, Q0 + a P1) with a = alpha dt + beta dL.
-        controls = sl.StepControls(dt=0.08)
         rng = np.random.default_rng(11)
         for _ in range(20):
             p0, q0 = rng.uniform(-2.0, 2.0, size=2)
             dl = rng.uniform(-1.0, 1.0)
             a = KUBO.alpha * 0.08 + KUBO.beta * dl
-            out = sl.symplectic_euler_step(
-                kubo(), sl.PhaseState([p0], [q0]), 0.08, np.array([dl]), controls
-            )
+            out = sl.symplectic_euler_step(kubo(), sl.PhaseState([p0], [q0]), 0.08, np.array([dl]))
             p1 = p0 - a * q0
             assert out.p[0] == pytest.approx(p1, abs=1e-14)
             assert out.q[0] == pytest.approx(q0 + a * p1, abs=1e-14)
 
     def test_explicit_matches_linear_map_with_jump_increment(self):
-        controls = sl.StepControls(dt=0.08)
         rng = np.random.default_rng(12)
         for _ in range(20):
             p0, q0 = rng.uniform(-2.0, 2.0, size=2)
             dl = rng.uniform(-1.0, 1.0)
             a = KUBO.alpha * 0.08 + KUBO.beta * dl
-            out = sl.explicit_euler_step(
-                kubo(), sl.PhaseState([p0], [q0]), 0.08, np.array([dl]), controls
-            )
+            out = sl.explicit_euler_step(kubo(), sl.PhaseState([p0], [q0]), 0.08, np.array([dl]))
             assert out.p[0] == pytest.approx(p0 - a * q0, abs=1e-14)
             assert out.q[0] == pytest.approx(q0 + a * p0, abs=1e-14)
 
     def test_rejects_negative_dt_and_bad_increment_shape(self):
-        controls = sl.StepControls(dt=0.08)
         with pytest.raises(DomainError):
-            sl.symplectic_euler_step(kubo(), unit_start(), -0.1, np.zeros(1), controls)
+            sl.symplectic_euler_step(kubo(), unit_start(), -0.1, np.zeros(1))
         with pytest.raises(DomainError):
-            sl.symplectic_euler_step(kubo(), unit_start(), 0.1, np.zeros(2), controls)
+            sl.symplectic_euler_step(kubo(), unit_start(), 0.1, np.zeros(2))
         with pytest.raises(DomainError):
-            sl.explicit_euler_step(kubo(), unit_start(), 0.1, np.zeros((1, 1)), controls)
+            sl.explicit_euler_step(kubo(), unit_start(), 0.1, np.zeros((1, 1)))
 
     def test_messages_name_the_bad_value(self):
-        controls = sl.StepControls(dt=0.08)
         with pytest.raises(DomainError, match=r"^dt must be >= 0, got -1$"):
-            sl.symplectic_euler_step(kubo(), unit_start(), -1, 0.0, controls)
+            sl.symplectic_euler_step(kubo(), unit_start(), -1, 0.0)
         with pytest.raises(DomainError, match=r"^dL must have length m=1, got shape \(2,\)$"):
-            sl.explicit_euler_step(kubo(), unit_start(), 0.1, [0.0, 0.0], controls)
+            sl.explicit_euler_step(kubo(), unit_start(), 0.1, [0.0, 0.0])
         with pytest.raises(DomainError, match=r"got shape \(1, 1\)$"):
-            sl.explicit_euler_step(kubo(), unit_start(), 0.1, np.zeros((1, 1)), controls)
+            sl.explicit_euler_step(kubo(), unit_start(), 0.1, np.zeros((1, 1)))
+
+    @pytest.mark.parametrize(
+        "dt, dl, message",
+        [
+            (math.nan, 0.0, r"^dt must be finite, got nan$"),
+            (math.inf, 0.0, r"^dt must be finite, got inf$"),
+            (True, 0.0, r"^dt must be a number, not a boolean, got True$"),
+            (0.1, math.nan, r"^dL must be finite, got \[nan\]$"),
+            (0.1, -math.inf, r"^dL must be finite, got \[-inf\]$"),
+        ],
+        ids=["nan-dt", "inf-dt", "bool-dt", "nan-dL", "inf-dL"],
+    )
+    @pytest.mark.parametrize(
+        "step",
+        [
+            sl.symplectic_euler_step,
+            sl.explicit_euler_step,
+            lambda *args: sl.one_step_jacobian(args[0], "symplectic", *args[1:]),
+            lambda *args: sl.one_step_jacobian(args[0], "explicit", *args[1:]),
+        ],
+        ids=["symplectic", "explicit", "jacobian-symplectic", "jacobian-explicit"],
+    )
+    def test_non_finite_or_boolean_input_is_refused_before_stepping(self, step, dt, dl, message):
+        # refused up front: no solve that stalls on NaN, no numpy warnings
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                step(kubo(), unit_start(), dt, [dl])
 
     def test_lane_groups_step_at_their_own_dt_and_increments(self):
-        controls = sl.StepControls(dt=1.0)
         dts = [0.05, 0.0, 0.08]
         dls = np.array([[0.3], [0.0], [-0.6]])
         starts = np.array([[0.4], [-1.2], [0.9], [0.1], [2.0], [-0.3]])
         for scheme, step in (("symplectic", sl.symplectic_euler_step),
                              ("explicit", sl.explicit_euler_step)):
-            p, q, stalled = _one_step(kubo(), scheme, starts, starts[::-1], dts, dls, controls)
+            p, q, stalled = _one_step(kubo(), scheme, starts, starts[::-1], dts, dls)
             assert stalled is None
             for lane in range(6):
                 alone = step(kubo(), sl.PhaseState(starts[lane], starts[5 - lane]),
-                             dts[lane // 2], dls[lane // 2], controls)
+                             dts[lane // 2], dls[lane // 2])
                 assert p[lane, 0] == alone.p[0] and q[lane, 0] == alone.q[0]
         with pytest.raises(DomainError, match=r"^dt must be >= 0, got -0\.2$"):
-            _one_step(kubo(), "explicit", starts, starts, [0.1, -0.2, -0.3], dls, controls)
+            _one_step(kubo(), "explicit", starts, starts, [0.1, -0.2, -0.3], dls)
 
     def test_fixed_point_non_convergence_reports_residual(self):
         # sigma_0 = 30 p makes the fixed-point iteration expand by a
@@ -216,11 +212,8 @@ class TestOneStepMaps:
             gamma=[lambda p, q: 0.0 * p, lambda p, q: 0.0 * p],
             hamiltonians=[lambda p, q: 0.0, lambda p, q: 0.0],
         )
-        controls = sl.StepControls(dt=0.1)
         with pytest.raises(NonConvergenceError) as info:
-            sl.symplectic_euler_step(
-                stiff, sl.PhaseState([1.0], [1.0]), 0.1, np.zeros(1), controls
-            )
+            sl.symplectic_euler_step(stiff, sl.PhaseState([1.0], [1.0]), 0.1, np.zeros(1))
         assert info.value.residual is not None
         assert info.value.residual > 1.0
 
@@ -235,25 +228,19 @@ class TestFixedGridNodes:
             (1.0, 2.0, 0.4, 4),
         ]
         for t0, T, dt, n_nodes in cases:
-            traj = sl.integrate_fixed_grid(
-                kubo(), "symplectic", unit_start(), t0, T, path, sl.StepControls(dt=dt)
-            )
+            traj = sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), t0, T, path, dt)
             assert len(traj) == n_nodes
             assert traj.times[0] == t0
             assert traj.times[-1] == T
 
     def test_interior_nodes_are_uniform(self):
         path = empty_path(2.0)
-        traj = sl.integrate_fixed_grid(
-            kubo(), "symplectic", unit_start(), 0.0, 1.0, path, sl.StepControls(dt=0.25)
-        )
+        traj = sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 1.0, path, 0.25)
         assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
 
     def test_zero_span_run_returns_single_state(self):
         path = empty_path(1.0)
-        traj = sl.integrate_fixed_grid(
-            kubo(), "symplectic", unit_start(), 0.5, 0.5, path, sl.StepControls(dt=0.1)
-        )
+        traj = sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.5, 0.5, path, 0.1)
         assert len(traj) == 1
         assert traj.times[0] == 0.5
         assert traj.ps[0, 0] == 0.0
@@ -266,59 +253,51 @@ class TestGridSizeLimit:
             raise AssertionError("grid nodes allocated before the size check")
 
         monkeypatch.setattr(np, "arange", refuse)
-        controls = sl.StepControls(dt=1e-6)
+        dt = 1e-6
         with pytest.raises(InvalidSpecError, match="MAX_GRID_STEPS"):
             sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 1e6,
-                                    empty_path(1e6), controls)
+                                    empty_path(1e6), dt)
 
     def test_infinite_step_count_is_refused(self):
-        controls = sl.StepControls(dt=1e-300)
+        dt = 1e-300
         with pytest.raises(InvalidSpecError, match="MAX_GRID_STEPS"):
             sl.integrate_fixed_grid(kubo(), "explicit", unit_start(), 0.0, 1e300,
-                                    empty_path(1e300), controls)
+                                    empty_path(1e300), dt)
 
 
 class TestRunValidation:
     def test_requires_a_path(self):
         with pytest.raises(DomainError):
-            sl.integrate_fixed_grid(
-                kubo(), "symplectic", unit_start(), 0.0, 1.0, None, sl.StepControls(dt=0.1)
-            )
+            sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 1.0, None, 0.1)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(DomainError):
-            sl.integrate_fixed_grid(
-                kubo(), "magic", unit_start(), 0.0, 1.0, empty_path(1.0), sl.StepControls(dt=0.1)
-            )
+            sl.integrate_fixed_grid(kubo(), "magic", unit_start(), 0.0, 1.0, empty_path(1.0), 0.1)
 
     def test_rejects_window_outside_path_horizon(self):
         with pytest.raises(DomainError):
             sl.integrate_fixed_grid(
                 kubo(), "symplectic", unit_start(), 0.0, 2.0, empty_path(1.0),
-                sl.StepControls(dt=0.1),
+                0.1,
             )
 
     def test_rejects_reversed_window(self):
         with pytest.raises(DomainError):
             sl.integrate_fixed_grid(
                 kubo(), "symplectic", unit_start(), 1.0, 0.5, empty_path(2.0),
-                sl.StepControls(dt=0.1),
+                0.1,
             )
 
     def test_rejects_channel_count_mismatch(self):
         spec = sl.LevyPathSpec(rate=1.0, mark_sigma=0.1, noise_count=2)
         path = sl.sample_path(spec, 1.0)
         with pytest.raises(DomainError):
-            sl.integrate_fixed_grid(
-                kubo(), "symplectic", unit_start(), 0.0, 1.0, path, sl.StepControls(dt=0.1)
-            )
+            sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 1.0, path, 0.1)
 
     def test_rejects_dimension_mismatch(self):
         bad = sl.PhaseState([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(DomainError):
-            sl.integrate_fixed_grid(
-                kubo(), "symplectic", bad, 0.0, 1.0, empty_path(1.0), sl.StepControls(dt=0.1)
-            )
+            sl.integrate_fixed_grid(kubo(), "symplectic", bad, 0.0, 1.0, empty_path(1.0), 0.1)
 
 
 class TestDeterministicRuns:
@@ -326,18 +305,14 @@ class TestDeterministicRuns:
         # Noise-free oscillator over 2500 steps: the symplectic map keeps
         # the radius within a band of half-width about a/2 around 1.
         path = empty_path(200.0)
-        traj = sl.integrate_fixed_grid(
-            kubo(), "symplectic", unit_start(), 0.0, 200.0, path, sl.StepControls(dt=0.08)
-        )
+        traj = sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 200.0, path, 0.08)
         radii = np.hypot(traj.ps[:, 0], traj.qs[:, 0])
         assert radii.min() > 0.99
         assert radii.max() < 1.01
 
     def test_explicit_energy_grows_every_step(self):
         path = empty_path(200.0)
-        traj = sl.integrate_fixed_grid(
-            kubo(), "explicit", unit_start(), 0.0, 200.0, path, sl.StepControls(dt=0.08)
-        )
+        traj = sl.integrate_fixed_grid(kubo(), "explicit", unit_start(), 0.0, 200.0, path, 0.08)
         energy = 0.5 * (traj.ps[:, 0] ** 2 + traj.qs[:, 0] ** 2)
         assert np.all(np.diff(energy) > 0)
         assert energy[-1] > energy[0]
@@ -349,9 +324,7 @@ class TestDeterministicRuns:
         exact = sl.kubo_exact(params, unit_start(), 10.0, 0.0)
         errors = []
         for dt in (0.2, 0.1, 0.05, 0.025):
-            traj = sl.integrate_fixed_grid(
-                system, "symplectic", unit_start(), 0.0, 10.0, path, sl.StepControls(dt=dt)
-            )
+            traj = sl.integrate_fixed_grid(system, "symplectic", unit_start(), 0.0, 10.0, path, dt)
             errors.append(
                 math.hypot(traj.ps[-1, 0] - exact.p[0], traj.qs[-1, 0] - exact.q[0])
             )
@@ -363,9 +336,7 @@ class TestDeterministicRuns:
         # Each explicit step multiplies P^2 + Q^2 by exactly 1 + a_j^2
         # with a_j = alpha dt_j + beta dL_j.
         path = sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=7), 10.0)
-        traj = sl.integrate_fixed_grid(
-            kubo(), "explicit", unit_start(), 0.0, 10.0, path, sl.StepControls(dt=0.1)
-        )
+        traj = sl.integrate_fixed_grid(kubo(), "explicit", unit_start(), 0.0, 10.0, path, 0.1)
         dls = sl.grid_increments(path, 1, traj.times)
         energy = 0.5 * (traj.ps[:, 0] ** 2 + traj.qs[:, 0] ** 2)
         for j in range(len(dls)):
@@ -378,19 +349,19 @@ class TestZeroEventEquivalence:
         spec5 = sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=1)
         silent = sl.LevyPath(spec=spec5, horizon=20.0, events=())
         quiet = sl.sample_path(sl.LevyPathSpec(rate=0.0, mark_sigma=0.0), 20.0)
-        controls = sl.StepControls(dt=0.08)
+        dt = 0.08
         for scheme in ("symplectic", "explicit"):
-            a = sl.integrate_fixed_grid(kubo(), scheme, unit_start(), 0.0, 20.0, silent, controls)
-            b = sl.integrate_fixed_grid(kubo(), scheme, unit_start(), 0.0, 20.0, quiet, controls)
+            a = sl.integrate_fixed_grid(kubo(), scheme, unit_start(), 0.0, 20.0, silent, dt)
+            b = sl.integrate_fixed_grid(kubo(), scheme, unit_start(), 0.0, 20.0, quiet, dt)
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.ps, b.ps)
             assert np.array_equal(a.qs, b.qs)
 
     def test_pathwise_matches_fixed_grid_bitwise_without_events(self):
         path = empty_path(20.0)
-        controls = sl.StepControls(dt=0.08)
-        grid = sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 20.0, path, controls)
-        adapted = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 20.0, path, controls)
+        dt = 0.08
+        grid = sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 20.0, path, dt)
+        adapted = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 20.0, path, dt)
         assert np.array_equal(grid.times, adapted.times)
         assert np.array_equal(grid.ps, adapted.ps)
         assert np.array_equal(grid.qs, adapted.qs)
@@ -403,13 +374,13 @@ class TestPathwiseJumps:
 
     def test_records_pre_and_post_states_at_jump_time(self):
         path = self.one_jump_path(0.5, 0.8, 1.0)
-        traj = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, sl.StepControls(dt=0.25))
+        traj = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, 0.25)
         assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.5, 0.75, 1.0], atol=1e-15)
         i_pre = 2
         pre = traj.state(i_pre)
         post = traj.state(i_pre + 1)
         # beta R = 0.08: the 2-substep flow misses the tolerance, the 4-substep one meets it
-        expected, substeps = doubled_jump_flow(kubo(), pre, np.array([0.8]), sl.StepControls(dt=0.25))
+        expected, substeps = doubled_jump_flow(kubo(), pre, np.array([0.8]))
         assert substeps == 4
         assert post.p[0] == expected.p[0]
         assert post.q[0] == expected.q[0]
@@ -417,7 +388,7 @@ class TestPathwiseJumps:
 
     def test_drift_segments_end_exactly_at_jump_times(self):
         path = self.one_jump_path(0.37, -0.4, 1.0)
-        traj = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, sl.StepControls(dt=0.25))
+        traj = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, 0.25)
         times = traj.times
         assert np.count_nonzero(times == 0.37) == 2
         assert times[-1] == 1.0
@@ -426,9 +397,7 @@ class TestPathwiseJumps:
         # One mark R at t = 3.7 rotates the exact solution by
         # alpha T + beta R in total; a fine step resolves the drift.
         path = self.one_jump_path(3.7, 0.6, 10.0)
-        traj = sl.integrate_pathwise(
-            kubo(), unit_start(), 0.0, 10.0, path, sl.StepControls(dt=1e-4)
-        )
+        traj = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 10.0, path, 1e-4)
         exact = sl.kubo_exact(KUBO, unit_start(), 10.0, 0.6)
         err = math.hypot(traj.ps[-1, 0] - exact.p[0], traj.qs[-1, 0] - exact.q[0])
         assert err < 1e-3
@@ -439,9 +408,7 @@ class TestPathwiseJumps:
         exact = sl.kubo_exact(KUBO, unit_start(), 10.0, total)
         errors = []
         for dt in (0.2, 0.1, 0.05, 0.025, 0.0125):
-            traj = sl.integrate_pathwise(
-                kubo(), unit_start(), 0.0, 10.0, path, sl.StepControls(dt=dt)
-            )
+            traj = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 10.0, path, dt)
             errors.append(
                 math.hypot(traj.ps[-1, 0] - exact.p[0], traj.qs[-1, 0] - exact.q[0])
             )
@@ -458,9 +425,8 @@ class TestPathwiseJumps:
         quiet = empty_path(10.0)
         gaps = []
         for dt in (0.08, 0.02):
-            controls = sl.StepControls(dt=dt)
-            a = sl.integrate_pathwise(system, unit_start(), 0.0, 10.0, noisy, controls)
-            b = sl.integrate_pathwise(system, unit_start(), 0.0, 10.0, quiet, controls)
+            a = sl.integrate_pathwise(system, unit_start(), 0.0, 10.0, noisy, dt)
+            b = sl.integrate_pathwise(system, unit_start(), 0.0, 10.0, quiet, dt)
             gaps.append(
                 math.hypot(a.ps[-1, 0] - b.ps[-1, 0], a.qs[-1, 0] - b.qs[-1, 0])
             )
@@ -475,13 +441,13 @@ class TestJumpSubsteps:
     def paths(self):
         return [event_path([(0.6, 1, mark)], 1.0) for mark in self.MARKS]
 
-    def jumps(self, controls):
+    def jumps(self, dt):
         """Each lane's pre-jump state and post-jump row, from one batch that equals the paths alone."""
         paths = self.paths()
-        lanes = sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, controls)
+        lanes = sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, dt)
         for path, lane in zip(paths, lanes):
-            assert_same_run(lane, sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, controls))
-            assert_same_run(lane, scalar_pathwise(kubo(), unit_start(), 0.0, 1.0, path, controls))
+            assert_same_run(lane, sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, dt))
+            assert_same_run(lane, scalar_pathwise(kubo(), unit_start(), 0.0, 1.0, path, dt))
         pre = [int(np.flatnonzero(lane.times == 0.6)[0]) for lane in lanes]
         return [(lane.state(i), lane.state(i + 1)) for lane, i in zip(lanes, pre)]
 
@@ -495,19 +461,21 @@ class TestJumpSubsteps:
         return taken
 
     def test_each_jump_takes_the_substeps_its_mark_needs(self):
-        jumps = self.jumps(sl.StepControls(dt=0.25))
+        jumps = self.jumps(0.25)
         taken = [self.flows_at(pre, mark, post) for (pre, post), mark in zip(jumps, self.MARKS)]
         assert taken == [[2], [4], [16]]
 
     @pytest.mark.parametrize("cap", [16, 12, 3])
     def test_a_jump_that_cannot_meet_the_tolerance_takes_exactly_the_cap(self, monkeypatch, cap):
         monkeypatch.setattr(integrators, "_JUMP_TOL", 1e-300)
-        jumps = self.jumps(sl.StepControls(dt=0.25, jump_substeps=cap))
+        monkeypatch.setattr(integrators, "DEFAULT_SUBSTEPS", cap)
+        jumps = self.jumps(0.25)
         taken = [self.flows_at(pre, mark, post) for (pre, post), mark in zip(jumps, self.MARKS)]
         assert taken == [[cap]] * 3
 
-    def test_one_jump_substep_is_one_substep_for_every_jump(self):
-        jumps = self.jumps(sl.StepControls(dt=0.25, jump_substeps=1))
+    def test_one_jump_substep_is_one_substep_for_every_jump(self, monkeypatch):
+        monkeypatch.setattr(integrators, "DEFAULT_SUBSTEPS", 1)
+        jumps = self.jumps(0.25)
         taken = [self.flows_at(pre, mark, post) for (pre, post), mark in zip(jumps, self.MARKS)]
         assert taken == [[1]] * 3
 
@@ -518,9 +486,7 @@ class TestDivergenceGuard:
         # so the 1e12 guard trips on the third step.
         path = empty_path(1e7)
         with pytest.raises(DivergenceError) as info:
-            sl.integrate_fixed_grid(
-                kubo(), "explicit", unit_start(), 0.0, 3e6, path, sl.StepControls(dt=1e6)
-            )
+            sl.integrate_fixed_grid(kubo(), "explicit", unit_start(), 0.0, 3e6, path, 1e6)
         err = info.value
         assert err.step == 2
         assert err.time == 3e6
@@ -530,9 +496,7 @@ class TestDivergenceGuard:
     def test_pathwise_blowup_raises_with_partial_trajectory(self):
         path = empty_path(1e7)
         with pytest.raises(DivergenceError) as info:
-            sl.integrate_pathwise(
-                kubo(), unit_start(), 0.0, 3e6, path, sl.StepControls(dt=1e6)
-            )
+            sl.integrate_pathwise(kubo(), unit_start(), 0.0, 3e6, path, 1e6)
         assert info.value.partial is not None
         assert len(info.value.partial) >= 1
 
@@ -540,9 +504,7 @@ class TestDivergenceGuard:
 class TestTrajectoryCsv:
     def test_roundtrip_through_text_is_exact(self, tmp_path):
         path = sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=2), 5.0)
-        traj = sl.integrate_fixed_grid(
-            kubo(), "symplectic", unit_start(), 0.0, 5.0, path, sl.StepControls(dt=0.1)
-        )
+        traj = sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, 5.0, path, 0.1)
         out = tmp_path / "traj.csv"
         sl.write_trajectory_csv(traj, out)
         with open(out, newline="") as handle:
@@ -605,11 +567,11 @@ def explicit_raw(system, p0, q0, dt, dL):
     return p, q
 
 
-def raw_step(system, scheme, p, q, dt, dL, controls):
+def raw_step(system, scheme, p, q, dt, dL, max_iters=None):
+    """The reference map of `scheme`, at the driver's solver settings unless max_iters is given."""
     if scheme == "symplectic":
-        return symplectic_raw(
-            system, p, q, dt, dL, controls.implicit_tol, controls.implicit_max_iters
-        )
+        max_iters = integrators._IMPLICIT_MAX_ITERS if max_iters is None else max_iters
+        return symplectic_raw(system, p, q, dt, dL, integrators._IMPLICIT_TOL, max_iters)
     return explicit_raw(system, p, q, dt, dL)
 
 
@@ -663,20 +625,20 @@ def lane_grid(system, path, t0, T, dt):
     return np.concatenate(pieces), ticks, marks
 
 
-def scalar_fixed_grid(system, scheme, initial, t0, T, path, controls):
+def scalar_fixed_grid(system, scheme, initial, t0, T, path, dt):
     """The fixed-grid driver one state at a time, on the reference maps."""
-    times = grid_times(t0, T, controls.dt)
+    times = grid_times(t0, T, dt)
     dls = [sl.grid_increments(path, r, times) for r in range(1, system.m + 1)]
     ps, qs = [initial.p], [initial.q]
     for j in range(times.size - 1):
         dL = np.array([dl[j] for dl in dls])
-        p, q = raw_step(system, scheme, ps[-1], qs[-1], times[j + 1] - times[j], dL, controls)
+        p, q = raw_step(system, scheme, ps[-1], qs[-1], times[j + 1] - times[j], dL)
         ps.append(p)
         qs.append(q)
     return sl.Trajectory(times, ps, qs, scheme)
 
 
-def scalar_pathwise(system, initial, t0, T, path, controls, scheme="symplectic"):
+def scalar_pathwise(system, initial, t0, T, path, dt, scheme="symplectic"):
     """The jump-adapted scheme one state at a time, as the lane driver's reference.
 
     Drift steps are the reference map of `scheme` with zero increments on
@@ -707,10 +669,10 @@ def scalar_pathwise(system, initial, t0, T, path, controls, scheme="symplectic")
         nonlocal drifts
         if t_end - times[-1] <= 0.0:
             return
-        nodes = grid_times(times[-1], t_end, controls.dt)
+        nodes = grid_times(times[-1], t_end, dt)
         for a, b in zip(nodes[:-1], nodes[1:]):
             try:
-                p, q = raw_step(system, scheme, ps[-1], qs[-1], b - a, np.zeros(system.m), controls)
+                p, q = raw_step(system, scheme, ps[-1], qs[-1], b - a, np.zeros(system.m))
             except NonConvergenceError as inner:
                 raise NonConvergenceError(
                     f"drift substep at t={a:g}: {inner}", residual=inner.residual, step=drifts
@@ -725,23 +687,23 @@ def scalar_pathwise(system, initial, t0, T, path, controls, scheme="symplectic")
             if ev.time == tau:
                 marks[ev.channel - 1] += ev.mark
         drift_to(tau)
-        after, _ = doubled_jump_flow(system, sl.PhaseState(ps[-1], qs[-1]), marks, controls)
+        after, _ = doubled_jump_flow(system, sl.PhaseState(ps[-1], qs[-1]), marks)
         push(tau, after.p, after.q)
     drift_to(T)
     return sl.Trajectory(times, ps, qs, "pathwise")
 
 
-def doubled_jump_flow(system, state, marks, controls):
+def doubled_jump_flow(system, state, marks):
     """One jump by the driver's substep rule, from public ``jump_flow`` calls: (state, N).
 
-    N is the first of 2, 4, ... with 2N < controls.jump_substeps whose
+    N is the first of 2, 4, ... with 2N < the cap DEFAULT_SUBSTEPS whose
     flow y_N and half-count flow y_{N/2} have max|y_{N/2} - y_N| / 15 <=
     tol * max(1, max|y_N|), tol the driver's. If none does, or a flow
     below the cap warns, meets a floating-point event the caller does not
     ignore, raises or is not finite, or the difference is not finite, N
-    is jump_substeps.
+    is the cap.
     """
-    cap, tol, n = controls.jump_substeps, integrators._JUMP_TOL, 1
+    cap, tol, n = integrators.DEFAULT_SUBSTEPS, integrators._JUMP_TOL, 1
     loud = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
     try:
         with warnings.catch_warnings(), np.errstate(**loud):
@@ -815,9 +777,9 @@ def stiff_where_q_positive():
     )
 
 
-def raw_error(system, p, q, dt, dL, controls):
+def raw_error(system, p, q, dt, dL, max_iters=None):
     with pytest.raises(NonConvergenceError) as info:
-        raw_step(system, "symplectic", p, q, dt, dL, controls)
+        raw_step(system, "symplectic", p, q, dt, dL, max_iters)
     return info.value
 
 
@@ -836,16 +798,15 @@ class TestStepLanes:
         # zero on some lanes: those get a zero term the reference skips,
         # equal up to the sign of a zero
         mixed = np.where(rng.uniform(size=dl.shape) < 0.5, 0.0, dl)
-        controls = sl.StepControls(dt=0.1)
         for increments in (dl, mixed, None):
             got_p, got_q, stalled = _step_lanes(
                 system, lanes if scheme == "symplectic" else 0, p, q, dt, increments,
-                controls.implicit_tol, controls.implicit_max_iters
+                _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
             )
             assert stalled is None
             for b in range(lanes):
                 dL = np.zeros(system.m) if increments is None else increments[b]
-                want_p, want_q = raw_step(system, scheme, p[b], q[b], dt[b, 0], dL, controls)
+                want_p, want_q = raw_step(system, scheme, p[b], q[b], dt[b, 0], dL)
                 assert np.array_equal(got_p[b], want_p)
                 assert np.array_equal(got_q[b], want_q)
 
@@ -856,15 +817,14 @@ class TestStepLanes:
         q = rng.uniform(-1.0, 1.0, (12, 1))
         dt = np.full((12, 1), 0.1)
         dl = rng.uniform(-1.0, 1.0, (12, 1))
-        controls = sl.StepControls(dt=0.1)
         got_p, _, stalled = _step_lanes(
-            system, len(p), p, q, dt, dl, controls.implicit_tol, controls.implicit_max_iters
+            system, len(p), p, q, dt, dl, _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
         )
         assert np.array_equal(stalled[0], np.flatnonzero(q[:, 0] > 0.0))
         for b, residual in zip(*stalled):
-            assert residual == raw_error(system, p[b], q[b], 0.1, dl[b], controls).residual
+            assert residual == raw_error(system, p[b], q[b], 0.1, dl[b]).residual
         for b in np.flatnonzero(q[:, 0] <= 0.0):
-            assert np.array_equal(got_p[b], raw_step(system, "symplectic", p[b], q[b], 0.1, dl[b], controls)[0])
+            assert np.array_equal(got_p[b], raw_step(system, "symplectic", p[b], q[b], 0.1, dl[b])[0])
 
     @pytest.mark.parametrize(
         "system", [kubo(), anharmonic(), two_channel()], ids=["kubo", "anharmonic", "two-channel"]
@@ -877,8 +837,7 @@ class TestStepLanes:
         dt = rng.uniform(0.0, 0.1, (lanes, 1))
         dl = rng.uniform(-1.0, 1.0, (lanes, system.m))
         mixed = np.where(rng.uniform(size=dl.shape) < 0.5, 0.0, dl)
-        controls = sl.StepControls(dt=0.1)
-        tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
+        tol, max_iters = _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
         for s in [0, 1, lanes - 1, lanes, *rng.integers(2, lanes - 1, 4)]:
             for increments in (dl, mixed, None):
                 got_p, got_q, stalled = _step_lanes(system, s, p, q, dt, increments, tol, max_iters)
@@ -886,7 +845,7 @@ class TestStepLanes:
                 for b in range(lanes):
                     dL = np.zeros(system.m) if increments is None else increments[b]
                     scheme = "symplectic" if b < s else "explicit"
-                    want_p, want_q = raw_step(system, scheme, p[b], q[b], dt[b, 0], dL, controls)
+                    want_p, want_q = raw_step(system, scheme, p[b], q[b], dt[b, 0], dL)
                     assert np.array_equal(got_p[b], want_p)
                     assert np.array_equal(got_q[b], want_q)
                 if increments is not None:
@@ -902,10 +861,9 @@ class TestStepLanes:
         q = rng.uniform(-1.0, 1.0, (16, 1))
         dt = np.full((16, 1), 0.1)
         dl = rng.uniform(-1.0, 1.0, (16, 1))
-        controls = sl.StepControls(dt=0.1)
         for s in (0, 5, 11, 16):
             got_p, got_q, stalled = _step_lanes(
-                system, s, p, q, dt, dl, controls.implicit_tol, controls.implicit_max_iters
+                system, s, p, q, dt, dl, _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
             )
             stiff = np.flatnonzero(q[:s, 0] > 0.0)
             if stiff.size == 0:
@@ -913,9 +871,9 @@ class TestStepLanes:
                 continue
             assert np.array_equal(stalled[0], stiff)
             for b, residual in zip(*stalled):
-                assert residual == raw_error(system, p[b], q[b], 0.1, dl[b], controls).residual
+                assert residual == raw_error(system, p[b], q[b], 0.1, dl[b]).residual
             for b in range(s, 16):
-                want_p, want_q = raw_step(system, "explicit", p[b], q[b], 0.1, dl[b], controls)
+                want_p, want_q = raw_step(system, "explicit", p[b], q[b], 0.1, dl[b])
                 assert np.array_equal(got_p[b], want_p) and np.array_equal(got_q[b], want_q)
 
     @pytest.mark.parametrize("max_iters", range(2, 12))
@@ -924,23 +882,21 @@ class TestStepLanes:
         # sweep <= max_iters; lane 1 expands and stalls
         system = stiff_where_q_positive()
         p, q, dt = np.array([[0.5], [0.5]]), np.array([[-0.5], [0.5]]), np.full((2, 1), 0.1)
-        controls = sl.StepControls(dt=0.1, implicit_max_iters=max_iters)
-        _, _, stalled = _step_lanes(system, 2, p, q, dt, None, controls.implicit_tol, max_iters)
-        want = [raw_error(system, p[1], q[1], 0.1, np.zeros(1), controls).residual]
+        _, _, stalled = _step_lanes(system, 2, p, q, dt, None, _IMPLICIT_TOL, max_iters)
+        want = [raw_error(system, p[1], q[1], 0.1, np.zeros(1), max_iters).residual]
         try:
-            raw_step(system, "symplectic", p[0], q[0], 0.1, np.zeros(1), controls)
+            raw_step(system, "symplectic", p[0], q[0], 0.1, np.zeros(1), max_iters)
         except NonConvergenceError as err:
             want.insert(0, err.residual)
         assert stalled[0].tolist() == list(range(2 - len(want), 2))
         assert stalled[1].tolist() == want
 
     def test_fixed_grid_stall_raises_the_reference_error(self):
-        controls = sl.StepControls(dt=0.1)
         start = sl.PhaseState([0.5], [0.25])
-        want = raw_error(stiff_where_q_positive(), start.p, start.q, 0.1, np.zeros(1), controls)
+        want = raw_error(stiff_where_q_positive(), start.p, start.q, 0.1, np.zeros(1))
         with pytest.raises(NonConvergenceError) as info:
             sl.integrate_fixed_grid(
-                stiff_where_q_positive(), "symplectic", start, 0.0, 1.0, empty_path(1.0), controls
+                stiff_where_q_positive(), "symplectic", start, 0.0, 1.0, empty_path(1.0), 0.1
             )
         assert str(info.value) == f"step 0 (t=0): {want}"
         assert (info.value.step, info.value.residual) == (0, want.residual)
@@ -950,12 +906,6 @@ class TestStepLanes:
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: sl.StepControls(dt=True),
-        lambda: sl.StepControls(dt=0.1, implicit_tol="x"),
-        lambda: sl.StepControls(dt=0.1, implicit_tol=True),
-        lambda: sl.StepControls(dt=0.1, implicit_max_iters=True),
-        lambda: sl.StepControls(dt=0.1, jump_substeps=True),
-        lambda: sl.StepControls(dt="0.1"),
         lambda: sl.jump_flow(kubo(), unit_start(), [0.1], substeps=True),
         lambda: sl.HamiltonianSystem(n=True, m=False, sigma=(abs,), gamma=(abs,), hamiltonians=(abs,)),
         lambda: sl.HamiltonianSystem(n=1, m=False, sigma=(abs,), gamma=(abs,), hamiltonians=(abs,)),
@@ -967,13 +917,13 @@ class TestStepLanes:
         lambda: sl.LevyPath(spec=sl.LevyPathSpec(rate=1.0, mark_sigma=0.1), horizon=True, events=()),
         lambda: sl.sample_path(sl.LevyPathSpec(rate=1.0, mark_sigma=0.1), True),
         lambda: sl.integrate_fixed_grid(kubo(), "symplectic", unit_start(), 0.0, True, empty_path(2.0),
-                                        sl.StepControls(dt=0.1)),
+                                        0.1),
         lambda: sl.integrate_fixed_grid(kubo(), "explicit", unit_start(), False, 1.0, empty_path(2.0),
-                                        sl.StepControls(dt=0.1)),
+                                        0.1),
         lambda: sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, True, [empty_path(2.0)],
-                                            sl.StepControls(dt=0.1)),
+                                            0.1),
         lambda: sl.integrate_pathwise_batch(kubo(), unit_start(), False, 1.0, [empty_path(2.0)],
-                                            sl.StepControls(dt=0.1)),
+                                            0.1),
     ],
 )
 def test_specs_refuse_booleans_and_non_numbers(build):
@@ -981,41 +931,60 @@ def test_specs_refuse_booleans_and_non_numbers(build):
         build()
 
 
+class TestStepSize:
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf, True, "0.1"])
+    @pytest.mark.parametrize("driver", ["fixed-grid", "pathwise", "batch", "batch-list"])
+    def test_a_step_that_is_not_a_finite_positive_real_is_refused(self, driver, dt):
+        path = empty_path(1.0)
+        runs = {
+            "fixed-grid": lambda: sl.integrate_fixed_grid(kubo(), "explicit", unit_start(), 0.0, 1.0,
+                                                          path, dt),
+            "pathwise": lambda: sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, dt),
+            "batch": lambda: sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, [path] * 2,
+                                                         dt),
+            "batch-list": lambda: sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0,
+                                                              [path] * 2, [0.1, dt]),
+        }
+        message = f"^dt must be a finite positive number, got {re.escape(repr(dt))}$"
+        with pytest.raises(InvalidSpecError, match=message):
+            runs[driver]()
+
+
 class TestPathwiseLanes:
     @pytest.mark.parametrize("system", [kubo(), anharmonic()], ids=["kubo", "anharmonic"])
     def test_each_lane_equals_its_path_alone(self, system):
         paths = [sampled(seed) for seed in range(6)] + [empty_path(10.0)]
-        controls = sl.StepControls(dt=0.05)
-        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 10.0, paths, controls)
+        dt = 0.05
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 10.0, paths, dt)
         assert len(lanes) == len(paths)
         for path, lane in zip(paths, lanes):
-            alone = sl.integrate_pathwise(system, unit_start(), 0.0, 10.0, path, controls)
+            alone = sl.integrate_pathwise(system, unit_start(), 0.0, 10.0, path, dt)
             assert_same_run(lane, alone)
-            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 10.0, path, controls))
+            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 10.0, path, dt))
         order = [3, 6, 0, 5, 1, 4, 2]
         permuted = sl.integrate_pathwise_batch(
-            system, unit_start(), 0.0, 10.0, [paths[i] for i in order], controls
+            system, unit_start(), 0.0, 10.0, [paths[i] for i in order], dt
         )
         for i, lane in zip(order, permuted):
             assert_same_run(lane, lanes[i])
 
     def test_events_on_grid_nodes_and_lanes_without_events(self):
-        controls = sl.StepControls(dt=0.25)
+        dt = 0.25
         paths = [
             event_path([(0.25, 1, 0.4), (0.5, 1, -0.3), (1.75, 1, 0.2)], 2.0),
             empty_path(2.0),
             event_path([(2.0, 1, 0.5)], 2.0),  # a jump at T ends the run
             event_path([(0.1, 1, 0.3)], 2.0),
         ]
-        lanes = sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 2.0, paths, controls)
+        lanes = sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 2.0, paths, dt)
         for path, lane in zip(paths, lanes):
-            assert_same_run(lane, scalar_pathwise(kubo(), unit_start(), 0.0, 2.0, path, controls))
+            assert_same_run(lane, scalar_pathwise(kubo(), unit_start(), 0.0, 2.0, path, dt))
         assert np.count_nonzero(lanes[0].times == 0.5) == 2
         assert len(lanes[1]) == 9
         assert lanes[2].times[-2] == lanes[2].times[-1] == 2.0
 
     def test_simultaneous_events_on_two_channels(self):
-        controls = sl.StepControls(dt=0.1)
+        dt = 0.1
         paths = [
             event_path([(0.3, 1, 0.5), (0.3, 2, -0.7), (0.6, 2, 0.4)], 1.0, channels=2),
             event_path([(0.3, 2, 0.9), (0.45, 1, 0.2)], 1.0, channels=2),
@@ -1023,10 +992,10 @@ class TestPathwiseLanes:
             event_path([(0.3, 1, 0.6), (0.3, 2, 0.0)], 1.0, channels=2),
         ]
         system = two_channel()
-        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 1.0, paths, controls)
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 1.0, paths, dt)
         for path, lane in zip(paths, lanes):
-            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 1.0, path, controls))
-            assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 1.0, path, controls))
+            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 1.0, path, dt))
+            assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 1.0, path, dt))
 
     def test_evaluator_that_mixes_lanes_is_refused(self):
         mixing = sl.HamiltonianSystem(
@@ -1038,13 +1007,11 @@ class TestPathwiseLanes:
         )
         paths = [sampled(0, 1.0), sampled(1, 1.0)]
         with pytest.raises(DomainError, match=r"sigma\[0\]"):
-            sl.integrate_pathwise_batch(
-                mixing, unit_start(), 0.0, 1.0, paths, sl.StepControls(dt=0.1)
-            )
+            sl.integrate_pathwise_batch(mixing, unit_start(), 0.0, 1.0, paths, 0.1)
 
     def test_rejects_an_empty_batch(self):
         with pytest.raises(DomainError):
-            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, [], sl.StepControls(dt=0.1))
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, [], 0.1)
 
 
 def assert_record_matches_reference(system, paths, t0, T, dts):
@@ -1116,9 +1083,9 @@ class TestLaneRecord:
         # lane 1 drifts 20 ticks in each of its 4 segments and takes 3
         # jumps: 83 steps, though no segment has more than 20
         paths = [empty_path(4.0), event_path([(1.0, 1, 0.1), (2.0, 1, 0.2), (3.0, 1, 0.3)], 4.0)]
-        controls = [sl.StepControls(dt=0.1), sl.StepControls(dt=0.05)]
+        dt = [0.1, 0.05]
         monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 83)
-        rec = _pathwise_record(kubo(), unit_start(), 0.0, 4.0, paths, controls, "explicit")
+        rec = _pathwise_record(kubo(), unit_start(), 0.0, 4.0, paths, dt, "explicit")
         assert list(rec.hi - rec.lo) == [41, 84]
 
         def refuse(*args, **kwargs):
@@ -1127,7 +1094,7 @@ class TestLaneRecord:
         monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 82)
         monkeypatch.setattr(integrators, "_Record", refuse)
         with pytest.raises(InvalidSpecError) as err:
-            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 4.0, paths, controls)
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 4.0, paths, dt)
         assert str(err.value) == (
             "path 1 takes 83 steps (drift ticks and jumps), over the limit MAX_GRID_STEPS = 82"
         )
@@ -1147,35 +1114,31 @@ class TestPerLaneControls:
         paths = [sampled_on(system, seed, 4.0) for seed in range(6)] + [empty_path(4.0)]
         if system.m == 2:
             paths[-1] = sampled_on(system, 99, 4.0)
-        controls = [sl.StepControls(dt=dt) for dt in dts]
-        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, controls)
-        for path, step, lane in zip(paths, controls, lanes):
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, dts)
+        for path, step, lane in zip(paths, dts, lanes):
             alone = sl.integrate_pathwise(system, unit_start(), 0.0, 4.0, path, step)
             assert_same_run(lane, alone)
             assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 4.0, path, step))
-        # a list of equal controls runs as the one StepControls does
-        listed = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, [controls[0]] * 7)
-        single = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, controls[0])
+        # a list of equal steps runs as the one number does
+        listed = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, [dts[0]] * 7)
+        single = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, dts[0])
         for a, b in zip(listed, single, strict=True):
             assert_same_run(a, b)
 
     @pytest.mark.parametrize(
-        "controls",
+        "dt, error",
         [
-            [sl.StepControls(dt=0.1), sl.StepControls(dt=0.05, implicit_tol=1e-10)],
-            [sl.StepControls(dt=0.1), sl.StepControls(dt=0.1, implicit_max_iters=20)],
-            [sl.StepControls(dt=0.1), sl.StepControls(dt=0.2, jump_substeps=8)],
-            [sl.StepControls(dt=0.1)],
-            [sl.StepControls(dt=0.1)] * 3,
-            (sl.StepControls(dt=0.1), 0.1),
-            None,
+            ([0.1], DomainError),
+            ([0.1] * 3, DomainError),
+            ((0.1, "0.1"), InvalidSpecError),
+            (None, InvalidSpecError),
         ],
-        ids=["tol", "max-iters", "substeps", "too-short", "too-long", "not-controls", "none"],
+        ids=["too-short", "too-long", "not-numbers", "none"],
     )
-    def test_controls_that_do_not_fit_the_batch_are_refused(self, controls):
+    def test_controls_that_do_not_fit_the_batch_are_refused(self, dt, error):
         paths = [sampled(0, 1.0), sampled(1, 1.0)]
-        with pytest.raises(DomainError):
-            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, controls)
+        with pytest.raises(error):
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, dt)
 
     def test_lowest_failing_lane_of_a_mixed_dt_batch_raises_its_error(self):
         # a rotation at rate 30 diverges for 30 dt > 2 (symplectic Euler's
@@ -1199,16 +1162,15 @@ class TestPerLaneControls:
         paths = [sampled(seed, 3.0) for seed in range(5)]
         cases = ((spin, [0.01, 0.09, 0.01, 0.1, 0.08]), (stiff, [0.01, 0.04, 0.02, 0.05, 0.01]))
         for system, dts in cases:
-            controls = [sl.StepControls(dt=dt) for dt in dts]
             alone = {}
             for b, dt in enumerate(dts):
                 if 30.0 * dt > 1.0:
-                    alone[b] = run_error(system, [paths[b]], 3.0, controls[b])
+                    alone[b] = run_error(system, [paths[b]], 3.0, dt)
                 else:
-                    sl.integrate_pathwise(system, unit_start(), 0.0, 3.0, paths[b], controls[b])
+                    sl.integrate_pathwise(system, unit_start(), 0.0, 3.0, paths[b], dt)
             assert len({(err.step, str(err)) for err in alone.values()}) == len(alone)
             for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [0, 2, 3, 4], [2, 0, 4, 1], [3, 1]):
-                got = run_error(system, [paths[b] for b in order], 3.0, [controls[b] for b in order])
+                got = run_error(system, [paths[b] for b in order], 3.0, [dts[b] for b in order])
                 want = alone[next(b for b in order if b in alone)]
                 assert_same_error(got, want)
                 assert getattr(got, "residual", None) == getattr(want, "residual", None)
@@ -1225,25 +1187,25 @@ class TestPerLaneControls:
             hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
         )
         paths = [sampled(seed, 3.0) for seed in range(5)]
-        controls = [sl.StepControls(dt=dt) for dt in (0.01, 0.1, 0.02, 0.05, 0.005)]
+        dts = [0.01, 0.1, 0.02, 0.05, 0.005]
 
         def explicit_error(lanes):
             with pytest.raises(DivergenceError) as info:
                 _pathwise_record(spin, unit_start(), 0.0, 3.0, [paths[b] for b in lanes],
-                                 [controls[b] for b in lanes], "explicit")
+                                 [dts[b] for b in lanes], "explicit")
             return info.value
 
         alone = {}
         for b in range(5):
-            if controls[b].dt >= 0.05:
+            if dts[b] >= 0.05:
                 alone[b] = explicit_error([b])
                 with pytest.raises(DivergenceError) as scalar:
-                    scalar_pathwise(spin, unit_start(), 0.0, 3.0, paths[b], controls[b], "explicit")
+                    scalar_pathwise(spin, unit_start(), 0.0, 3.0, paths[b], dts[b], "explicit")
                 assert_same_error(alone[b], scalar.value)
             else:
-                rec = _pathwise_record(spin, unit_start(), 0.0, 3.0, [paths[b]], controls[b],
+                rec = _pathwise_record(spin, unit_start(), 0.0, 3.0, [paths[b]], dts[b],
                                        "explicit")
-                want = scalar_pathwise(spin, unit_start(), 0.0, 3.0, paths[b], controls[b],
+                want = scalar_pathwise(spin, unit_start(), 0.0, 3.0, paths[b], dts[b],
                                        "explicit")
                 assert_same_run(rec.trajectory(0), want)
         assert alone[1].step != alone[3].step
@@ -1253,9 +1215,9 @@ class TestPerLaneControls:
             assert_same_error(explicit_error(order), want)
 
 
-def run_error(system, paths, T, controls):
+def run_error(system, paths, T, dt):
     with pytest.raises((DivergenceError, NonConvergenceError)) as info:
-        sl.integrate_pathwise_batch(system, unit_start(), 0.0, T, paths, controls)
+        sl.integrate_pathwise_batch(system, unit_start(), 0.0, T, paths, dt)
     return info.value
 
 
@@ -1282,7 +1244,7 @@ class TestPathwiseLaneFailures:
             gamma=(lambda p, q: p, lambda p, q: 0.0 * p),
             hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
         )
-        controls = sl.StepControls(dt=0.5)
+        dt = 0.5
         paths = {
             "drift": empty_path(40.0),
             "early flow": event_path([(1.0, 1, 1e200)], 40.0),
@@ -1295,7 +1257,7 @@ class TestPathwiseLaneFailures:
         with np.errstate(over="ignore", invalid="ignore"):
             for name, path in paths.items():
                 if name != "healthy":
-                    alone[name] = run_error(blow, [path], T, controls)
+                    alone[name] = run_error(blow, [path], T, dt)
             assert isinstance(alone["drift"], DivergenceError)
             assert alone["early flow"].partial.times[-1] == 1.0
             orders = [
@@ -1305,10 +1267,10 @@ class TestPathwiseLaneFailures:
                 ["early flow", "late flow", "drift"],
             ]
             for order in orders:
-                got = run_error(blow, [paths[name] for name in order], T, controls)
+                got = run_error(blow, [paths[name] for name in order], T, dt)
                 assert_same_error(got, alone[order[0]])
             healthy = sl.integrate_pathwise_batch(
-                blow, unit_start(), 0.0, 20.0, [paths["healthy"]] * 2, sl.StepControls(dt=0.5)
+                blow, unit_start(), 0.0, 20.0, [paths["healthy"]] * 2, 0.5
             )
             assert_same_run(healthy[0], healthy[1])
 
@@ -1322,17 +1284,17 @@ class TestPathwiseLaneFailures:
             gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.0 * p),
             hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
         )
-        controls = sl.StepControls(dt=0.25)
+        dt = 0.25
         paths = [
             event_path([(0.3, 1, 0.5), (1.6, 1, 3e12)], 2.0),
             event_path([(0.5, 1, 2e12)], 2.0),
             event_path([(0.9, 1, 0.5)], 2.0),
         ]
-        first, second = (run_error(kick, [path], 2.0, controls) for path in paths[:2])
+        first, second = (run_error(kick, [path], 2.0, dt) for path in paths[:2])
         assert (first.time, first.step) == (1.6, 8)
         assert (second.time, second.step) == (0.5, 2)
         for order, want in (([0, 1, 2], first), ([1, 0], second), ([2, 1, 0], second)):
-            got = run_error(kick, [paths[i] for i in order], 2.0, controls)
+            got = run_error(kick, [paths[i] for i in order], 2.0, dt)
             assert_same_error(got, want)
 
     def test_lowest_failing_lane_raises_its_own_non_convergence(self):
@@ -1345,16 +1307,16 @@ class TestPathwiseLaneFailures:
             gamma=(lambda p, q: 0.0 * p, lambda p, q: 0.1 * p),
             hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
         )
-        controls = sl.StepControls(dt=0.1)
+        dt = 0.1
         paths = [
             empty_path(1.0),
             event_path([(0.01, 1, 0.3)], 1.0),
             event_path([(0.02, 1, 0.3), (0.04, 1, -0.2)], 1.0),
         ]
-        alone = [run_error(stiff, [path], 1.0, controls) for path in paths]
+        alone = [run_error(stiff, [path], 1.0, dt) for path in paths]
         assert [err.step for err in alone] == [0, 1, 2]
         for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0], [2, 0]):
-            got = run_error(stiff, [paths[i] for i in order], 1.0, controls)
+            got = run_error(stiff, [paths[i] for i in order], 1.0, dt)
             assert_same_error(got, alone[order[0]])
             assert got.residual == alone[order[0]].residual
 
@@ -1369,10 +1331,10 @@ class TestPathwiseLaneFailures:
 )
 def test_every_lane_equals_its_path_alone(seeds, dts, anharmonic_drift, scheme, marks):
     system = anharmonic() if anharmonic_drift else kubo()
-    controls = [sl.StepControls(dt=dt) for dt in dts[: len(seeds)]]
+    dts = dts[: len(seeds)]
     paths = [sampled(seed, 3.0) for seed in seeds]
-    lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 3.0, paths, controls)
-    for path, step, lane in zip(paths, controls, lanes):
+    lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 3.0, paths, dts)
+    for path, step, lane in zip(paths, dts, lanes):
         assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 3.0, path, step))
         assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 3.0, path, step))
         assert_same_run(
@@ -1380,22 +1342,22 @@ def test_every_lane_equals_its_path_alone(seeds, dts, anharmonic_drift, scheme, 
             scalar_fixed_grid(system, scheme, unit_start(), 0.0, 3.0, path, step),
         )
     # the same mixed-dt batch with `scheme` drift: every lane as the scalar run
-    rec = _pathwise_record(system, unit_start(), 0.0, 3.0, paths, controls, scheme)
-    for b, (path, step) in enumerate(zip(paths, controls)):
+    rec = _pathwise_record(system, unit_start(), 0.0, 3.0, paths, dts, scheme)
+    for b, (path, step) in enumerate(zip(paths, dts)):
         assert_same_run(rec.trajectory(b),
                         scalar_pathwise(system, unit_start(), 0.0, 3.0, path, step, scheme))
     # one kernel step from every lane's end state, each lane with its own
     # step and a nonzero increment
     p = np.array([lane.ps[-1] for lane in lanes])
     q = np.array([lane.qs[-1] for lane in lanes])
-    steps = np.array([[step.dt * (b + 1) / len(lanes)] for b, step in enumerate(controls)])
+    steps = np.array([[step * (b + 1) / len(lanes)] for b, step in enumerate(dts)])
     dl = np.resize(marks, (len(lanes), 1))
-    tol, max_iters = controls[0].implicit_tol, controls[0].implicit_max_iters
     implicit = len(p) if scheme == "symplectic" else 0
-    got_p, got_q, stalled = _step_lanes(system, implicit, p, q, steps, dl, tol, max_iters)
+    got_p, got_q, stalled = _step_lanes(system, implicit, p, q, steps, dl, _IMPLICIT_TOL,
+                                        _IMPLICIT_MAX_ITERS)
     assert stalled is None
     for b in range(len(lanes)):
-        want_p, want_q = raw_step(system, scheme, p[b], q[b], steps[b, 0], dl[b], controls[b])
+        want_p, want_q = raw_step(system, scheme, p[b], q[b], steps[b, 0], dl[b])
         assert np.array_equal(got_p[b], want_p)
         assert np.array_equal(got_q[b], want_q)
 
@@ -1443,21 +1405,20 @@ class TestLaneJumps:
         self.assert_matches_reference(two_channel(), paths[::-1], 1.25, 4.5)
 
 
-def per_step_fixed_grid(system, scheme, initial, t0, T, path, controls):
+def per_step_fixed_grid(system, scheme, initial, t0, T, path, dt):
     """The fixed-grid driver with a range check after every step, as the block check's reference.
 
     Each step is one lane-kernel call on one state, so numpy warnings
     come from the same source lines as the driver's.
     """
-    times = grid_times(t0, T, controls.dt)
+    times = grid_times(t0, T, dt)
     dls = np.column_stack([sl.grid_increments(path, r, times) for r in range(1, system.m + 1)])
-    tol, max_iters = controls.implicit_tol, controls.implicit_max_iters
     ps, qs = [initial.p], [initial.q]
     for j in range(times.size - 1):
         dl = dls[j : j + 1] if dls[j].any() else None
         step = np.array([[times[j + 1] - times[j]]])
         p, q, stalled = _step_lanes(system, int(scheme == "symplectic"), ps[-1][None],
-                                    qs[-1][None], step, dl, tol, max_iters)
+                                    qs[-1][None], step, dl, _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS)
         if stalled is not None:
             raise NonConvergenceError(f"step {j} stalled", residual=float(stalled[1][0]), step=j)
         if not (np.abs(p).max() <= sl.DIVERGENCE_LIMIT and np.abs(q).max() <= sl.DIVERGENCE_LIMIT):
@@ -1484,14 +1445,14 @@ def doubling(sigma0=lambda p, q: 0.0 * p, gamma0=lambda p, q: 10.0 * q):
     )
 
 
-def both_errors(system, scheme, T, path, controls):
+def both_errors(system, scheme, T, path, dt):
     """The driver's and the per-step reference's errors, with the warnings each issued."""
     errors = []
     for run in (sl.integrate_fixed_grid, per_step_fixed_grid):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(Exception) as info:
-                run(system, scheme, unit_start(), 0.0, T, path, controls)
+                run(system, scheme, unit_start(), 0.0, T, path, dt)
         seen = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
         errors.append((info.value, seen))
     return errors
@@ -1501,8 +1462,8 @@ class TestFixedGridBlocks:
     @pytest.mark.parametrize("block", [1, 3, 7])
     @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
     def test_block_size_does_not_change_the_trajectory(self, monkeypatch, block, scheme):
-        controls = sl.StepControls(dt=0.05)
-        args = (unit_start(), 0.0, 10.0, sampled(3), controls)
+        dt = 0.05
+        args = (unit_start(), 0.0, 10.0, sampled(3), dt)
         for system in (kubo(), anharmonic()):
             default = sl.integrate_fixed_grid(system, scheme, *args)
             monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
@@ -1525,7 +1486,7 @@ class TestFixedGridBlocks:
 
         system = doubling(sigma0=saturating) if overflow else doubling()
         (got, got_warnings), (want, want_warnings) = both_errors(
-            system, "symplectic", 10.0, empty_path(10.0), sl.StepControls(dt=0.1)
+            system, "symplectic", 10.0, empty_path(10.0), 0.1
         )
         assert want.step == 39
         assert_same_error(got, want)
@@ -1537,7 +1498,7 @@ class TestFixedGridBlocks:
         # alpha * p and leaves the range at step 5215, mid-block
         system = sl.kubo_system(sl.KuboParams(alpha=1e297, beta=0.1))
         (got, got_warnings), (want, want_warnings) = both_errors(
-            system, "explicit", 1e-294, empty_path(1e-294), sl.StepControls(dt=1e-298)
+            system, "explicit", 1e-294, empty_path(1e-294), 1e-298
         )
         assert want.step == 5215
         assert_same_error(got, want)
@@ -1547,9 +1508,7 @@ class TestFixedGridBlocks:
         # the momentum solve expands (30 dt > 1) from the state after step
         # 39 on, so the block also stalls at step 40
         stiff = doubling(sigma0=lambda p, q: np.where(np.abs(q) > 1e12, 30.0 * p + q, 0.0 * p))
-        (got, _), (want, _) = both_errors(
-            stiff, "symplectic", 10.0, empty_path(10.0), sl.StepControls(dt=0.1)
-        )
+        (got, _), (want, _) = both_errors(stiff, "symplectic", 10.0, empty_path(10.0), 0.1)
         assert isinstance(want, DivergenceError) and want.step == 39
         assert_same_error(got, want)
 
@@ -1563,7 +1522,7 @@ class TestFixedGridBlocks:
             return 10.0 * q
 
         (got, _), (want, _) = both_errors(
-            doubling(gamma0=gamma0), "symplectic", 10.0, empty_path(10.0), sl.StepControls(dt=0.1)
+            doubling(gamma0=gamma0), "symplectic", 10.0, empty_path(10.0), 0.1
         )
         if limit == 1e12:
             assert isinstance(want, DivergenceError)
@@ -1580,12 +1539,12 @@ class TestFixedGridBlocks:
             return 1e297 * q
 
         system = doubling(sigma0=sigma0, gamma0=lambda p, q: -1e297 * p)
-        controls = sl.StepControls(dt=1e-298)
+        dt = 1e-298
         last = []
         for run in (sl.integrate_fixed_grid, per_step_fixed_grid):
             seen.clear()
             with np.errstate(all="raise"), pytest.raises(FloatingPointError) as info:
-                run(system, "explicit", unit_start(), 0.0, 1e-294, empty_path(1e-294), controls)
+                run(system, "explicit", unit_start(), 0.0, 1e-294, empty_path(1e-294), dt)
             last.append((str(info.value), seen[-1]))
         assert last[0] == last[1]
 
@@ -1619,7 +1578,7 @@ class TestPythonWarnings:
     @pytest.mark.parametrize("T", [2.0, 10.0])  # the run ends, or diverges at step 39
     def test_each_warning_is_issued_once(self, T):
         system = doubling(gamma0=warning_gamma(1e3, 3e3))
-        args = (system, unit_start(), 0.0, T, empty_path(T), sl.StepControls(dt=0.1))
+        args = (system, unit_start(), 0.0, T, empty_path(T), 0.1)
         runs = {
             "fixed grid": (sl.integrate_fixed_grid, system, "symplectic", *args[1:]),
             "per-step fixed grid": (per_step_fixed_grid, system, "symplectic", *args[1:]),
@@ -1650,7 +1609,7 @@ class TestPythonWarnings:
             system = doubling(sigma0=saturating)
         else:
             system = doubling(gamma0=warning_gamma(1e3, math.inf))
-        args = (unit_start(), 0.0, 10.0, empty_path(10.0), sl.StepControls(dt=0.1))
+        args = (unit_start(), 0.0, 10.0, empty_path(10.0), 0.1)
         counts = []
         for run in (sl.integrate_fixed_grid, per_step_fixed_grid, sl.integrate_pathwise,
                     scalar_pathwise):
@@ -1670,7 +1629,7 @@ def issued(caught):
     return [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
-def lanes_and_alone(system, T, path, controls):
+def lanes_and_alone(system, T, path, dt):
     """Each scheme's outcome from one record of both, and from its run alone, with warnings.
 
     An outcome is a Trajectory or the error the run raises. The record's
@@ -1681,7 +1640,7 @@ def lanes_and_alone(system, T, path, controls):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for run in integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, T, path,
-                                                 controls):
+                                                 dt):
             lanes.append((run, issued(caught)))
             caught.clear()
     alone = []
@@ -1689,7 +1648,7 @@ def lanes_and_alone(system, T, path, controls):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                run = sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, T, path, controls)
+                run = sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, T, path, dt)
             except Exception as err:
                 run = err
         alone.append((run, issued(caught)))
@@ -1729,15 +1688,14 @@ class TestFixedGridLanes:
     )
     def test_each_lane_equals_its_scheme_alone(self, monkeypatch, block, system):
         monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
-        controls = sl.StepControls(dt=0.05)
         path = sampled_on(system, 3, 6.0)
-        lanes, alone = lanes_and_alone(system, 6.0, path, controls)
+        lanes, alone = lanes_and_alone(system, 6.0, path, 0.05)
         for scheme, (got, got_warnings), (want, want_warnings) in zip(SCHEMES, lanes, alone):
             assert got_warnings == want_warnings == []
             assert_same_outcome(got, want)
             assert got.scheme_tag == scheme
             assert_same_run(got, per_step_fixed_grid(system, scheme, unit_start(), 0.0, 6.0, path,
-                                                     controls))
+                                                     0.05))
 
     # (system, dt, T, outcome types, symplectic then explicit)
     FAILURES = {
@@ -1756,15 +1714,15 @@ class TestFixedGridLanes:
     def test_each_lane_fails_as_alone(self, monkeypatch, block, case):
         monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
         build, dt, T, kinds = self.FAILURES[case]
-        system, controls, path = build(), sl.StepControls(dt=dt), sampled(7, T)
-        lanes, alone = lanes_and_alone(system, T, path, controls)
+        system, path = build(), sampled(7, T)
+        lanes, alone = lanes_and_alone(system, T, path, dt)
         for scheme, kind, (got, got_warnings), (want, want_warnings) in zip(SCHEMES, kinds, lanes,
                                                                              alone):
             assert type(want) is kind
             assert got_warnings == want_warnings == []
             assert_same_outcome(got, want)
             try:
-                reference = per_step_fixed_grid(system, scheme, unit_start(), 0.0, T, path, controls)
+                reference = per_step_fixed_grid(system, scheme, unit_start(), 0.0, T, path, dt)
             except NonConvergenceError as err:
                 assert (got.step, got.residual) == (err.step, err.residual)
             except DivergenceError as err:
@@ -1783,10 +1741,10 @@ class TestFixedGridLanes:
             return 0.0 * p + 1.0 / (1.0 + np.exp(q))
 
         if case == "overflow":
-            system, controls, T = doubling(sigma0=saturating), sl.StepControls(dt=0.1), 10.0
+            system, dt, T = doubling(sigma0=saturating), 0.1, 10.0
         else:
-            system, controls, T = hyperbolic(warns_beyond(1e10)), sl.StepControls(dt=1.0), 60.0
-        lanes, alone = lanes_and_alone(system, T, empty_path(T), controls)
+            system, dt, T = hyperbolic(warns_beyond(1e10)), 1.0, 60.0
+        lanes, alone = lanes_and_alone(system, T, empty_path(T), dt)
         for (got, got_warnings), (want, want_warnings) in zip(lanes, alone):
             assert isinstance(want, DivergenceError)
             assert_same_outcome(got, want)
@@ -1811,8 +1769,8 @@ class TestFixedGridLanes:
             gamma=(gamma0, lambda p, q: 0.0 * p),
             hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
         )
-        path, controls = event_path([(120.5, 1, 1.7e308)], 150.0), sl.StepControls(dt=1.5)
-        lanes, alone = lanes_and_alone(system, 150.0, path, controls)
+        path, dt = event_path([(120.5, 1, 1.7e308)], 150.0), 1.5
+        lanes, alone = lanes_and_alone(system, 150.0, path, dt)
         for kind, (got, got_warnings), (want, want_warnings) in zip(
             (NonConvergenceError, DivergenceError), lanes, alone
         ):
@@ -1826,13 +1784,12 @@ class TestFixedGridLanes:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rows.clear()
-            list(integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, 150.0, path,
-                                               controls))
+            list(integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, 150.0, path, dt))
             resumed = rows.count(1)
             rows.clear()
             for scheme in SCHEMES:
                 with pytest.raises((NonConvergenceError, DivergenceError)):
-                    sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 150.0, path, controls)
+                    sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 150.0, path, dt)
         assert 0 < resumed < len(rows)
 
     def test_a_block_where_both_lanes_are_noisy_is_not_run_again_from_t0(self, monkeypatch):
@@ -1848,17 +1805,17 @@ class TestFixedGridLanes:
         def saturating(p, q):
             return 0.0 * p + 1.0 / (1.0 + np.exp(q))
 
-        system, controls = doubling(sigma0=saturating, gamma0=gamma0), sl.StepControls(dt=0.1)
+        system, dt = doubling(sigma0=saturating, gamma0=gamma0), 0.1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             runs = list(integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, 10.0,
-                                                      empty_path(10.0), controls))
+                                                      empty_path(10.0), dt))
             paired = list(rows)
             rows.clear()
             for scheme, run in zip(SCHEMES, runs):
                 with pytest.raises(DivergenceError) as info:
                     sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 10.0,
-                                            empty_path(10.0), controls)
+                                            empty_path(10.0), dt)
                 assert_same_outcome(run, info.value)
         # 3 clean blocks and the noisy one's unchecked pass as a pair, then
         # every one-lane step the runs alone make after tick 9
@@ -1875,7 +1832,7 @@ class TestFixedGridLanes:
             return p
 
         runs = integrators._fixed_grid_lanes(hyperbolic(gamma0), SCHEMES, unit_start(), 0.0, 60.0,
-                                             empty_path(60.0), sl.StepControls(dt=1.0))
+                                             empty_path(60.0), 1.0)
         with pytest.raises(ValueError, match="q beyond 1e6"):
             next(runs)
         # the record of both lanes, dropped at the error, then the symplectic lane alone
@@ -1899,9 +1856,8 @@ def growth(gamma0=lambda p, q: 10.0 * q, sigma0=lambda p, q: 0.0 * p):
 
 def lane_errors(system, paths, dts, T):
     """The batch's error and warnings, and those of the lowest lane that fails alone."""
-    controls = [sl.StepControls(dt=dt) for dt in dts]
-    got = recorded(sl.integrate_pathwise_batch, system, unit_start(), 0.0, T, paths, controls)
-    for path, step in zip(paths, controls):
+    got = recorded(sl.integrate_pathwise_batch, system, unit_start(), 0.0, T, paths, dts)
+    for path, step in zip(paths, dts):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -1917,11 +1873,10 @@ class TestLaneBlocks:
     def test_block_size_does_not_change_the_record(self, monkeypatch, block, system):
         dts = [0.08, 0.01, 0.05, 0.3, 0.013]
         paths = [sampled(seed, 4.0) for seed in range(4)] + [empty_path(4.0)]
-        controls = [sl.StepControls(dt=dt) for dt in dts]
-        default = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, controls)
+        default = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, dts)
         monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
-        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, controls)
-        for path, step, lane, want in zip(paths, controls, lanes, default, strict=True):
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 4.0, paths, dts)
+        for path, step, lane, want in zip(paths, dts, lanes, default, strict=True):
             assert_same_run(lane, want)
             assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 4.0, path, step))
 
@@ -1973,7 +1928,7 @@ class TestLaneBlocks:
         dts = [0.1, 0.05, 0.01]
         (got, _), (want, _) = lane_errors(system, paths, dts, 3.0)
         with pytest.raises(DivergenceError) as first:
-            scalar_pathwise(system, unit_start(), 0.0, 3.0, paths[2], sl.StepControls(dt=0.01))
+            scalar_pathwise(system, unit_start(), 0.0, 3.0, paths[2], 0.01)
         assert 20 < first.value.step < want.step
         assert_same_error(got, want)
 
@@ -1989,7 +1944,7 @@ def stall_after_a_huge_mark():
         gamma=(lambda p, q: p, lambda p, q: 0.0 * p),
         hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
     )
-    return system, event_path([(120.5, 1, 1.7e308)], 150.0), sl.StepControls(dt=1.5)
+    return system, event_path([(120.5, 1, 1.7e308)], 150.0), 1.5
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
@@ -2005,8 +1960,8 @@ def test_a_noisy_block_of_the_first_lane_alone_runs_again_in_the_record(monkeypa
         return grid_runs(system, schemes, *args)
 
     monkeypatch.setattr(integrators, "_grid_runs", counted)
-    system, path, controls = stall_after_a_huge_mark()
-    lanes, alone = lanes_and_alone(system, 150.0, path, controls)
+    system, path, dt = stall_after_a_huge_mark()
+    lanes, alone = lanes_and_alone(system, 150.0, path, dt)
     for kind, (got, got_warnings), (want, want_warnings) in zip(
         (NonConvergenceError, DivergenceError), lanes, alone
     ):
@@ -2046,11 +2001,10 @@ def assert_batch_as_alone(system, paths, dts, T):
     That is each path's run, or the lowest failing path's error after the
     warnings of the paths before it; returns the batch's outcome.
     """
-    controls = [sl.StepControls(dt=dt) for dt in dts]
     got, got_warnings = outcome(sl.integrate_pathwise_batch, system, unit_start(), 0.0, T, paths,
-                                controls)
+                                dts)
     seen = []
-    for b, (path, step) in enumerate(zip(paths, controls)):
+    for b, (path, step) in enumerate(zip(paths, dts)):
         want, want_warnings = outcome(sl.integrate_pathwise, system, unit_start(), 0.0, T, path, step)
         scalar, scalar_warnings = outcome(scalar_pathwise, system, unit_start(), 0.0, T, path, step)
         assert want_warnings == scalar_warnings
@@ -2083,10 +2037,10 @@ class TestOnePass:
         lanes = {name: (event_path(events, 2.0), dt) for name, events, dt in (
             ("quiet", self.QUIET, 0.05), ("flow", self.FLOW, 0.01), ("kick", self.KICK, 0.02))}
         kick, _ = outcome(sl.integrate_pathwise, kicks(), unit_start(), 0.0, 2.0, lanes["kick"][0],
-                          sl.StepControls(dt=0.02))
+                          0.02)
         assert list(kick.partial.times[-2:]) == [0.35, 0.35] and kick.time > 0.35
         flow, flow_warnings = outcome(sl.integrate_pathwise, kicks(), unit_start(), 0.0, 2.0,
-                                      lanes["flow"][0], sl.StepControls(dt=0.01))
+                                      lanes["flow"][0], 0.01)
         assert str(flow).startswith("jump flow diverged at t=1.3") and flow_warnings
         for order in (["quiet", "flow", "kick"], ["quiet", "kick", "flow"], ["kick", "flow"],
                       ["flow", "quiet", "kick"]):
@@ -2111,7 +2065,7 @@ class TestOnePass:
         paths, dts = [sampled(4, 2.0), loud, sampled(5, 2.0)], [0.05, 0.02, 0.1]
         for path, dt in zip(paths, dts):
             _, warned = outcome(sl.integrate_pathwise, kicks(gamma1), unit_start(), 0.0, 2.0, path,
-                                sl.StepControls(dt=dt))
+                                dt)
             assert bool(warned) == (path is loud)
         for order in ([0, 1, 2], [1, 2, 0]):
             assert_batch_as_alone(kicks(gamma1), [paths[i] for i in order], [dts[i] for i in order],
