@@ -160,7 +160,7 @@ def one_step_jacobian(system, scheme, state, dt, dL, step=FD_STEP):
     """
     x0 = state.as_vector()
     n = x0.size // 2
-    dL = np.atleast_1d(np.asarray(dL, dtype=float))
+    dL = np.atleast_1d(np.asarray(dL))
     jac, failure = _jacobian_lanes(system, scheme, x0[None, :n], x0[None, n:], [dt], dL[None], step)
     if failure is not None:
         raise failure[1]

@@ -25,19 +25,19 @@ Two drivers build trajectories on noise realizations, and one pass,
   linearized). A record holds a lane per scheme (``orbit`` and
   ``hamiltonian`` run both), each ending as its scheme's run alone.
 * ``integrate_pathwise_batch``: jump-adapted stepping of several paths
-  at once, one lane per path (``integrate_pathwise``: one path). Between
-  jumps it substeps the drift ODE with the symplectic Euler map
-  (``converge --scheme explicit`` runs the same lanes with explicit
-  Euler drift); at each jump time it applies the Marcus jump flow to
-  that instant's marks and records both the pre-jump and the post-jump
-  state at the jump time. Each path may have its own step size.
+  at once, one lane per path (``integrate_pathwise``: one path), each at
+  its own step. Between jumps it substeps the drift ODE with the
+  symplectic Euler map (``converge --scheme explicit``: explicit Euler);
+  at each jump time it applies the Marcus jump flow to that instant's
+  marks and records both the pre-jump and the post-jump state. Lanes
+  waiting at a jump share one flow, whatever their jump index (_phases).
 
 Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
-The pass checks for it once per block of steps (ticks and jumps), not
-after each: a block in which a step stalls, numpy records a floating-point
-event, an evaluator raises or warns, or a state is out of range runs again
-from its first state one checked step at a time. Each step is a pure
-function of its state, so the rerun ends where a check after each would.
+The pass checks for it once per block of steps (ticks and jumps): a block
+in which a step stalls, numpy records a floating-point event, an evaluator
+raises or warns, or a state is out of range runs again one checked step at
+a time from its first state. Each step is a pure function of its state, so
+the rerun ends where a check after each would.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ MAX_GRID_STEPS = 1e7
 
 _SCHEMES = ("symplectic", "explicit")
 
-# ndarray.max without the Python-level wrapper it calls, for the kernel's
-# residual checks: (array, axis) -> maxima, bit for bit those of .max
-_max = np.maximum.reduce
+# ndarray.max and .any without their Python-level wrappers, for the kernel's
+# residual checks: (array, axis) -> the results of .max and .any, bit for bit
+_max, _any = np.maximum.reduce, np.logical_or.reduce
 
 # The symplectic step's momentum solve stops at an update of max-norm <= _IMPLICIT_TOL,
 # and stalls after _IMPLICIT_MAX_ITERS sweeps
@@ -169,7 +169,7 @@ def _step_lanes(system, s, p0, q0, dt, dl, tol, max_iters, channels=None):
                 break
             if len(x) > 1:
                 done = _max(diff, 1) <= tol
-                if done.any():
+                if _any(done):
                     rows, keep = np.arange(s)[left], ~done
                     p[rows[done]] = x[done]
                     left, x, pa, qa, dta = rows[keep], x[keep], pa[keep], qa[keep], dta[keep]
@@ -197,13 +197,15 @@ def _one_step(system, scheme, p, q, dt, dL):
 
     Group b is consecutive lanes stepping at dt[b] with increments
     dL[b]; dt is (B,) and dL (B, m). An argument outside the domain
-    (a negative, non-finite or boolean dt, a non-finite dL) raises
-    DomainError with the first bad group's value.
+    (a negative or non-finite dt, a non-finite dL, either not numbers)
+    raises DomainError with the first bad group's value.
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    if np.asarray(dt).dtype == bool:
-        raise DomainError(f"dt must be a number, not a boolean, got {dt[0]!r}")
+    for name, value in (("dt", np.asarray(dt)), ("dL", np.asarray(dL))):
+        if value.dtype.kind not in "iuf":  # a boolean, a string, ...
+            kind = ", not a boolean" if value.dtype == bool else ""
+            raise DomainError(f"{name} must be a number{kind}, got {value[0].tolist()!r}")
     steps = np.asarray(dt, dtype=float)
     bad = np.flatnonzero(~(steps >= 0) | (steps == np.inf))
     if bad.size:
@@ -223,7 +225,7 @@ def _one_step(system, scheme, p, q, dt, dL):
 def _single_step(system, scheme, state, dt, dL):
     """One state's step, the B = 1 case of _one_step; a stall raises."""
     p, q = state.p[None], state.q[None]
-    dL = np.atleast_1d(np.asarray(dL, dtype=float))
+    dL = np.atleast_1d(np.asarray(dL))
     p, q, stalled = _one_step(system, scheme, p, q, [dt], dL[None])
     if stalled is not None:
         raise _stalled(float(stalled[1][0]))
@@ -443,7 +445,7 @@ def _lane_jumps(system, paths, t0, T):
 class _Record:
     """Every lane's rows in one flat array; lane b owns rows lo[b]:hi[b].
 
-    The step into row r is steps[r] and, unless dls is None, dls[r];
+    The step into row r is times[r] - times[r - 1] and, unless dls is None, dls[r];
     lanes below `implicit` are symplectic, the others explicit. The
     failure constructors build the error a lane raises at a global row of
     segment k, as that lane's run alone raises it, a stall's message led
@@ -453,7 +455,6 @@ class _Record:
     def __init__(self, times, offsets, n, tags, implicit, stall_at="drift substep at t={t:g}",
                  dls=None):
         self.times, self.tags, self.implicit, self.stall_at = times, tags, implicit, stall_at
-        self.steps = np.diff(times, prepend=times[0])[:, None]
         self.dls = dls
         self.lo, self.hi = offsets[:-1], offsets[1:]
         self.ps, self.qs = np.empty((times.size, n)), np.empty((times.size, n))
@@ -512,33 +513,66 @@ def _lane_record(system, paths, t0, T, dts):
     return rec, jumps, ticks, marks
 
 
+def _phases(ticks, jumps):
+    """A pass as phases of drift entries, each stepping every lane with ticks left in its segment.
+
+    A lane at its next jump waits. A phase ends where lanes finish a segment
+    and the waiting lanes then hold half of all lanes' ticks left or more,
+    or where none drifts; its flow applies every waiting lane's jump.
+    Returns (drift, jumped, lanes): lane b's ticks in phase i, its jumps
+    before phase i (row P: all), and per phase a row of lanes by ticks,
+    most first, and a row with the lanes that then jump first.
+    """
+    B, K = ticks.shape
+    if (ticks == ticks[0]).all() and (jumps == jumps[0]).all():  # a phase per segment
+        return (ticks.T, np.minimum.outer(np.arange(K + 1), jumps),
+                np.broadcast_to(np.arange(B), (2 * K, B)))
+    left = ticks[:, 0].astype(np.min_scalar_type(ticks.max()))  # small keys sort fastest
+    after = ticks[:, 1:].sum(axis=1)  # each lane's ticks past its segment: what it holds waiting
+    jumped, total, behind = np.zeros(B, np.min_scalar_type(K)), int(ticks.sum()), np.arange(B)[::-1]
+    drift, counts, lanes, acc = [], [jumped.copy()], [], np.add.accumulate
+    while total or (jumped < jumps).any():
+        order = np.argsort(left, kind="stable")
+        ends = left[order]  # where each lane finishes its segment
+        over = 2 * acc(after[order]) >= total - acc(ends, dtype=int) - ends * behind
+        over[:-1] &= ends[:-1] != ends[1:]  # all lanes that finish at a point wait there
+        step = np.minimum(left, ends[over.argmax()])
+        total -= int(np.add.reduce(step))
+        left -= step
+        waiting = (left == 0) & (jumped < jumps)
+        jumped[waiting] += 1
+        left[waiting] = ticks[waiting, jumped[waiting]]
+        after[waiting] -= left[waiting]
+        row = order[::-1].astype(np.min_scalar_type(B))
+        lanes += [row, np.concatenate([row[waiting[row]], row[~waiting[row]]])]
+        drift.append(step), counts.append(jumped.copy())
+    return np.stack(drift), np.stack(counts), np.stack(lanes)
+
+
 def _step_record(system, rec, start, ticks, jumps, marks, alone):
     """Step each lane b from row start[b]: ticks[b, k] drift ticks of segment k, then jump k.
 
     Lane b applies jump k, the flow of marks[b, k], for k < jumps[b], each
     state into the row after the one it steps from. The pass is laid out
-    once as entries, for each k segment k's ticks and then jump k; row 2k of
-    `lanes` lists the lanes by their ticks in segment k, most first, and row
-    2k + 1 those that then jump first, so an entry steps the first count
-    lanes of its row. Returns the failed lanes' errors by lane; a failed lane
-    leaves the pass, with every lane above the lowest one unless `alone`.
+    once by _phases, as entries: each phase's drift ticks, then its flow;
+    an entry steps the first count lanes of its row of `lanes`. Returns
+    the failed lanes' errors by lane; a failed lane leaves the pass, with
+    every lane above the lowest one unless `alone`.
     If `alone` and a lane but lane 0 still steps, a noisy block raises _Noisy.
     """
-    live, K, failures = np.arange(len(start)), ticks.shape[1], {}
-    lanes = np.empty((2 * K, len(start)), dtype=np.min_scalar_type(len(start)))  # held all run
-    lanes[::2] = np.argsort(np.negative(ticks, dtype=np.int32), axis=0, kind="stable").T
-    lanes[1::2] = np.lexsort((np.negative(ticks, dtype=np.int32), jumps[:, None] <= np.arange(K)), 0).T
-    most = np.stack([ticks.max(axis=0), jumps.max() > np.arange(K)], 1).ravel()  # entries per row
-    begin = np.cumsum(most) - most
-    col = np.repeat(np.arange(2 * K), most)  # each entry's row of lanes
-    shift = np.arange(col.size) - begin[col] + 1 - col % 2  # its row past its segment's first row
+    live, failures = np.arange(len(start)), {}
+    drift, jumped, lanes = _phases(ticks, jumps)  # held all run
+    most = np.stack([drift.max(axis=1), (jumped[1:] != jumped[:-1]).any(axis=1)], 1).ravel()
+    begin = np.cumsum(most, dtype=int) - most  # the first entry of each row of lanes
+    col = np.repeat(np.arange(most.size), most)  # each entry's row of lanes
+    shift = np.arange(col.size) - begin[col] + 1 - col % 2  # its row past its phase's first row
     opens = np.flatnonzero(np.diff(col)) + 1  # the entries that open a row, after the first
 
     def entries():
         """The states of the entries before each entry, and whether it goes on from the last."""
-        t = ticks if live.size == len(ticks) else ticks[live]
-        jumping = live.size - np.cumsum(np.bincount(jumps[live], minlength=K))[:K]
-        gone = np.cumsum(np.bincount((begin[::2] + t).ravel(), minlength=col.size + 1))
+        t, jump = (drift, jumped) if live.size == len(start) else (drift[:, live], jumped[:, live])
+        jumping = np.count_nonzero(jump[1:] != jump[:-1], axis=1)
+        gone = np.cumsum(np.bincount((begin[::2, None] + t).ravel(), minlength=col.size + 1))
         gone = np.concatenate([[0], gone])  # lanes past their ticks in a row, before each entry
         count = np.where(col % 2, jumping[col // 2], live.size - gone[1:-1] + gone[begin[col]])
         same = lanes[1:] == lanes[:-1]  # rows of `lanes` that list the same lanes first
@@ -549,10 +583,10 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
         return np.concatenate([[0], np.cumsum(count)]), lead
 
     cum, lead = entries()
-    first = np.cumsum(ticks, axis=1)  # each segment's first row: after earlier ticks and jumps
-    first -= ticks  # in place: no array of this size beside it
-    first += start[:, None]
-    first += np.arange(K)
+    first = np.zeros(jumped.shape, np.min_scalar_type(-len(rec.times)))  # each phase's first row
+    np.cumsum(drift, axis=0, out=first[1:])  # after earlier ticks and jumps
+    first += jumped
+    first += start
     e0 = 0  # the entries before it are in the record
     while e0 < col.size and live.size:
         # lay out the whole blocks from e0 that hold _CHECK_BLOCK**2 rows, or one block
@@ -560,9 +594,10 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
         e1 = min(e0 + max(_CHECK_BLOCK, (e1 - e0) // _CHECK_BLOCK * _CHECK_BLOCK), col.size)
         bounds, counts = cum[e0 : e1 + 1] - cum[e0], np.diff(cum[e0 : e1 + 1])
         targets = np.repeat(col[e0:e1], counts)  # each state's row of lanes, then its place there
-        targets = first[lanes[targets, np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)],
-                        (targets + 1) // 2] + np.repeat(shift[e0:e1], counts)
-        dts = rec.steps[targets]
+        targets = first[(targets + 1) // 2,
+                        lanes[targets, np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)]]
+        targets = targets + np.repeat(shift[e0:e1], counts)
+        dts = (rec.times[targets] - rec.times[targets - 1])[:, None]
         channels = [[]] * len(counts)  # each entry's channels with an increment; none: a pure drift
         if rec.dls is not None:
             dls = rec.dls[targets]
@@ -597,7 +632,8 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
                 else:
                     continue
                 if cols[j] % 2:
-                    p, q, bad = _flow_raw(system, p, q, marks[lanes[cols[j], :c], cols[j] // 2],
+                    lane = lanes[cols[j], :c]
+                    p, q, bad = _flow_raw(system, p, q, marks[lane, jumped[cols[j] // 2, lane]],
                                           DEFAULT_SUBSTEPS, _JUMP_TOL)
                 else:
                     dl = dls[a:b] if channels[j] else None
@@ -631,17 +667,18 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
             e0 = e1
             continue
         j, bad = failed
-        lane, row, k = lanes[cols[j], : counts[j]], targets[bounds[j] : bounds[j + 1]], cols[j] // 2
+        lane, row = lanes[cols[j], : counts[j]], targets[bounds[j] : bounds[j + 1]]
+        k = jumped[cols[j] // 2, lane]  # each lane's jumps before the entry's phase
         for i in np.flatnonzero(~_lanes_in_range(rec.ps[row], rec.qs[row])):
-            failures[lane[i]] = rec.diverged(lane[i], row[i], k)
+            failures[lane[i]] = rec.diverged(lane[i], row[i], int(k[i]))
         if bad is not None and cols[j] % 2:  # a failed flow or a stall is the lane's error
             for i in np.flatnonzero(bad >= 0):
                 failures[lane[i]] = rec.flow_failed(lane[i], row[i], int(bad[i]))
         elif bad is not None:
             for i, residual in zip(*bad):
-                failures[lane[i]] = rec.stalled(lane[i], row[i], k, residual)
+                failures[lane[i]] = rec.stalled(lane[i], row[i], int(k[i]), residual)
         live = live[~np.isin(live, list(failures)) if alone else live < min(failures)]
-        lanes = lanes[np.isin(lanes, live)].reshape(2 * K, live.size)
+        lanes = lanes[np.isin(lanes, live)].reshape(len(lanes), live.size)
         e0 += j + 1
         if live.size:
             cum, lead = entries()
@@ -663,12 +700,12 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, dt):
     Each path is one lane of (B, n) state arrays, so every coefficient
     evaluator is called with (B, n) arrays and must return (B, n), row b
     depending only on row b; a wrong shape raises DomainError. Each lane
-    drifts with the symplectic Euler map on its own nodes up to its k-th
-    jump time (the last substep truncated to end there), then one
-    jump-flow call applies the k-th jump of every lane that has one,
-    simultaneous events combined. Each trajectory records every substep
-    state and, at each jump time, both the pre-jump and post-jump states,
-    and equals the same path run alone bit for bit.
+    drifts with the symplectic Euler map on its own nodes up to its next
+    jump time (the last substep truncated to end there) and waits; one
+    jump-flow call applies the waiting jumps of many lanes, whatever their
+    jump index, simultaneous events combined. Each trajectory records
+    every substep state and, at each jump time, both the pre-jump and
+    post-jump states, and equals the same path run alone bit for bit.
 
     Each jump takes its own number of RK4 substeps in the jump flow, by
     step doubling and at most DEFAULT_SUBSTEPS (see ``marcus``); its

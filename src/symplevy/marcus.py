@@ -30,8 +30,9 @@ map, so each jump warns and fails as ``jump_flow`` at its count. At
 the default model a jump takes 2 or 4 substeps instead of 16.
 
 Internally the flow runs on lanes: (B, n) states with one mark vector
-per lane, so the jump-adapted driver applies the k-th jump of many
-paths in one call; ``jump_flow`` is the one-lane case.
+per lane, so the jump-adapted driver applies the waiting jumps of many
+paths in one call, whichever jump of its path each is; ``jump_flow`` is
+the one-lane case.
 """
 
 from __future__ import annotations
@@ -141,6 +142,8 @@ def _flow(system, p, q, marks, channels, substeps, tol):
                     err = np.maximum(np.abs(coarse_p - fine_p), np.abs(coarse_q - fine_q)).max(1)
                     size = np.maximum(np.abs(fine_p), np.abs(fine_q)).max(1)
                     ok = err / 15.0 <= tol * np.maximum(size, 1.0)
+                if n == 2 and ok.all():  # every lane met tol at 2 substeps, clean: no bookkeeping
+                    return fine_p, fine_q, None
                 out_p[lanes[ok]], out_q[lanes[ok]] = fine_p[ok], fine_q[ok]
                 finite = np.isfinite(err)
                 capped.append(lanes[~finite])

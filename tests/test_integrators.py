@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplevy as sl
-from symplevy import integrators
+from symplevy import cli, integrators
 from symplevy._csv import fmt, fmt_rows
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from symplevy.integrators import (
@@ -167,8 +167,11 @@ class TestOneStepMaps:
             (True, 0.0, r"^dt must be a number, not a boolean, got True$"),
             (0.1, math.nan, r"^dL must be finite, got \[nan\]$"),
             (0.1, -math.inf, r"^dL must be finite, got \[-inf\]$"),
+            ("0.1", 0.0, r"^dt must be a number, got '0.1'$"),
+            (0.1, "0.2", r"^dL must be a number, got \['0.2'\]$"),
+            (0.1, True, r"^dL must be a number, not a boolean, got \[True\]$"),
         ],
-        ids=["nan-dt", "inf-dt", "bool-dt", "nan-dL", "inf-dL"],
+        ids=["nan-dt", "inf-dt", "bool-dt", "nan-dL", "inf-dL", "str-dt", "str-dL", "bool-dL"],
     )
     @pytest.mark.parametrize(
         "step",
@@ -2078,3 +2081,130 @@ class TestOnePass:
         assert 180 < len(busy) < 220
         for paths in ([empty_path(40.0), busy], [busy, empty_path(40.0)]):
             assert_batch_as_alone(kubo(), paths, [0.05, 0.03], 40.0)
+
+
+def phase_flows(system, paths, dts, T):
+    """Per phase of the pass, the (lane, jump index) pairs its flow applies."""
+    _, jumps, ticks, _ = _lane_record(system, paths, 0.0, T, np.array(dts))
+    _, jumped, _ = integrators._phases(ticks, jumps)
+    return [[(b, int(jumped[i, b])) for b in np.flatnonzero(jumped[i + 1] != jumped[i])]
+            for i in range(len(jumped) - 1)]
+
+
+def stiff_beyond(level):
+    # kicks() whose momentum solve stalls once Q passes `level`: the sweep
+    # P <- P0 - dt (30 P + Q0) expands for dt > 1/30 and creeps at 0.02
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: np.where(q > level, 30.0 * p + q, 0.0 * p), lambda p, q: 0.0 * p),
+        gamma=(lambda p, q: q, lambda p, q: 0.0 * q + 1.0),
+        hamiltonians=(lambda p, q: 0.0 * p[..., 0], lambda p, q: 0.0 * p[..., 0]),
+    )
+
+
+BENCHMARK_CONVERGE = ("converge --alpha 0.1 --beta 0.1 --lambda 5.0 --sigma 0.2 --T 10.0 --samples 5 "
+                      "--dts 0.08,0.04,0.02,0.01,0.005 --scheme symplectic --seed 1").split()
+
+
+def kernel_calls(monkeypatch):
+    """Count the pass's drift and flow calls, and keep each record's jump counts and ticks."""
+    calls, records = {"drift": 0, "flow": 0}, []
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return call
+
+    def kept(*args):
+        rec, jumps, ticks, marks = lane_record(*args)
+        records.append((jumps, ticks))
+        return rec, jumps, ticks, marks
+
+    lane_record = integrators._lane_record
+    monkeypatch.setattr(integrators, "_lane_record", kept)
+    monkeypatch.setattr(integrators, "_step_lanes", counted("drift", integrators._step_lanes))
+    monkeypatch.setattr(integrators, "_flow_raw", counted("flow", integrators._flow_raw))
+    return calls, records
+
+
+class TestPhases:
+    """Lanes step in phases: the lanes waiting at a jump share a flow, whatever its jump index."""
+
+    def test_benchmark_cells_take_few_kernel_calls(self, monkeypatch, tmp_path):
+        # by jump index these cells took 4,946 drift calls, the sum over k
+        # of the longest k-th segment, against 2,029 ticks in the longest lane
+        calls, records = kernel_calls(monkeypatch)
+        assert cli.main([*BENCHMARK_CONVERGE, "--out-dir", str(tmp_path)]) == 0
+        ((jumps, ticks),) = records
+        assert len(jumps) == 25
+        assert calls["drift"] <= 1.5 * ticks.sum(axis=1).max()
+        assert calls["flow"] <= 2 * jumps.max()
+
+    def test_lanes_in_lockstep_take_a_phase_per_segment(self, monkeypatch):
+        path = sampled(3, 4.0)
+        calls, records = kernel_calls(monkeypatch)
+        sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 4.0, [path] * 3, 0.05)
+        ((jumps, ticks),) = records
+        assert calls == {"drift": ticks[0].sum(), "flow": len(path)} and (jumps == len(path)).all()
+
+    # lane 1 is kicked to 0.99e12 by its second jump, in phase 2, and its
+    # next tick, in phase 3 after two jumps, passes the limit; lane 0's
+    # seventh mark overflows its flow three phases later
+    EARLY = [(0.3, 1, 0.01), (0.6, 1, 0.99e12), (1.5, 1, 0.01)]
+    LATE = [(0.05 * i, 1, 0.01) for i in range(1, 6)] + [(1.0, 1, 0.01), (1.2, 1, 1e308)]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_a_higher_lane_fails_in_an_earlier_phase(self, monkeypatch, block):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        paths = [event_path(events, 2.0) for events in (self.LATE, self.EARLY, [(0.7, 1, 0.01)])]
+        flows = phase_flows(kicks(), paths, [0.01, 0.01, 0.02], 2.0)
+        assert (1, 1) in flows[2] and (0, 6) in flows[6]
+        err = assert_batch_as_alone(kicks(), paths, [0.01, 0.01, 0.02], 2.0)
+        assert str(err).startswith("jump flow diverged at t=1.2")
+        # the kicked lane lowest: its step counts its own two jumps, not the phase's index
+        err = assert_batch_as_alone(kicks(), paths[1::-1] + paths[2:], [0.01, 0.01, 0.02], 2.0)
+        assert (err.step, err.time) == (61, 0.62)
+
+    # lane 1's third jump overflows its flow (or, with marks of 200 and a
+    # gamma_1 that warns beyond 100, warns there) in phase 2, whose flow
+    # also applies lane 0's second jump
+    QUICK = [(0.05, 1, 0.01), (0.1, 1, 0.01), (0.15, 1, 1e308), (1.5, 1, 0.01)]
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("loud", [False, True], ids=["overflow", "warning"])
+    def test_a_flow_fails_or_warns_in_a_phase_of_mixed_jump_indices(self, monkeypatch, block, loud):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+
+        def gamma1(p, q):
+            if loud and (np.abs(q) > 100.0).any():
+                warnings.warn("q beyond 100")
+            return 0.0 * q + 1.0
+
+        quick = [(t, r, 200.0 if loud and mark > 1.0 else mark) for t, r, mark in self.QUICK]
+        paths = [event_path(events, 2.0) for events in ([(0.33, 1, 0.01), (0.9, 1, 0.01)], quick,
+                                                        [(0.7, 1, 0.01)])]
+        assert phase_flows(kicks(gamma1), paths, [0.01, 0.01, 0.02], 2.0)[2] == [(0, 1), (1, 2)]
+        got = assert_batch_as_alone(kicks(gamma1), paths, [0.01, 0.01, 0.02], 2.0)
+        if not loud:
+            assert str(got) == "jump flow diverged at t=0.15 (substep 0)"
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_a_stall_counts_its_own_lane_jumps(self, monkeypatch, block):
+        # lane 1 (dt 0.05) stalls on the first tick after its second jump,
+        # in phase 4, beside a lane that has jumped four times; lane 2 (dt
+        # 0.02) stalls later, once its drift carries Q past 5
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+        busy = [(0.05 * i, 1, 0.01) for i in range(1, 6)] + [(1.0, 1, 0.01)]
+        paths = [event_path(events, 2.0) for events in (busy, [(0.3, 1, 0.01), (0.6, 1, 5.0),
+                                                               (1.5, 1, 0.01)], [(0.7, 1, 0.01)])]
+        dts = [0.01, 0.05, 0.02]
+        flows = phase_flows(stiff_beyond(5.0), paths, dts, 2.0)
+        assert (1, 1) in flows[3] and (0, 3) in flows[3]
+        for order in ([0, 1, 2], [1, 0, 2], [2, 0]):
+            err = assert_batch_as_alone(stiff_beyond(5.0), [paths[i] for i in order],
+                                        [dts[i] for i in order], 2.0)
+            assert isinstance(err, NonConvergenceError)
+        assert err.step > 80  # lane 2's own stall, after its one jump
