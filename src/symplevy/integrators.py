@@ -36,8 +36,9 @@ Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
 The pass checks for it once per block of steps (ticks and jumps): a block
 in which a step stalls, numpy records a floating-point event, an evaluator
 raises or warns, or a state is out of range runs again one checked step at
-a time from its first state. Each step is a pure function of its state, so
-the rerun ends where a check after each would.
+a time from its first state (a jump flow's runs below its cap share the
+block's recorder the first time, their own in the rerun). Each step is a
+pure function of its state, so the rerun ends where a check after each would.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ MAX_GRID_STEPS = 1e7
 
 _SCHEMES = ("symplectic", "explicit")
 
-# ndarray.max and .any without their Python-level wrappers, for the kernel's
-# residual checks: (array, axis) -> the results of .max and .any, bit for bit
-_max, _any = np.maximum.reduce, np.logical_or.reduce
+# ndarray.max without its Python-level wrapper, and the least entry that is not NaN
+# (NaN if all are), for the kernel's residual checks: (array, axis) -> the reduction
+_max, _fmin = np.maximum.reduce, np.fmin.reduce
 
 # The symplectic step's momentum solve stops at an update of max-norm <= _IMPLICIT_TOL,
 # and stalls after _IMPLICIT_MAX_ITERS sweeps
@@ -168,8 +169,9 @@ def _step_lanes(system, s, p0, q0, dt, dl, tol, max_iters, channels=None):
             if _max(diff, None) <= tol:
                 break
             if len(x) > 1:
-                done = _max(diff, 1) <= tol
-                if _any(done):
+                top = diff[:, 0] if diff.shape[1] == 1 else _max(diff, 1)  # each lane's max
+                if _fmin(top) <= tol:  # some lane settled (fmin skips NaN, as NaN <= tol is False)
+                    done = top <= tol
                     rows, keep = np.arange(s)[left], ~done
                     p[rows[done]] = x[done]
                     left, x, pa, qa, dta = rows[keep], x[keep], pa[keep], qa[keep], dta[keep]
@@ -429,9 +431,14 @@ def _lane_jumps(system, paths, t0, T):
 
     Returns the lane and time of each instant and its (m,) mark vector:
     the marks of that instant's events, summed per channel in event
-    order.
+    order. A path with more events in (t0, T] than MAX_GRID_STEPS raises
+    InvalidSpecError, for the first such path, before any per-jump array.
     """
     spans = [slice(*np.searchsorted(path.times, (t0, T), side="right")) for path in paths]
+    for b, s in enumerate(spans):
+        if s.stop - s.start > MAX_GRID_STEPS:
+            raise InvalidSpecError(f"path {b} has {s.stop - s.start} events in (t0, T], over the "
+                                   f"limit MAX_GRID_STEPS = {MAX_GRID_STEPS:g}")
     pieces = [(path.times[s], path.channels[s], path.marks[s]) for path, s in zip(paths, spans)]
     lane = np.repeat(np.arange(len(paths)), [len(times) for times, _, _ in pieces])
     times, channels, flat_marks = (np.concatenate(column) for column in zip(*pieces))
@@ -634,7 +641,7 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
                 if cols[j] % 2:
                     lane = lanes[cols[j], :c]
                     p, q, bad = _flow_raw(system, p, q, marks[lane, jumped[cols[j] // 2, lane]],
-                                          DEFAULT_SUBSTEPS, _JUMP_TOL)
+                                          DEFAULT_SUBSTEPS, _JUMP_TOL, not checked)
                 else:
                     dl = dls[a:b] if channels[j] else None
                     p, q, bad = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl,
@@ -716,10 +723,11 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, dt):
     positive number InvalidSpecError.
 
     Returns one Trajectory per path, in order. Invalid input (DomainError,
-    or InvalidSpecError for a segment over MAX_GRID_STEPS steps or a path
-    whose drift ticks and jumps exceed it) is refused before any lane
-    runs. If lanes fail numerically, the error of the lowest-index failing
-    lane is raised, exactly as that path raises it alone.
+    or InvalidSpecError for a path with more events in (t0, T] than
+    MAX_GRID_STEPS, a segment over that many steps or a path whose drift
+    ticks and jumps exceed it) is refused before any lane runs. If lanes
+    fail numerically, the error of the lowest-index failing lane is
+    raised, exactly as that path raises it alone.
     """
     rec = _pathwise_record(system, initial, t0, T, paths, dt, "symplectic")
     return [rec.trajectory(b) for b in range(len(rec.lo))]

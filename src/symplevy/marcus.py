@@ -23,11 +23,14 @@ for a 4th-order method; Hairer, Norsett and Wanner, Solving ODEs I,
 II.4). It tries 2N only while 4N < the cap ``DEFAULT_SUBSTEPS`` = 16
 (so 2N = 2 and 4): the runs up to 2N take 4N - 1 substeps, so a
 larger 2N would save little where it is met and cost much where it is
-not. A jump that meets the tolerance at none of them,
-whose estimate was not finite, or whose runs below the cap warn, raise
-or meet a floating-point event takes exactly the cap, the fixed-count
-map, so each jump warns and fails as ``jump_flow`` at its count. At
-the default model a jump takes 2 or 4 substeps instead of 16.
+not. A jump that meets the tolerance at none of them, whose estimate
+was not finite, or whose runs below the cap warn, raise or meet a
+floating-point event takes exactly the cap, the fixed-count map, so
+each jump warns and fails as ``jump_flow`` at its count. Only the cap
+run checks each substep for a non-finite state, to name the first.
+In an unchecked block of the driver's pass, which runs again checked
+on any noise, the runs below the cap leave their noise to the pass's
+recorder. At the default model a jump takes 2 or 4 substeps, not 16.
 
 Internally the flow runs on lanes: (B, n) states with one mark vector
 per lane, so the jump-adapted driver applies the waiting jumps of many
@@ -36,6 +39,8 @@ the one-lane case.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -48,6 +53,9 @@ __all__ = ["jump_flow", "kubo_jump_closed_form"]
 DEFAULT_SUBSTEPS = 16
 # the step-doubling tolerance of the jump-adapted driver's jumps
 _JUMP_TOL = 1e-9
+
+# ndarray.all and .max without their Python-level wrappers: (array, axis) -> the same results
+_all, _max = np.logical_and.reduce, np.maximum.reduce
 
 
 def _make_field(system, channels, marks):
@@ -79,12 +87,12 @@ def _make_field(system, channels, marks):
     return field
 
 
-def _rk4(field, p, q, substeps, first=None):
+def _rk4(field, p, q, substeps, first=None, checked=True):
     """`substeps` equal RK4 steps of `field` over unit time: (p, q, failed).
 
-    first, if given, is field(p, q). failed is None or, per lane, the
-    first substep that produced a non-finite state (-1 for lanes that
-    stayed finite).
+    first, if given, is field(p, q). failed is None or, if checked, per
+    lane the first substep that produced a non-finite state (-1 for lanes
+    that stayed finite); an unchecked run carries such a state to the end.
     """
     failed = None
     h = 1.0 / substeps
@@ -97,7 +105,7 @@ def _rk4(field, p, q, substeps, first=None):
         kp4, kq4 = field(p + h * kp3, q + h * kq3)
         p = p + sixth * (kp1 + 2.0 * (kp2 + kp3) + kp4)
         q = q + sixth * (kq1 + 2.0 * (kq2 + kq3) + kq4)
-        if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        if checked and not (_all(np.isfinite(p), None) and _all(np.isfinite(q), None)):
             if failed is None:
                 failed = np.full(len(p), -1)
             bad = ~(np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1))
@@ -107,44 +115,44 @@ def _rk4(field, p, q, substeps, first=None):
     return p, q, failed
 
 
-def _flow(system, p, q, marks, channels, substeps, tol):
+def _flow(system, p, q, marks, channels, substeps, tol, watched=False):
     """The flow of lanes that drive the same channels: (p, q, failed) as from _rk4.
 
     With tol None every lane takes `substeps` substeps. Otherwise each
     lane takes the first 2N = 2, 4, ... with 4N < `substeps` whose
     step-doubling estimate meets tol (see the module docstring), and the
-    others exactly `substeps`. The runs below the cap issue no noise
-    (see _noise.Recording): a lane whose estimate is not finite, or whose
-    run there is noisy or raises, takes the cap, whose run is as noisy
-    as jump_flow's. Noise in a run of several lanes names none of them,
-    so each of those lanes starts over alone.
+    others exactly `substeps`. The runs below the cap go unchecked and
+    issue no noise (see _noise.Recording): a lane whose estimate is not
+    finite, or whose run there is noisy or raises, takes the cap, whose
+    run is checked and as noisy as jump_flow's. Noise in a run of several
+    lanes names none of them, so each of those lanes starts over alone.
+    If `watched`, the caller records this call's noise and runs it again
+    unwatched on any, so the runs below the cap share its recorder.
     """
     if not channels:
         return p, q, None
     if tol is None:
         return _rk4(_make_field(system, channels, marks), p, q, substeps)
-    out_p, out_q = np.empty_like(p), np.empty_like(q)
-    failed = np.full(len(p), -1)
     lanes = np.arange(len(p))  # the lanes still doubling: the rows of x_p, x_q, first, coarse
-    capped = [lanes[:0]]  # the lanes whose estimate was not finite
+    capped, met = [lanes[:0]], []  # the lanes whose estimate was not finite; those that met tol
     x_p, x_q, field, n = p, q, _make_field(system, channels, marks), 1
     try:
-        with Recording() as noise:
+        with nullcontext([]) if watched else Recording() as noise:
             while lanes.size and 4 * n < substeps:
                 if n == 1:
                     first = field(x_p, x_q)
-                    coarse_p, coarse_q, _ = _rk4(field, x_p, x_q, 1, first)
+                    coarse_p, coarse_q, _ = _rk4(field, x_p, x_q, 1, first, checked=False)
                 n *= 2
-                fine_p, fine_q, _ = _rk4(field, x_p, x_q, n, first)
+                fine_p, fine_q, _ = _rk4(field, x_p, x_q, n, first, checked=False)
                 if noise:
                     break
                 with np.errstate(all="ignore"):  # non-finite lanes take the cap
-                    err = np.maximum(np.abs(coarse_p - fine_p), np.abs(coarse_q - fine_q)).max(1)
-                    size = np.maximum(np.abs(fine_p), np.abs(fine_q)).max(1)
+                    err = _max(np.maximum(np.abs(coarse_p - fine_p), np.abs(coarse_q - fine_q)), 1)
+                    size = _max(np.maximum(np.abs(fine_p), np.abs(fine_q)), 1)
                     ok = err / 15.0 <= tol * np.maximum(size, 1.0)
-                if n == 2 and ok.all():  # every lane met tol at 2 substeps, clean: no bookkeeping
+                if n == 2 and _all(ok):  # every lane met tol at 2 substeps, clean: no bookkeeping
                     return fine_p, fine_q, None
-                out_p[lanes[ok]], out_q[lanes[ok]] = fine_p[ok], fine_q[ok]
+                met.append((lanes[ok], fine_p[ok], fine_q[ok]))
                 finite = np.isfinite(err)
                 capped.append(lanes[~finite])
                 keep = finite & ~ok
@@ -157,11 +165,14 @@ def _flow(system, p, q, marks, channels, substeps, tol):
         noisy = bool(noise)
     except Exception:  # an evaluator raised below the cap; the cap run raises it, or not
         noisy = True
+    out_p, out_q, failed = np.empty_like(p), np.empty_like(q), np.full(len(p), -1)
+    for rows, *state in met:
+        out_p[rows], out_q[rows] = state
     if noisy and lanes.size > 1:
         for b in lanes:
             alone = slice(b, b + 1)
             out_p[alone], out_q[alone], bad = _flow(system, p[alone], q[alone], marks[alone],
-                                                    channels, substeps, tol)
+                                                    channels, substeps, tol, watched)
             failed[alone] = -1 if bad is None else bad
         lanes = lanes[:0]
     cap = np.sort(np.concatenate([lanes, *capped]))
@@ -173,21 +184,23 @@ def _flow(system, p, q, marks, channels, substeps, tol):
     return out_p, out_q, (failed if (failed >= 0).any() else None)
 
 
-def _flow_raw(system, p, q, marks, substeps, tol=None):
+def _flow_raw(system, p, q, marks, substeps, tol=None, watched=False):
     """Jump flow of B lanes: (B, n) states, (B, m) marks, one row each.
 
     Each lane takes `substeps` substeps, or with a tol its own
-    step-doubling count capped at `substeps` (see _flow). Each lane's
-    result equals its own run alone bit for bit: lanes are grouped by
-    which channels their marks drive, and a lane with no nonzero mark is
-    returned unchanged. Returns (p, q, failed), where failed is None or,
-    per lane, the first substep that produced a non-finite state (-1 for
-    lanes that stayed finite).
+    step-doubling count capped at `substeps` (see _flow, also for
+    `watched`). Each lane's result equals its own run alone bit for bit:
+    lanes are grouped by which channels their marks drive, and a lane with
+    no nonzero mark is returned unchanged. Returns (p, q, failed), where
+    failed is None or, per lane, the first substep that produced a
+    non-finite state (-1 for lanes that stayed finite).
     """
+    if marks.shape[1] == 1 and _all(marks, None):  # one channel, driven on every lane
+        return _flow(system, p, q, marks, [1], substeps, tol, watched)
     active = marks != 0.0
     if (active == active[0]).all():
         channels = (np.flatnonzero(active[0]) + 1).tolist()
-        return _flow(system, p, q, marks, channels, substeps, tol)
+        return _flow(system, p, q, marks, channels, substeps, tol, watched)
     p = p.copy()
     q = q.copy()
     failed = np.full(len(p), -1)
@@ -195,7 +208,7 @@ def _flow_raw(system, p, q, marks, substeps, tol=None):
         lanes = np.flatnonzero((active == pattern).all(axis=1))
         channels = (np.flatnonzero(pattern) + 1).tolist()
         p[lanes], q[lanes], bad = _flow(system, p[lanes], q[lanes], marks[lanes], channels,
-                                        substeps, tol)
+                                        substeps, tol, watched)
         if bad is not None:
             failed[lanes] = bad
     return p, q, (failed if (failed >= 0).any() else None)

@@ -46,6 +46,15 @@ slope,intercept,residual
 0.98340135334713397,-3.2630877999936461,0.0061270606895078572
 """
 
+# converge --beta 15 --samples 5 --T 2 --seed 1: large marks, so most lane
+# jumps fail the step-doubling tolerance below the cap and take its 16
+# substeps; the SHA-256 of convergence.csv and of stdout with the output
+# directory written as <out-dir>
+CONVERGE_CAP_SEED_1_SHA256 = "4694cb84273a958d8c12149546430747f36949abec64d063f32778b104ba5a83"
+CONVERGE_CAP_SEED_1_STDOUT_SHA256 = (
+    "0997e491f1cd6cfd6077a5fba30b94f97d578a38d7f4c0bab92a7a0193a571bc"
+)
+
 
 # symplectic-check --samples 1000 --seed 1 (the benchmark's flags at seed 1)
 SYMPLECTIC_CHECK_SEED_1_SHA256 = "5e41821fb6b2bf4c656ca004f04ba0aa550ecd8088212c0c4db2317bdb58da71"
@@ -526,6 +535,17 @@ class TestConverge:
         assert capsys.readouterr().out.splitlines()[1] == (
             "slope=0.983401 intercept=-3.263088 residual=0.006127 half-order-residual=0.668749"
         )
+
+    def test_cap_heavy_flags_write_the_pinned_bytes(self, tmp_path, capsys):
+        # beta 15 makes the marks large, so the flow's runs below the cap,
+        # its cap runs and its step-doubling bookkeeping all decide these bytes
+        argv = ["converge", "--beta", 15, "--samples", 5, "--T", 2, "--seed", 1,
+                "--out-dir", tmp_path]
+        assert run_cli(argv) == 0
+        data = (tmp_path / "convergence.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == CONVERGE_CAP_SEED_1_SHA256
+        out = capsys.readouterr().out.replace(str(tmp_path), "<out-dir>")
+        assert hashlib.sha256(out.encode()).hexdigest() == CONVERGE_CAP_SEED_1_STDOUT_SHA256
 
     @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
     def test_end_differences_are_trajectory_ends_minus_exact_ends(self, scheme):

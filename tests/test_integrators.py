@@ -894,6 +894,44 @@ class TestStepLanes:
         assert stalled[0].tolist() == list(range(2 - len(want), 2))
         assert stalled[1].tolist() == want
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lanes_settling_at_different_sweeps_and_a_nan_lane_are_each_as_alone(self, n):
+        # the anharmonic drift's sweeps contract by about 0.9 dt r^2, so
+        # the lanes settle at different sweeps; the NaN lane never settles
+        # and stalls with a NaN residual
+        sizes = []
+
+        def sigma0(p, q):
+            sizes.append(len(p))
+            return 0.3 * q * (p * p + q * q).sum(axis=1, keepdims=True)
+
+        system = sl.HamiltonianSystem(
+            n=n,
+            m=1,
+            sigma=(sigma0, lambda p, q: 0.1 * q),
+            gamma=(lambda p, q: 0.3 * p * (p * p + q * q).sum(axis=1, keepdims=True),
+                   lambda p, q: 0.1 * p),
+            hamiltonians=(lambda p, q: 0.0, lambda p, q: 0.0),
+        )
+        rng = np.random.default_rng(11)
+        lanes = 12
+        p = rng.uniform(-1.5, 1.5, (lanes, n))
+        q = rng.uniform(-1.5, 1.5, (lanes, n))
+        p[7, n - 1] = np.nan
+        dt = rng.uniform(0.0, 0.1, (lanes, 1))
+        with np.errstate(invalid="ignore"):
+            got_p, got_q, stalled = _step_lanes(system, lanes, p, q, dt, None, _IMPLICIT_TOL,
+                                                _IMPLICIT_MAX_ITERS)
+            assert len(set(sizes[1:-1])) > 3  # lanes leave the solve at several sweeps
+            alone = [_step_lanes(system, 1, p[b : b + 1], q[b : b + 1], dt[b : b + 1], None,
+                                 _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS) for b in range(lanes)]
+        for b, (want_p, want_q, _) in enumerate(alone):
+            assert np.array_equal(got_p[b : b + 1], want_p, equal_nan=True)
+            assert np.array_equal(got_q[b : b + 1], want_q, equal_nan=True)
+        assert [b for b, (_, _, bad) in enumerate(alone) if bad is not None] == [7]
+        assert stalled[0].tolist() == [7] and np.isnan(stalled[1]).all()
+        assert np.isnan(alone[7][2][1]).all()
+
     def test_fixed_grid_stall_raises_the_reference_error(self):
         start = sl.PhaseState([0.5], [0.25])
         want = raw_error(stiff_where_q_positive(), start.p, start.q, 0.1, np.zeros(1))
@@ -1100,6 +1138,38 @@ class TestLaneRecord:
             sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 4.0, paths, dt)
         assert str(err.value) == (
             "path 1 takes 83 steps (drift ticks and jumps), over the limit MAX_GRID_STEPS = 82"
+        )
+
+    def test_a_lane_over_budget_on_its_events_alone_is_refused_before_its_jumps(self,
+                                                                                 monkeypatch):
+        # in (0.5, 3] path 0 has 3 events (one at t0 is outside) and path 1
+        # has 4, path 2 has 5; at a limit of 3 path 1 is the first refused,
+        # before any per-jump array or segment grid is built
+        paths = [event_path([(t, 1, 0.1) for t in (0.5, 1.0, 2.0, 3.0)], 3.0),
+                 event_path([(t, 1, 0.1) for t in (1.0, 1.5, 2.0, 2.5)], 3.0),
+                 event_path([(t, 1, 0.1) for t in (0.6, 1.0, 1.5, 2.0, 2.5)], 3.0)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("segment grids built before the event count")
+
+        monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 3)
+        monkeypatch.setattr(integrators, "_segment_grids", refuse)
+        monkeypatch.setattr(np, "repeat", refuse)
+        message = "path 1 has 4 events in (t0, T], over the limit MAX_GRID_STEPS = 3"
+        with pytest.raises(InvalidSpecError) as err:
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.5, 3.0, paths, 0.1)
+        assert str(err.value) == message
+        with pytest.raises(InvalidSpecError) as err:
+            _lane_jumps(kubo(), paths, 0.5, 3.0)
+        assert str(err.value) == message
+        monkeypatch.undo()
+        # within the count, a lane is refused on its steps as before: path 0
+        # drifts 1 + 2 + 2 ticks and takes 3 jumps, no segment over 2 steps
+        monkeypatch.setattr(integrators, "MAX_GRID_STEPS", 3)
+        with pytest.raises(InvalidSpecError) as err:
+            sl.integrate_pathwise_batch(kubo(), unit_start(), 0.5, 3.0, paths[:1], 0.5)
+        assert str(err.value) == (
+            "path 0 takes 8 steps (drift ticks and jumps), over the limit MAX_GRID_STEPS = 3"
         )
 
 
@@ -2073,6 +2143,49 @@ class TestOnePass:
         for order in ([0, 1, 2], [1, 2, 0]):
             assert_batch_as_alone(kicks(gamma1), [paths[i] for i in order], [dts[i] for i in order],
                                   2.0)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_a_flow_below_the_cap_overflows_beside_a_cap_run_that_diverges(self, monkeypatch,
+                                                                          block):
+        # a rotation jump field that overflows in a masked branch past
+        # |p| or |q| = 3: a mark of 30 (angle 3) gets there only in the
+        # runs below the cap, so that lane takes the cap silently; a mark of
+        # 1e308 makes the cap run itself non-finite, so that lane fails.
+        # The block runs unchecked first, its flows sharing the pass's
+        # recorder, and again checked, where each flow keeps its own
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+
+        def rotation(scale):
+            def evaluate(p, q):
+                np.exp(1000.0 * ((np.abs(p) > 3.0) | (np.abs(q) > 3.0)))
+                return scale(p, q)
+
+            return evaluate
+
+        system = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: 0.0 * q, rotation(lambda p, q: 0.1 * q)),
+            gamma=(lambda p, q: 0.0 * p, rotation(lambda p, q: 0.1 * p)),
+            hamiltonians=(lambda p, q: 0.0 * p[..., 0], lambda p, q: 0.0 * p[..., 0]),
+        )
+        quiet = event_path([(0.1 * i, 1, 0.2) for i in range(1, 10)], 1.0)
+        clipped = event_path([(0.3, 1, 0.1), (0.5, 1, 30.0), (0.7, 1, -0.2)], 1.0)
+        diverging = event_path([(0.2, 1, 0.1), (0.5, 1, 1e308), (0.9, 1, 0.1)], 1.0)
+        run, warned = outcome(sl.integrate_pathwise, system, unit_start(), 0.0, 1.0, clipped, 0.05)
+        assert not warned and list(run.times[11:13]) == [0.5, 0.5]
+        capped = sl.jump_flow(system, run.state(11), [30.0], 16)
+        assert np.array_equal(run.ps[12], capped.p) and np.array_equal(run.qs[12], capped.q)
+        err, warned = outcome(sl.integrate_pathwise, system, unit_start(), 0.0, 1.0, diverging,
+                              0.05)
+        assert str(err) == "jump flow diverged at t=0.5 (substep 0)" and warned
+        for paths, dts in (([quiet, clipped, diverging], [0.05, 0.05, 0.05]),
+                           ([clipped, diverging], [0.05, 0.05]),
+                           ([diverging, clipped, quiet], [0.05, 0.1, 0.02]),
+                           ([clipped, quiet], [0.1, 0.05])):
+            got = assert_batch_as_alone(system, paths, dts, 1.0)
+            if diverging in paths:
+                assert_same_error(got, err)
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_an_empty_path_beside_a_busy_one(self, monkeypatch, block):
