@@ -19,7 +19,8 @@ Every setting is one row of ``_SETTINGS``, which generates the flags,
 the JSON config coercion and the bounds checks. Settings resolve as
 defaults < JSON config (--config) < explicit flags; config keys mirror
 flag names (``{"lambda": 5.0, "out-dir": "runs"}``).
-Exit codes: 0 success, 2 usage or config error, 3 numerical divergence
+Exit codes: 0 success, 2 usage or config error or an --out-dir that
+cannot be written (refused before any run), 3 numerical divergence
 (partial CSV output is still written).
 """
 
@@ -50,6 +51,7 @@ from .analysis import (
 from .errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from .hamiltonian import KuboParams, PhaseState, _kubo_rotation, kubo_system
 from .integrators import (
+    _SCHEMES,
     MAX_GRID_STEPS,
     Trajectory,
     _fixed_grid_lanes,
@@ -114,7 +116,6 @@ class _Setting:
 
 _ALL = ("sample-path", "orbit", "hamiltonian", "converge", "symplectic-check")
 _ORBITS = ("orbit", "hamiltonian")
-_SCHEMES = ("symplectic", "explicit")
 
 # Row order is flag order; a name has one row per distinct bound.
 _SETTINGS = (
@@ -473,6 +474,7 @@ def main(argv=None):
         return int(err.code) if err.code else 0
     try:
         settings = _resolve(args)
+        os.makedirs(settings["out-dir"] or os.curdir, exist_ok=True)
         return _COMMANDS[args.command][0](settings)
     except (CliUsageError, InvalidSpecError, DomainError) as err:
         if isinstance(err, CliUsageError):
@@ -482,6 +484,9 @@ def main(argv=None):
     except (DivergenceError, NonConvergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except OSError as err:  # --out-dir or a file in it
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return 2
 
 
 def run():

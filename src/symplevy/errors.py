@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SymplevyError",
+    "InvalidSpecError",
+    "DomainError",
+    "NonConvergenceError",
+    "DivergenceError",
+]
+
 
 class SymplevyError(Exception):
     """Base class for all errors raised by this package."""

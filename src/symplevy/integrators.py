@@ -136,7 +136,7 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _step_lanes(system, s, p0, q0, dt, dl, tol, max_iters, channels=None):
+def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
     """One step of (B, n) lanes, the first s symplectic and the rest explicit: (p, q, stalled).
 
     dt is a (B, 1) array of steps and dl a (B, m) array of increments, or
@@ -147,11 +147,12 @@ def _step_lanes(system, s, p0, q0, dt, dl, tol, max_iters, channels=None):
     single-state map bit for bit. Every lane takes the first fixed-point
     sweep of the momentum solve from p0, the explicit Euler momentum; the
     symplectic lanes sweep on, each until an update (the residual at the
-    previous iterate) of max-norm <= tol, as alone. stalled is None, or
-    the ascending indices and last residuals of the lanes still moving
-    after max_iters sweeps.
+    previous iterate) of max-norm <= _IMPLICIT_TOL, as alone. stalled is
+    None, or the ascending indices and last residuals of the lanes still
+    moving after _IMPLICIT_MAX_ITERS sweeps.
     """
     sigma, gamma = system.sigma, system.gamma
+    tol, max_iters = _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
     if channels is None:
         channels = [] if dl is None else [r for r in range(1, system.m + 1) if dl[:, r - 1].any()]
     terms = [(r, dl[:, r - 1 : r]) for r in channels] if channels else []
@@ -221,7 +222,7 @@ def _one_step(system, scheme, p, q, dt, dL):
     group = len(p) // len(steps)
     implicit = len(p) if scheme == "symplectic" else 0
     return _step_lanes(system, implicit, p, q, np.repeat(steps, group)[:, None],
-                       np.repeat(dL, group, axis=0), _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS)
+                       np.repeat(dL, group, axis=0))
 
 
 def _single_step(system, scheme, state, dt, dL):
@@ -645,7 +646,7 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
                 else:
                     dl = dls[a:b] if channels[j] else None
                     p, q, bad = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl,
-                                            _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS, channels[j])
+                                            channels[j])
                 out_p.append(p)
                 out_q.append(q)
                 if bad is not None or checked and not _lanes_in_range(p, q).all():

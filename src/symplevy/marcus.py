@@ -32,6 +32,13 @@ In an unchecked block of the driver's pass, which runs again checked
 on any noise, the runs below the cap leave their noise to the pass's
 recorder. At the default model a jump takes 2 or 4 substeps, not 16.
 
+One call serves many lanes: every try runs every lane from their shared
+first stage, and two masks over the call's lanes hold each outcome,
+still trying or met; an accepted lane's row is written in place, and
+the lanes that never met the tolerance take the cap together. Noise in
+a call of several lanes (it may come from a lane already met) names no
+lane, so each lane still trying then starts over alone.
+
 Internally the flow runs on lanes: (B, n) states with one mark vector
 per lane, so the jump-adapted driver applies the waiting jumps of many
 paths in one call, whichever jump of its path each is; ``jump_flow`` is
@@ -48,7 +55,7 @@ from ._noise import Recording
 from .errors import DivergenceError, DomainError
 from .hamiltonian import PhaseState, _kubo_rotation
 
-__all__ = ["jump_flow", "kubo_jump_closed_form"]
+__all__ = ["jump_flow", "kubo_jump_closed_form", "DEFAULT_SUBSTEPS"]
 
 DEFAULT_SUBSTEPS = 16
 # the step-doubling tolerance of the jump-adapted driver's jumps
@@ -121,62 +128,59 @@ def _flow(system, p, q, marks, channels, substeps, tol, watched=False):
     With tol None every lane takes `substeps` substeps. Otherwise each
     lane takes the first 2N = 2, 4, ... with 4N < `substeps` whose
     step-doubling estimate meets tol (see the module docstring), and the
-    others exactly `substeps`. The runs below the cap go unchecked and
-    issue no noise (see _noise.Recording): a lane whose estimate is not
-    finite, or whose run there is noisy or raises, takes the cap, whose
-    run is checked and as noisy as jump_flow's. Noise in a run of several
-    lanes names none of them, so each of those lanes starts over alone.
+    others exactly `substeps`. Every try runs every lane from the shared
+    first stage; two masks keep the outcomes: `met`, the lanes whose rows
+    of out_p, out_q hold an accepted try, and `trying`, the lanes still
+    doubling. The runs below the cap go unchecked and issue no noise (see
+    _noise.Recording). A lane whose estimate is not finite stops trying,
+    and the lanes that never met tol take the cap, whose run is checked
+    and as noisy as jump_flow's. Noise in a call of several lanes names
+    none of them, so then each lane still trying starts over alone.
     If `watched`, the caller records this call's noise and runs it again
     unwatched on any, so the runs below the cap share its recorder.
     """
     if not channels:
         return p, q, None
+    field = _make_field(system, channels, marks)
     if tol is None:
-        return _rk4(_make_field(system, channels, marks), p, q, substeps)
-    lanes = np.arange(len(p))  # the lanes still doubling: the rows of x_p, x_q, first, coarse
-    capped, met = [lanes[:0]], []  # the lanes whose estimate was not finite; those that met tol
-    x_p, x_q, field, n = p, q, _make_field(system, channels, marks), 1
+        return _rk4(field, p, q, substeps)
+    n, met, trying = 1, np.False_, np.True_  # one flag for every lane until a lane misses tol
     try:
         with nullcontext([]) if watched else Recording() as noise:
-            while lanes.size and 4 * n < substeps:
+            while 4 * n < substeps and trying.any():
                 if n == 1:
-                    first = field(x_p, x_q)
-                    coarse_p, coarse_q, _ = _rk4(field, x_p, x_q, 1, first, checked=False)
+                    first = field(p, q)
+                    coarse_p, coarse_q, _ = _rk4(field, p, q, 1, first, checked=False)
                 n *= 2
-                fine_p, fine_q, _ = _rk4(field, x_p, x_q, n, first, checked=False)
+                fine_p, fine_q, _ = _rk4(field, p, q, n, first, checked=False)
                 if noise:
                     break
-                with np.errstate(all="ignore"):  # non-finite lanes take the cap
+                with np.errstate(all="ignore"):  # a non-finite estimate ends its lane's tries
                     err = _max(np.maximum(np.abs(coarse_p - fine_p), np.abs(coarse_q - fine_q)), 1)
                     size = _max(np.maximum(np.abs(fine_p), np.abs(fine_q)), 1)
-                    ok = err / 15.0 <= tol * np.maximum(size, 1.0)
-                if n == 2 and _all(ok):  # every lane met tol at 2 substeps, clean: no bookkeeping
-                    return fine_p, fine_q, None
-                met.append((lanes[ok], fine_p[ok], fine_q[ok]))
-                finite = np.isfinite(err)
-                capped.append(lanes[~finite])
-                keep = finite & ~ok
-                if not keep.all():
-                    lanes, x_p, x_q = lanes[keep], x_p[keep], x_q[keep]
-                    first = first[0][keep], first[1][keep]
-                    fine_p, fine_q = fine_p[keep], fine_q[keep]
-                    field = _make_field(system, channels, marks[lanes])
+                    ok = trying & (err / 15.0 <= tol * np.maximum(size, 1.0))
+                if n == 2:
+                    if _all(ok):  # every lane met tol at 2 substeps, clean: no bookkeeping
+                        return fine_p, fine_q, None
+                    out_p, out_q = fine_p, fine_q  # the rows of the lanes that met tol
+                else:
+                    out_p[ok], out_q[ok] = fine_p[ok], fine_q[ok]
+                met, trying = met | ok, trying & ~ok & np.isfinite(err)
                 coarse_p, coarse_q = fine_p, fine_q
         noisy = bool(noise)
     except Exception:  # an evaluator raised below the cap; the cap run raises it, or not
         noisy = True
-    out_p, out_q, failed = np.empty_like(p), np.empty_like(q), np.full(len(p), -1)
-    for rows, *state in met:
-        out_p[rows], out_q[rows] = state
-    if noisy and lanes.size > 1:
-        for b in lanes:
+    if met is np.False_:  # no try got as far as its estimate
+        out_p, out_q, met = np.empty_like(p), np.empty_like(q), np.zeros(len(p), bool)
+    failed, cap = np.full(len(p), -1), ~met
+    if noisy and len(p) > 1:
+        for b in np.flatnonzero(cap & trying):
             alone = slice(b, b + 1)
             out_p[alone], out_q[alone], bad = _flow(system, p[alone], q[alone], marks[alone],
                                                     channels, substeps, tol, watched)
             failed[alone] = -1 if bad is None else bad
-        lanes = lanes[:0]
-    cap = np.sort(np.concatenate([lanes, *capped]))
-    if cap.size:
+        cap &= ~trying
+    if cap.any():
         field = _make_field(system, channels, marks[cap])
         out_p[cap], out_q[cap], bad = _rk4(field, p[cap], q[cap], substeps)
         if bad is not None:
@@ -198,9 +202,6 @@ def _flow_raw(system, p, q, marks, substeps, tol=None, watched=False):
     if marks.shape[1] == 1 and _all(marks, None):  # one channel, driven on every lane
         return _flow(system, p, q, marks, [1], substeps, tol, watched)
     active = marks != 0.0
-    if (active == active[0]).all():
-        channels = (np.flatnonzero(active[0]) + 1).tolist()
-        return _flow(system, p, q, marks, channels, substeps, tol, watched)
     p = p.copy()
     q = q.copy()
     failed = np.full(len(p), -1)

@@ -6,8 +6,9 @@ as a run report. The checks exercise the library end to end: mean-square
 convergence order, symplecticity of the one-step map, long-run energy
 behavior, jump-flow accuracy, pathwise coupling to the closed-form
 solution, noise statistics, the qualitative orbit separation between
-the structure-preserving and the explicit scheme, and the convergence of
-the explicit study where the linearized fixed grid keeps a plateau.
+the structure-preserving and the explicit scheme, the convergence of
+the explicit study where the linearized fixed grid keeps a plateau, and
+the exact identities of both schemes on the Marcus driver.
 """
 
 import csv
@@ -18,6 +19,8 @@ import numpy as np
 
 import symplevy as sl
 from symplevy import cli
+from symplevy.integrators import _lane_jumps, _pathwise_record
+from symplevy.marcus import _JUMP_TOL
 from test_integrators import scalar_fixed_grid
 
 
@@ -278,3 +281,75 @@ def test_criterion_8_explicit_study_converges_to_the_marcus_solution(tmp_path, c
             + f", falling: {falling}; linearized fixed grid slope {plateau:.4f} (< 0.3)"
         )
         report(8, "explicit study convergence", ok, detail, t0)
+
+
+def test_criterion_9_identities_on_the_marcus_driver(capsys):
+    # the jump-adapted driver solves the Marcus SDE; on Kubo its drift
+    # ticks and jumps obey exact identities, so each tolerance below is a
+    # count of roundings (u = 2^-53), or the jump flow's acceptance rule
+    t0 = time.perf_counter()
+    with capsys.disabled():
+        system, T, dt, u = kubo(), 200.0, 0.08, np.finfo(float).eps / 2
+        paths = [sl.sample_path(sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=seed), T)
+                 for seed in range(100)]
+        _, _, marks = _lane_jumps(system, paths, 0.0, T)  # lane by lane, in time order
+        theta = KUBO.beta * marks[:, 0]  # each jump's rotation angle
+        ends, worst, holds = {}, {}, []
+        for scheme in ("symplectic", "explicit"):
+            rec = _pathwise_record(system, unit_start(), 0.0, T, paths, dt, scheme)
+            p, q, times = rec.ps[:, 0], rec.qs[:, 0], rec.times
+            r2 = p * p + q * q
+            stepped = np.ones(times.size, dtype=bool)
+            stepped[rec.lo] = False
+            rows = np.flatnonzero(stepped)  # every row a step leads into
+            h = times[rows] - times[rows - 1]
+            tick, jump = rows[h > 0], rows[h == 0]  # a jump's pre and post rows share a time
+            a = KUBO.alpha * h[h > 0]
+            if scheme == "explicit":
+                # p' = p - a q, q' = q + a p: r'^2 = (1 + a^2) r^2. The kernel
+                # rounds 3 times per component, (2 + 4a) u on r'^2; the check
+                # rounds r'^2 twice, r^2 twice, 1 + a^2 once and the product once
+                want = (1.0 + a * a) * r2[tick - 1]
+                drift = np.abs(r2[tick] - want) / want
+            else:
+                # p' = p - a q, q' = q + a p' keeps E = r^2 - a p q exactly.
+                # The kernel's 6 roundings move E by (2 + 10a) u, and each E
+                # evaluated here by 3 u, over E >= (1 - a / 2) r^2
+                def energy(i):
+                    return p[i] * p[i] + q[i] * q[i] - a * p[i] * q[i]
+
+                drift = np.abs(energy(tick) - energy(tick - 1)) / energy(tick - 1)
+            drift_bound = (8.0 + 10.0 * a.max()) * u * (1.0 + a.max())
+            # RK4 on the rotation by theta, in N substeps of x = theta / N,
+            # scales r^2 by |R(ix)|^(2N) = (1 - x^6/72 + x^8/576)^N. Each
+            # substep rounds r^2 by (2 + 26 |x|) u; the check rounds the
+            # factor to N u and the squares and product by 6 u
+            jump_dev = []
+            for n in (2, 4, 16):
+                x = theta / n
+                factor = (1.0 - x**6 / 72.0 + x**8 / 576.0) ** n
+                dev = np.abs(r2[jump] - factor * r2[jump - 1]) / (factor * r2[jump - 1])
+                jump_dev.append(dev / ((3 * n + 6 + 26 * np.abs(theta)) * u))
+            matched = np.array(jump_dev) <= 1.0
+            # N < 16 was accepted by |y_N/2 - y_N| / 15 <= tol max(1, |y_N|) (max
+            # norm), Richardson's estimate of y_N's error to leading order, so
+            # |y_N - y| <= sqrt(2) tol max(1, |y_N|) in the 2-norm; the exact
+            # flow keeps r, so |r'^2 - r^2| <= |y_N - y| (r' + r)
+            size = np.maximum(1.0, np.maximum(np.abs(p[jump]), np.abs(q[jump])))
+            rule = math.sqrt(2.0) * _JUMP_TOL * size * (np.sqrt(r2[jump]) + np.sqrt(r2[jump - 1]))
+            below = matched[0] | matched[1]
+            change = np.abs(r2[jump] - r2[jump - 1])
+            worst[scheme] = (float(drift.max() / u), float(np.min(jump_dev, axis=0).max()),
+                             float((change[below] / rule[below]).max()))
+            holds += [jump.size == theta.size, drift.max() <= drift_bound,
+                      matched.any(axis=0).all(), (change[below] <= rule[below]).all()]
+            ends[scheme] = np.abs(r2[rec.hi - 1] - 1.0)
+        separated = bool((ends["symplectic"] < ends["explicit"]).all())
+        ok = all(holds) and separated
+        detail = (
+            "; ".join(f"{s} drift identity {w[0]:.1f} u, jump factor {w[1]:.2f} of its bound, "
+                      f"accepted jumps {w[2]:.3f} of the rule's bound" for s, w in worst.items())
+            + f"; |r^2 - 1| at T: symplectic <= {ends['symplectic'].max():.4f} < explicit >= "
+            f"{ends['explicit'].min():.4f} on every seed: {separated}"
+        )
+        report(9, "identities on the Marcus driver", ok, detail, t0)

@@ -302,6 +302,27 @@ class TestUsageErrors:
         assert "over the limit MAX_GRID_STEPS = 45" in err
         assert not (tmp_path / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("command", sorted(SETTINGS))
+    def test_an_out_dir_under_a_file_exits_2_before_any_run(self, command, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started before the output directory was made")
+
+        monkeypatch.setattr(cli, "sample_path", refuse)
+        monkeypatch.setattr(cli, "_kubo", refuse)
+        (tmp_path / "path.csv").write_text("")
+        for out_dir in (tmp_path / "path.csv" / "x", tmp_path / "path.csv"):
+            assert run_cli([command, "--out-dir", out_dir]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+    def test_a_file_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        (tmp_path / "path.csv").mkdir()  # the output's name is taken by a directory
+        assert run_cli(["sample-path", "--horizon", 5, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert list((tmp_path / "path.csv").iterdir()) == []
+
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 2
 

@@ -15,8 +15,6 @@ from symplevy import cli, integrators
 from symplevy._csv import fmt, fmt_rows
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from symplevy.integrators import (
-    _IMPLICIT_MAX_ITERS,
-    _IMPLICIT_TOL,
     MAX_GRID_STEPS,
     _lane_jumps,
     _lane_record,
@@ -803,8 +801,7 @@ class TestStepLanes:
         mixed = np.where(rng.uniform(size=dl.shape) < 0.5, 0.0, dl)
         for increments in (dl, mixed, None):
             got_p, got_q, stalled = _step_lanes(
-                system, lanes if scheme == "symplectic" else 0, p, q, dt, increments,
-                _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
+                system, lanes if scheme == "symplectic" else 0, p, q, dt, increments
             )
             assert stalled is None
             for b in range(lanes):
@@ -820,9 +817,7 @@ class TestStepLanes:
         q = rng.uniform(-1.0, 1.0, (12, 1))
         dt = np.full((12, 1), 0.1)
         dl = rng.uniform(-1.0, 1.0, (12, 1))
-        got_p, _, stalled = _step_lanes(
-            system, len(p), p, q, dt, dl, _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
-        )
+        got_p, _, stalled = _step_lanes(system, len(p), p, q, dt, dl)
         assert np.array_equal(stalled[0], np.flatnonzero(q[:, 0] > 0.0))
         for b, residual in zip(*stalled):
             assert residual == raw_error(system, p[b], q[b], 0.1, dl[b]).residual
@@ -840,10 +835,9 @@ class TestStepLanes:
         dt = rng.uniform(0.0, 0.1, (lanes, 1))
         dl = rng.uniform(-1.0, 1.0, (lanes, system.m))
         mixed = np.where(rng.uniform(size=dl.shape) < 0.5, 0.0, dl)
-        tol, max_iters = _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
         for s in [0, 1, lanes - 1, lanes, *rng.integers(2, lanes - 1, 4)]:
             for increments in (dl, mixed, None):
-                got_p, got_q, stalled = _step_lanes(system, s, p, q, dt, increments, tol, max_iters)
+                got_p, got_q, stalled = _step_lanes(system, s, p, q, dt, increments)
                 assert stalled is None
                 for b in range(lanes):
                     dL = np.zeros(system.m) if increments is None else increments[b]
@@ -854,7 +848,7 @@ class TestStepLanes:
                 if increments is not None:
                     # the driver's channel list gives the same bits
                     channels = [r for r in range(1, system.m + 1) if (increments[:, r - 1] != 0).any()]
-                    listed = _step_lanes(system, s, p, q, dt, increments, tol, max_iters, channels)
+                    listed = _step_lanes(system, s, p, q, dt, increments, channels)
                     assert np.array_equal(listed[0], got_p) and np.array_equal(listed[1], got_q)
 
     def test_only_leading_lanes_can_stall(self):
@@ -865,9 +859,7 @@ class TestStepLanes:
         dt = np.full((16, 1), 0.1)
         dl = rng.uniform(-1.0, 1.0, (16, 1))
         for s in (0, 5, 11, 16):
-            got_p, got_q, stalled = _step_lanes(
-                system, s, p, q, dt, dl, _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
-            )
+            got_p, got_q, stalled = _step_lanes(system, s, p, q, dt, dl)
             stiff = np.flatnonzero(q[:s, 0] > 0.0)
             if stiff.size == 0:
                 assert stalled is None
@@ -880,12 +872,14 @@ class TestStepLanes:
                 assert np.array_equal(got_p[b], want_p) and np.array_equal(got_q[b], want_q)
 
     @pytest.mark.parametrize("max_iters", range(2, 12))
-    def test_a_lane_settling_on_the_last_sweep_keeps_the_residuals_aligned(self, max_iters):
+    def test_a_lane_settling_on_the_last_sweep_keeps_the_residuals_aligned(self, max_iters,
+                                                                            monkeypatch):
         # lane 0 converges at a rate of 0.01 per sweep and settles on some
         # sweep <= max_iters; lane 1 expands and stalls
         system = stiff_where_q_positive()
         p, q, dt = np.array([[0.5], [0.5]]), np.array([[-0.5], [0.5]]), np.full((2, 1), 0.1)
-        _, _, stalled = _step_lanes(system, 2, p, q, dt, None, _IMPLICIT_TOL, max_iters)
+        monkeypatch.setattr(integrators, "_IMPLICIT_MAX_ITERS", max_iters)
+        _, _, stalled = _step_lanes(system, 2, p, q, dt, None)
         want = [raw_error(system, p[1], q[1], 0.1, np.zeros(1), max_iters).residual]
         try:
             raw_step(system, "symplectic", p[0], q[0], 0.1, np.zeros(1), max_iters)
@@ -920,11 +914,10 @@ class TestStepLanes:
         p[7, n - 1] = np.nan
         dt = rng.uniform(0.0, 0.1, (lanes, 1))
         with np.errstate(invalid="ignore"):
-            got_p, got_q, stalled = _step_lanes(system, lanes, p, q, dt, None, _IMPLICIT_TOL,
-                                                _IMPLICIT_MAX_ITERS)
+            got_p, got_q, stalled = _step_lanes(system, lanes, p, q, dt, None)
             assert len(set(sizes[1:-1])) > 3  # lanes leave the solve at several sweeps
-            alone = [_step_lanes(system, 1, p[b : b + 1], q[b : b + 1], dt[b : b + 1], None,
-                                 _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS) for b in range(lanes)]
+            alone = [_step_lanes(system, 1, p[b : b + 1], q[b : b + 1], dt[b : b + 1], None)
+                     for b in range(lanes)]
         for b, (want_p, want_q, _) in enumerate(alone):
             assert np.array_equal(got_p[b : b + 1], want_p, equal_nan=True)
             assert np.array_equal(got_q[b : b + 1], want_q, equal_nan=True)
@@ -1426,8 +1419,7 @@ def test_every_lane_equals_its_path_alone(seeds, dts, anharmonic_drift, scheme, 
     steps = np.array([[step * (b + 1) / len(lanes)] for b, step in enumerate(dts)])
     dl = np.resize(marks, (len(lanes), 1))
     implicit = len(p) if scheme == "symplectic" else 0
-    got_p, got_q, stalled = _step_lanes(system, implicit, p, q, steps, dl, _IMPLICIT_TOL,
-                                        _IMPLICIT_MAX_ITERS)
+    got_p, got_q, stalled = _step_lanes(system, implicit, p, q, steps, dl)
     assert stalled is None
     for b in range(len(lanes)):
         want_p, want_q = raw_step(system, scheme, p[b], q[b], steps[b, 0], dl[b])
@@ -1491,7 +1483,7 @@ def per_step_fixed_grid(system, scheme, initial, t0, T, path, dt):
         dl = dls[j : j + 1] if dls[j].any() else None
         step = np.array([[times[j + 1] - times[j]]])
         p, q, stalled = _step_lanes(system, int(scheme == "symplectic"), ps[-1][None],
-                                    qs[-1][None], step, dl, _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS)
+                                    qs[-1][None], step, dl)
         if stalled is not None:
             raise NonConvergenceError(f"step {j} stalled", residual=float(stalled[1][0]), step=j)
         if not (np.abs(p).max() <= sl.DIVERGENCE_LIMIT and np.abs(q).max() <= sl.DIVERGENCE_LIMIT):
