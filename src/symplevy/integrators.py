@@ -33,12 +33,13 @@ Two drivers build trajectories on noise realizations, and one pass,
   waiting at a jump share one flow, whatever their jump index (_phases).
 
 Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
-The pass checks for it once per block of steps (ticks and jumps): a block
+The pass checks for it once per window of steps (ticks and jumps): a window
 in which a step stalls, numpy records a floating-point event, an evaluator
 raises or warns, or a state is out of range runs again one checked step at
-a time from its first state (a jump flow's runs below its cap share the
-block's recorder the first time, their own in the rerun). Each step is a
-pure function of its state, so the rerun ends where a check after each would.
+a time (a jump flow's runs below its cap share the window's recorder the
+first time, their own in the rerun); steps are pure functions of their
+states, so the rerun ends where a check after each would. A noisy window
+while a lane after the first steps reruns every lane alone, in lane order.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ def _validate_run(system, initial, t0, T, path):
         raise DomainError(f"[t0, T]=[{t0}, {T}] must lie within [0, horizon={path.horizon}]")
 
 
-# Steps (drift ticks or jumps) the stepping pass runs between two divergence checks
+# A window of the stepping pass holds whole blocks of this many steps, up to its square in states
 _CHECK_BLOCK = 64
 
 
@@ -358,10 +359,7 @@ def integrate_fixed_grid(system, scheme, initial, t0, T, path, dt):
 
 
 class _Noisy(Exception):
-    """A block warned or raised while a lane after the first stepped; no one can name the lane.
-
-    Its args: its first tick, before which the record holds every lane's rows, and the failures.
-    """
+    """A window warned or raised while a lane after the first stepped; no one can name the lane."""
 
 
 def _fixed_grid_lanes(system, schemes, initial, t0, T, path, dt):
@@ -377,35 +375,28 @@ def _fixed_grid_lanes(system, schemes, initial, t0, T, path, dt):
     if times.size > 1:
         for r in range(1, system.m + 1):
             dls[1:, r - 1] = grid_increments(path, r, times)
-    yield from _grid_runs(system, schemes, times, dls, initial.p[None], initial.q[None])
+    yield from _grid_runs(system, schemes, initial, times, dls)
 
 
-def _grid_runs(system, schemes, times, dls, head_p, head_q):
-    """Yield each scheme's run on the grid, or its error, from its states at times[:len(head_p)].
+def _grid_runs(system, schemes, initial, times, dls):
+    """Yield each scheme's run on the grid from `initial`, or its error.
 
     The schemes, symplectic first, run as the lanes of one record. If a
-    block warns or raises while a later scheme still steps (see
-    _step_record), each scheme that has not failed before it goes on
-    alone from the block's first state instead, yielded before the next
-    starts, so every warning and error comes where the runs alone put it.
+    window warns or raises while a later scheme still steps (see
+    _step_record), nothing has been issued yet, and each scheme runs
+    alone from t0 instead, yielded before the next starts, so every
+    warning and error comes where the runs alone put it.
     """
-    lanes, head = len(schemes), len(head_p) - 1
+    lanes = len(schemes)
     rec = _Record(np.tile(times, lanes), times.size * np.arange(lanes + 1), system.n, schemes,
                   schemes.count("symplectic"), "step {step} (t={t:g})", np.tile(dls, (lanes, 1)))
-    rows = rec.lo[:, None] + np.arange(head + 1)
-    rec.ps[rows], rec.qs[rows] = head_p, head_q
+    rec.ps[rec.lo], rec.qs[rec.lo] = initial.p, initial.q
     try:
-        failures = _step_record(system, rec, rec.lo + head,
-                                np.full((lanes, 1), times.size - 1 - head), np.zeros(lanes, int),
-                                None, alone=True)
-    except _Noisy as noisy:
-        tick, failures = noisy.args
-        for b, scheme in enumerate(schemes):
-            if b in failures:
-                yield failures[b]
-                continue
-            kept = slice(rec.lo[b], rec.lo[b] + head + tick + 1)
-            yield from _grid_runs(system, (scheme,), times, dls, rec.ps[kept], rec.qs[kept])
+        failures = _step_record(system, rec, rec.lo, np.full((lanes, 1), times.size - 1),
+                                np.zeros(lanes, int), None, alone=True)
+    except _Noisy:
+        for scheme in schemes:
+            yield from _grid_runs(system, (scheme,), initial, times, dls)
         return
     for b in range(lanes):
         yield failures[b] if b in failures else rec.trajectory(b)
@@ -563,10 +554,11 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
     Lane b applies jump k, the flow of marks[b, k], for k < jumps[b], each
     state into the row after the one it steps from. The pass is laid out
     once by _phases, as entries: each phase's drift ticks, then its flow;
-    an entry steps the first count lanes of its row of `lanes`. Returns
-    the failed lanes' errors by lane; a failed lane leaves the pass, with
-    every lane above the lowest one unless `alone`.
-    If `alone` and a lane but lane 0 still steps, a noisy block raises _Noisy.
+    an entry steps the first count lanes of its row of `lanes`. Each window
+    of entries runs unchecked under one Recording, and again checked if it
+    was noisy or failed. Returns the failed lanes' errors by lane; a failed
+    lane leaves the pass, with every lane above the lowest one unless
+    `alone`. A noisy window while a lane after the first steps raises _Noisy.
     """
     live, failures = np.arange(len(start)), {}
     drift, jumped, lanes = _phases(ticks, jumps)  # held all run
@@ -597,7 +589,7 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
     first += start
     e0 = 0  # the entries before it are in the record
     while e0 < col.size and live.size:
-        # lay out the whole blocks from e0 that hold _CHECK_BLOCK**2 rows, or one block
+        # lay out the window from e0: the whole blocks that hold _CHECK_BLOCK**2 states, or one
         e1 = np.searchsorted(cum, cum[e0] + _CHECK_BLOCK**2, side="right") - 1
         e1 = min(e0 + max(_CHECK_BLOCK, (e1 - e0) // _CHECK_BLOCK * _CHECK_BLOCK), col.size)
         bounds, counts = cum[e0 : e1 + 1] - cum[e0], np.diff(cum[e0 : e1 + 1])
@@ -615,9 +607,9 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
         cols, counts, bounds = col[e0:e1].tolist(), counts.tolist(), bounds.tolist()
         implicit = int(np.count_nonzero(live < rec.implicit))
 
-        def run(j0, j1, p, q, checked):
-            """Entries j0..j1-1 after states p, q: (p, q, a stall or failed check, or a bool)."""
-            out_p, out_q, done, stop, ok = [], [], j0, None, True
+        def run(checked):
+            """Run the window: a stall or failed check if checked, else whether any step went wrong."""
+            out_p, out_q, done, stop, ok = [], [], 0, None, True
 
             def flush(upto):  # the states of entries done..upto-1 into the record
                 nonlocal done
@@ -629,7 +621,7 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
                 out_p.clear(), out_q.clear()
                 return _lanes_in_range(p_out, q_out).all()
 
-            for j in range(j0, j1):
+            for j in range(len(counts)):
                 c, a, b = counts[j], bounds[j], bounds[j + 1]
                 if follow[j]:
                     if c < len(p):
@@ -647,30 +639,22 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
                     dl = dls[a:b] if channels[j] else None
                     p, q, bad = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl,
                                             channels[j])
-                out_p.append(p)
-                out_q.append(q)
+                out_p.append(p), out_q.append(q)
                 if bad is not None or checked and not _lanes_in_range(p, q).all():
                     stop = j, bad
                     break
-            ok = flush(stop[0] + 1 if stop else j1) and ok
-            return p, q, stop if checked else stop is not None or not ok
+            ok = flush(stop[0] + 1 if stop else len(counts)) and ok
+            return stop if checked else stop is not None or not ok
 
-        p = q = None  # the states of the entry before the block
-        for j0 in range(0, len(counts), _CHECK_BLOCK):
-            j1 = min(j0 + _CHECK_BLOCK, len(counts))
-            try:
-                with Recording() as noise:
-                    after_p, after_q, failed = run(j0, j1, p, q, checked=False)
-                noisy = bool(noise)
-            except Exception:  # the rerun raises it, or an earlier failure
-                failed = noisy = True
-            if noisy and alone and live[-1] > 0:
-                raise _Noisy(e0 + j0, failures)
-            if noisy or failed:
-                after_p, after_q, failed = run(j0, j1, p, q, checked=True)
-                if failed:
-                    break
-            p, q = after_p, after_q
+        try:
+            with Recording() as noise:
+                failed = run(checked=False)
+        except Exception:  # the rerun raises it, or an earlier failure
+            failed = noise = True
+        if noise and live[-1] > 0:
+            raise _Noisy
+        if noise or failed:
+            failed = run(checked=True)
         if not failed:
             e0 = e1
             continue
@@ -728,14 +712,18 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, dt):
     MAX_GRID_STEPS, a segment over that many steps or a path whose drift
     ticks and jumps exceed it) is refused before any lane runs. If lanes
     fail numerically, the error of the lowest-index failing lane is
-    raised, exactly as that path raises it alone.
+    raised, exactly as that path raises it alone. Warnings come path by
+    path, as from the paths run alone in order.
     """
     rec = _pathwise_record(system, initial, t0, T, paths, dt, "symplectic")
     return [rec.trajectory(b) for b in range(len(rec.lo))]
 
 
 def _pathwise_record(system, initial, t0, T, paths, dt, scheme):
-    """``integrate_pathwise_batch`` up to its filled _Record, with `scheme` drift on every lane."""
+    """``integrate_pathwise_batch`` up to its filled _Record, with `scheme` drift on every lane.
+
+    On _Noisy each path runs alone from t0, in order, into its rows; the first that fails raises.
+    """
     paths = list(paths)
     if not paths:
         raise DomainError("paths must hold at least one path")
@@ -748,7 +736,13 @@ def _pathwise_record(system, initial, t0, T, paths, dt, scheme):
     if scheme == "explicit":
         rec.implicit = 0  # explicit Euler drift on every lane
     rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
-    failures = _step_record(system, rec, rec.lo, ticks, jumps, marks, alone=False)
+    try:
+        failures = _step_record(system, rec, rec.lo, ticks, jumps, marks, alone=False)
+    except _Noisy:
+        for b, path in enumerate(paths):
+            one = _pathwise_record(system, initial, t0, T, [path], [dts[b]], scheme)
+            rec.ps[rec.lo[b] : rec.hi[b]], rec.qs[rec.lo[b] : rec.hi[b]] = one.ps, one.qs
+        return rec
     if failures:
         raise failures[min(failures)]
     return rec

@@ -224,9 +224,11 @@ def sample_path(spec, horizon):
         times = _arrival_times(rng, spec.rate, horizon)
         marks = rng.normal(0.0, spec.mark_sigma, size=times.size)
         columns.append((times, np.full(times.size, channel, dtype=np.int64), marks))
-    times, channels, marks = (np.concatenate(column) for column in zip(*columns))
-    order = np.lexsort((channels, times))
-    return LevyPath._from_columns(spec, horizon, times[order], channels[order], marks[order])
+    if len(columns) > 1:  # one channel's own columns are in time order already
+        times, channels, marks = (np.concatenate(column) for column in zip(*columns))
+        order = np.lexsort((channels, times))
+        columns = [(times[order], channels[order], marks[order])]
+    return LevyPath._from_columns(spec, horizon, *columns[0])
 
 
 def _window(path, t0, t1):

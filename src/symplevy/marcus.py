@@ -28,7 +28,7 @@ was not finite, or whose runs below the cap warn, raise or meet a
 floating-point event takes exactly the cap, the fixed-count map, so
 each jump warns and fails as ``jump_flow`` at its count. Only the cap
 run checks each substep for a non-finite state, to name the first.
-In an unchecked block of the driver's pass, which runs again checked
+In an unchecked window of the driver's pass, which runs again checked
 on any noise, the runs below the cap leave their noise to the pass's
 recorder. At the default model a jump takes 2 or 4 substeps, not 16.
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symplevy as sl
-from symplevy import cli, integrators
+from symplevy import _noise, cli, integrators
 from symplevy._csv import fmt, fmt_rows
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from symplevy.integrators import (
@@ -1857,9 +1857,10 @@ class TestFixedGridLanes:
                     sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 150.0, path, dt)
         assert 0 < resumed < len(rows)
 
-    def test_a_block_where_both_lanes_are_noisy_is_not_run_again_from_t0(self, monkeypatch):
-        # exp(q) overflows from step 10 on in both lanes; with blocks of 3
-        # ticks the record keeps rows 0-9 and each lane resumes from row 9
+    def test_a_window_where_both_lanes_are_noisy_runs_each_lane_alone_from_t0(self, monkeypatch):
+        # exp(q) overflows from step 10 on in both lanes; with windows of 3
+        # ticks the record steps ticks 0-11 as a pair and drops them at the
+        # noisy window, and each lane then runs alone from t0
         monkeypatch.setattr(integrators, "_CHECK_BLOCK", 3)
         rows = []
 
@@ -1882,10 +1883,48 @@ class TestFixedGridLanes:
                     sl.integrate_fixed_grid(system, scheme, unit_start(), 0.0, 10.0,
                                             empty_path(10.0), dt)
                 assert_same_outcome(run, info.value)
-        # 3 clean blocks and the noisy one's unchecked pass as a pair, then
-        # every one-lane step the runs alone make after tick 9
-        assert paired[:12] == [2] * 12 and set(paired[12:]) == {1}
-        assert paired.count(1) == len(rows) - 2 * 9
+        # 3 clean windows and the noisy one's unchecked pass as a pair, then
+        # every one-lane call the two runs alone make
+        assert paired[:12] == [2] * 12 and paired[12:] == rows
+
+    # the symplectic lane diverges cleanly at step 29; the explicit lane,
+    # P = Q from step 1 on, warns from step 35 on, in a later window, and
+    # diverges at step 40: its warnings come after the symplectic outcome
+    # (windows of 1 or 3 ticks hold steps 29 and 35 apart)
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_a_later_noisy_window_of_the_explicit_lane_comes_after_the_symplectic_outcome(
+            self, monkeypatch, block):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+
+        def gamma0(p, q):  # the symplectic lane evaluates at P1 = P0 + Q0 > Q0
+            if ((np.abs(q) > 1e10) & (np.abs(q) >= np.abs(p))).any():
+                warnings.warn("q beyond 1e10 and not below p")
+            return p
+
+        lanes, alone = lanes_and_alone(hyperbolic(gamma0), 60.0, empty_path(60.0), 1.0)
+        for (got, got_warnings), (want, want_warnings) in zip(lanes, alone):
+            assert isinstance(want, DivergenceError)
+            assert_same_outcome(got, want)
+            assert got_warnings == want_warnings
+        assert (lanes[0][0].step, lanes[1][0].step) == (29, 40)
+        assert lanes[0][1] == [] and len(lanes[1][1]) == 6
+
+    def test_a_two_lane_grid_opens_one_recorder_per_window(self, monkeypatch):
+        # T = 400 at dt = 0.08: 5,000 ticks of two lanes in windows of
+        # 4,096 states, each run once under one recorder
+        entered = []
+        enter = _noise.Recording.__enter__
+
+        def counted(self):
+            entered.append(self)
+            return enter(self)
+
+        monkeypatch.setattr(_noise.Recording, "__enter__", counted)
+        system = kubo()
+        lanes = list(integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, 400.0,
+                                                   sampled_on(system, 1, 400.0), 0.08))
+        assert all(isinstance(run, sl.Trajectory) for run in lanes)
+        assert len(entered) <= 4
 
     def test_an_evaluator_error_raises_before_the_explicit_lane_runs(self):
         seen = []
@@ -2186,6 +2225,27 @@ class TestOnePass:
         assert 180 < len(busy) < 220
         for paths in ([empty_path(40.0), busy], [busy, empty_path(40.0)]):
             assert_batch_as_alone(kubo(), paths, [0.05, 0.03], 40.0)
+
+    # Q grows from 1 by 1 + dt per drift tick and by e^x per jump of mark
+    # x, so it passes (1.4, 1.7) at about tick 4 at dt = 0.1 and tick 34 at
+    # dt = 0.01: the second path warns first in tick order, but the batch
+    # issues the first path's warnings first, as the paths run alone
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_warnings_come_path_by_path(self, monkeypatch, block):
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+
+        def gamma0(p, q):
+            inside = (q > 1.4) & (q < 1.7)
+            if inside.any():
+                warnings.warn(f"q = {q[inside].tolist()}")
+            return q
+
+        system = growth(gamma0=gamma0)
+        paths = [sampled_on(system, seed, 1.0) for seed in (0, 1)]
+        alone = [outcome(sl.integrate_pathwise, system, unit_start(), 0.0, 1.0, path, dt)[1]
+                 for path, dt in zip(paths, [0.01, 0.1])]
+        assert all(alone)
+        assert_batch_as_alone(system, paths, [0.01, 0.1], 1.0)
 
 
 def phase_flows(system, paths, dts, T):

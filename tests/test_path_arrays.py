@@ -212,3 +212,29 @@ def test_a_million_events_fit_in_160_mib():
     events, rise_kib = map(int, result.stdout.split())
     assert events > 990_000
     assert rise_kib <= 160 * 1024
+
+
+ONE_CHANNEL_PROBE = """
+import resource
+from symplevy.levy_path import LevyPathSpec, sample_path
+
+sample_path(LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=3), 10.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+path = sample_path(LevyPathSpec(rate=1.5e6, mark_sigma=0.2, seed=3), 1.0)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(path.times.nbytes + path.channels.nbytes + path.marks.nbytes, after - before)
+"""
+
+
+def test_one_channel_peaks_below_two_and_a_half_times_the_arrays_it_keeps():
+    # one channel's columns are kept as drawn: no concatenated or sorted
+    # copies (about 1.7 times the 34 MiB kept here, 4 times with them)
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symplevy.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", ONE_CHANNEL_PROBE], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    kept_bytes, rise_kib = map(int, result.stdout.split())
+    assert kept_bytes > 30 * 2**20
+    assert rise_kib * 1024 <= 2.5 * kept_bytes
