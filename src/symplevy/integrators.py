@@ -45,6 +45,7 @@ while a lane after the first steps reruns every lane alone, in lane order.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,9 +149,11 @@ def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
     single-state map bit for bit. Every lane takes the first fixed-point
     sweep of the momentum solve from p0, the explicit Euler momentum; the
     symplectic lanes sweep on, each until an update (the residual at the
-    previous iterate) of max-norm <= _IMPLICIT_TOL, as alone. stalled is
-    None, or the ascending indices and last residuals of the lanes still
-    moving after _IMPLICIT_MAX_ITERS sweeps.
+    previous iterate, read as a float if one entry) of max-norm <=
+    _IMPLICIT_TOL, as alone. The explicit rows' q reads a copy of p0
+    under the symplectic rows' p. stalled is None, or the ascending
+    indices and last residuals of the lanes still moving after
+    _IMPLICIT_MAX_ITERS sweeps.
     """
     sigma, gamma = system.sigma, system.gamma
     tol, max_iters = _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
@@ -168,7 +171,7 @@ def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
         left = slice(s)
         diff = np.abs(x - pa)
         for sweep in range(1, max_iters + 1):
-            if _max(diff, None) <= tol:
+            if (diff.item() if diff.size == 1 else _max(diff, None)) <= tol:  # NaN never settles
                 break
             if len(x) > 1:
                 top = diff[:, 0] if diff.shape[1] == 1 else _max(diff, 1)  # each lane's max
@@ -189,7 +192,10 @@ def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
             p = x  # no lane settled early, so x holds every row
         else:
             p[left] = x
-        at = p if s == len(p) else np.concatenate([p[:s], p0[s:]])
+        at = p
+        if s < len(p):  # the explicit rows' q steps from p0
+            at = p0.copy()
+            at[:s] = p[:s]
     q = q0 + gamma[0](at, q0) * dt
     for r, d in terms:
         q = q + gamma[r](at, q0) * d
@@ -722,7 +728,7 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, dt):
 def _pathwise_record(system, initial, t0, T, paths, dt, scheme):
     """``integrate_pathwise_batch`` up to its filled _Record, with `scheme` drift on every lane.
 
-    On _Noisy each path runs alone from t0, in order, into its rows; the first that fails raises.
+    On _Noisy or a noisy shape check the paths run alone from t0 in order; the first failing raises.
     """
     paths = list(paths)
     if not paths:
@@ -731,12 +737,20 @@ def _pathwise_record(system, initial, t0, T, paths, dt, scheme):
         _validate_run(system, initial, t0, T, path)
     dts = _lane_dts(dt, len(paths))
     p_start, q_start = np.tile(initial.p, (len(paths), 1)), np.tile(initial.q, (len(paths), 1))
-    _check_lane_shapes(system, p_start, q_start)
+    try:  # a batch's noise here sends its paths to run alone, each issuing its own check's
+        with Recording() if len(paths) > 1 else nullcontext() as noise:
+            _check_lane_shapes(system, p_start, q_start)
+    except Exception:
+        if noise is not None:  # a batch's check again, unrecorded: its noise, then its error
+            _check_lane_shapes(system, p_start, q_start)
+        raise
     rec, jumps, ticks, marks = _lane_record(system, paths, float(t0), float(T), dts)
     if scheme == "explicit":
         rec.implicit = 0  # explicit Euler drift on every lane
     rec.ps[rec.lo], rec.qs[rec.lo] = p_start, q_start
     try:
+        if noise:
+            raise _Noisy
         failures = _step_record(system, rec, rec.lo, ticks, jumps, marks, alone=False)
     except _Noisy:
         for b, path in enumerate(paths):

@@ -76,6 +76,17 @@ MODEL_T50_SEED_1_SHA256 = {
     "hamiltonian.csv": "327067fd0d76a0e96d695d85b6c4a9cf053d83438447c092ea73e161b42ffd1f",
 }
 
+# orbit and hamiltonian at the model flags over T=400 at dt=0.08 with --svg
+# (the benchmark's long-orbit flags at seed 1): 5,000 steps per scheme
+MODEL_T400_SEED_1_SHA256 = {
+    "exact.csv": "1051d7a18240092c6469d347d1a5fda92ddb656fefab98cb8a4bf4c6282b89c3",
+    "symplectic.csv": "3feb432bc759fb2c3537e9b3b91c309f1f28331b322ba7c1f177db1d44fe5454",
+    "explicit.csv": "7231208a9ea044a8022f9df257830b73c0a7ee3a06da05ee66e0e8f9fda31a7a",
+    "hamiltonian.csv": "cb2eb25f011e883459af6558071fb4863a330ec581b5067cc67928a5bbc1982f",
+    "orbit.svg": "096d21ee6cf1c636eee6c31b9cc1b1d67d6a93e9482f2760f4fcdf0235c4fb15",
+    "hamiltonian.svg": "a1db65c7571f6e63a7f30bff9976eff01c242689739ab492007c7ba332b01594",
+}
+
 # SVG bytes at seed 1 from per-point formatting: orbit and hamiltonian
 # at the model flags over T=50, the other three at small flags
 SVG_SEED_1_SHA256 = {
@@ -723,6 +734,14 @@ class TestPinnedPathBytes:
             argv = [command, *MODEL_FLAGS, "--T", 50, "--seed", 1, "--out-dir", tmp_path]
             assert run_cli(argv) == 0
         for name, digest in MODEL_T50_SEED_1_SHA256.items():
+            assert self.sha256(tmp_path / name) == digest, name
+
+    def test_orbit_and_hamiltonian_t400_seed_1(self, tmp_path):
+        for command in ("orbit", "hamiltonian"):
+            argv = [command, *MODEL_FLAGS, "--dt", 0.08, "--T", 400, "--svg", "--seed", 1,
+                    "--out-dir", tmp_path]
+            assert run_cli(argv) == 0
+        for name, digest in MODEL_T400_SEED_1_SHA256.items():
             assert self.sha256(tmp_path / name) == digest, name
 
     def test_svg_seed_1(self, tmp_path):

@@ -744,6 +744,31 @@ def anharmonic():
     )
 
 
+def anharmonic_2d():
+    # anharmonic() on two degrees of freedom, r^2 = |p|^2 + |q|^2 per row:
+    # the momentum solve's residual has two entries
+    def r2(p, q):
+        return (p * p + q * q).sum(axis=1, keepdims=True)
+
+    return sl.HamiltonianSystem(
+        n=2,
+        m=1,
+        sigma=(lambda p, q: 0.3 * q * r2(p, q), lambda p, q: 0.1 * q),
+        gamma=(lambda p, q: 0.3 * p * r2(p, q), lambda p, q: 0.1 * p),
+        hamiltonians=(lambda p, q: 0.0 * p[:, 0], lambda p, q: 0.0 * p[:, 0]),
+    )
+
+
+def counting(system, sizes):
+    """`system` whose sigma[0] appends the number of lanes of each call to `sizes`."""
+    def sigma0(p, q):
+        sizes.append(len(p))
+        return system.sigma[0](p, q)
+
+    return sl.HamiltonianSystem(n=system.n, m=system.m, sigma=(sigma0, *system.sigma[1:]),
+                                gamma=system.gamma, hamiltonians=system.hamiltonians)
+
+
 def two_channel():
     # channel fields that do not commute, so combining simultaneous
     # marks into one flow differs from applying them one by one
@@ -924,6 +949,93 @@ class TestStepLanes:
         assert [b for b, (_, _, bad) in enumerate(alone) if bad is not None] == [7]
         assert stalled[0].tolist() == [7] and np.isnan(stalled[1]).all()
         assert np.isnan(alone[7][2][1]).all()
+
+    def test_a_lane_within_tolerance_after_the_first_sweep_stops_there(self):
+        # a truncated last tick: its first update, about 1e-15, is already
+        # within _IMPLICIT_TOL, so the solve evaluates sigma[0] only once
+        sizes = []
+        system = counting(anharmonic(), sizes)
+        p, q, dt = np.array([[0.7]]), np.array([[-0.4]]), np.array([[1e-14]])
+        for dl in (None, np.array([[1e-14]])):
+            sizes.clear()
+            got_p, got_q, stalled = _step_lanes(system, 1, p, q, dt, dl)
+            assert stalled is None and sizes == [1]
+            assert 0.0 < abs(got_p[0, 0] - 0.7) <= integrators._IMPLICIT_TOL
+            dL = np.zeros(1) if dl is None else dl[0]
+            want_p, want_q = raw_step(system, "symplectic", p[0], q[0], 1e-14, dL)
+            assert np.array_equal(got_p[0], want_p) and np.array_equal(got_q[0], want_q)
+
+    def test_a_nan_lane_alone_stalls_with_a_nan_residual(self):
+        # alone, and as the last lane iterating once lane 1 settles: the same bits
+        system = anharmonic()
+        p, q, dt = np.array([[np.nan], [0.5]]), np.array([[0.3], [0.5]]), np.full((2, 1), 0.05)
+        got_p, got_q, stalled = _step_lanes(system, 1, p[:1], q[:1], dt[:1], None)
+        assert stalled[0].tolist() == [0] and np.isnan(stalled[1]).all()
+        assert math.isnan(raw_error(system, p[0], q[0], 0.05, np.zeros(1)).residual)
+        both_p, both_q, both_stalled = _step_lanes(system, 2, p, q, dt, None)
+        assert both_stalled[0].tolist() == [0] and np.isnan(both_stalled[1]).all()
+        assert np.array_equal(got_p, both_p[:1], equal_nan=True)
+        assert np.array_equal(got_q, both_q[:1], equal_nan=True)
+        want_p, want_q = raw_step(system, "symplectic", p[1], q[1], 0.05, np.zeros(1))
+        assert np.array_equal(both_p[1], want_p) and np.array_equal(both_q[1], want_q)
+
+    def test_a_one_row_lane_of_two_entries_settles_on_both(self):
+        # the first entry's update is zero from the first sweep (q1 = 0), so
+        # reading it alone would stop the solve after one sweep
+        sizes = []
+        system = counting(anharmonic_2d(), sizes)
+        rng = np.random.default_rng(12)
+        states = [(np.array([[0.4, -0.6]]), np.array([[0.0, 1.2]]))]
+        states += [(rng.uniform(-1.5, 1.5, (1, 2)), rng.uniform(-1.5, 1.5, (1, 2))) for _ in range(10)]
+        for p, q in states:
+            dt, dl = rng.uniform(0.0, 0.1), rng.uniform(-1.0, 1.0, (1, 1))
+            for increments in (dl, None):
+                sizes.clear()
+                got_p, got_q, stalled = _step_lanes(system, 1, p, q, np.array([[dt]]), increments)
+                assert stalled is None
+                dL = np.zeros(1) if increments is None else increments[0]
+                want_p, want_q = raw_step(system, "symplectic", p, q, dt, dL)
+                assert np.array_equal(got_p, want_p) and np.array_equal(got_q, want_q)
+        assert len(sizes) > 2  # the first state's solve swept on
+
+    def test_the_last_lane_iterating_is_as_alone(self):
+        # the anharmonic sweeps contract by about 0.9 dt r^2: the three small
+        # lanes settle sweeps before the large one, which then iterates alone
+        sizes = []
+        system = counting(anharmonic(), sizes)
+        p = np.array([[0.1], [0.2], [-0.15], [1.4]])
+        q = np.array([[0.1], [-0.1], [0.2], [1.3]])
+        dt = np.full((4, 1), 0.08)
+        for dl in (np.full((4, 1), 0.3), None):
+            sizes.clear()
+            got_p, got_q, stalled = _step_lanes(system, 4, p, q, dt, dl)
+            assert stalled is None and sizes[:2] == [4, 4] and sizes[-3:] == [1, 1, 1]
+            for b in range(4):
+                dL = np.zeros(1) if dl is None else dl[b]
+                want_p, want_q = raw_step(system, "symplectic", p[b], q[b], 0.08, dL)
+                assert np.array_equal(got_p[b], want_p) and np.array_equal(got_q[b], want_q)
+                alone = _step_lanes(system, 1, p[b : b + 1], q[b : b + 1], dt[b : b + 1],
+                                    None if dl is None else dl[b : b + 1])
+                assert np.array_equal(got_p[b : b + 1], alone[0])
+                assert np.array_equal(got_q[b : b + 1], alone[1])
+
+    @pytest.mark.parametrize("s, lanes", [(1, 2), (2, 3)])
+    def test_mixed_lanes_of_two_entries_step_the_explicit_q_from_p0(self, s, lanes):
+        system = anharmonic_2d()
+        rng = np.random.default_rng(13)
+        p = rng.uniform(-1.5, 1.5, (lanes, 2))
+        q = rng.uniform(-1.5, 1.5, (lanes, 2))
+        dt = rng.uniform(0.0, 0.1, (lanes, 1))
+        dl = rng.uniform(-1.0, 1.0, (lanes, 1))
+        for increments in (dl, None):
+            got_p, got_q, stalled = _step_lanes(system, s, p, q, dt, increments)
+            assert stalled is None
+            for b in range(lanes):
+                dL = np.zeros(1) if increments is None else increments[b]
+                scheme = "symplectic" if b < s else "explicit"
+                want_p, want_q = raw_step(system, scheme, p[b : b + 1], q[b : b + 1], dt[b, 0], dL)
+                assert np.array_equal(got_p[b : b + 1], want_p)
+                assert np.array_equal(got_q[b : b + 1], want_q)
 
     def test_fixed_grid_stall_raises_the_reference_error(self):
         start = sl.PhaseState([0.5], [0.25])
@@ -2246,6 +2358,44 @@ class TestOnePass:
                  for path, dt in zip(paths, [0.01, 0.1])]
         assert all(alone)
         assert_batch_as_alone(system, paths, [0.01, 0.1], 1.0)
+
+    def test_a_noisy_shape_check_issues_only_the_warnings_of_the_paths_alone(self):
+        # gamma[0] warns on the start state, Q = 1: the batch's shape check of
+        # both lanes is noisy, so the paths run alone, each with its own check
+        def gamma0(p, q):
+            if (np.abs(q) >= 1.0).any():
+                warnings.warn(f"|Q| >= 1 on {len(q)} lanes")
+            return 0.1 * p
+
+        system = sl.HamiltonianSystem(
+            n=1,
+            m=1,
+            sigma=(lambda p, q: 0.1 * q, lambda p, q: 0.1 * q),
+            gamma=(gamma0, lambda p, q: 0.1 * p),
+            hamiltonians=(lambda p, q: 0.0 * p[..., 0], lambda p, q: 0.0 * p[..., 0]),
+        )
+        paths = [sampled(seed, 1.0) for seed in (0, 1)]
+        got, warned = outcome(sl.integrate_pathwise_batch, system, unit_start(), 0.0, 1.0, paths, 0.1)
+        alone = [outcome(sl.integrate_pathwise, system, unit_start(), 0.0, 1.0, path, 0.1)
+                 for path in paths]
+        assert alone[0][1] and alone[1][1]
+        assert warned == alone[0][1] + alone[1][1]  # not the batch check's "on 2 lanes" first
+        for run, (want, _) in zip(got, alone):
+            assert_same_run(run, want)
+
+    def test_a_wrong_shape_in_a_batch_raises_after_its_warnings(self):
+        # the check's warnings are issued once, then its error, before any lane runs
+        def gamma0(p, q):
+            warnings.warn(f"gamma[0] on {len(q)} lanes")
+            return 0.1 * p[0]
+
+        system = growth(gamma0=gamma0)
+        paths = [sampled(seed, 1.0) for seed in (0, 1)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=r"gamma\[0\] maps lane arrays of shape \(2, 1\)"):
+                sl.integrate_pathwise_batch(system, unit_start(), 0.0, 1.0, paths, 0.1)
+        assert [str(w.message) for w in caught] == ["gamma[0] on 2 lanes"]
 
 
 def phase_flows(system, paths, dts, T):
