@@ -95,6 +95,14 @@ class HamiltonianSystem:
         Optional invariant, (B, n) to (B,), reported by the analysis
         module when no index is given (the Kubo system monitors
         (P^2+Q^2)/2).
+    jump_maps : tuple of callables or None
+        Optional exact jump maps, one per channel: jump_maps[r-1] maps
+        (p, q, R), with (B, n) lanes and a (B, 1) mark column R, to the
+        (p, q) lanes at time 1 of the flow of channel r's field scaled by
+        R. The jump-adapted drivers apply it to every jump instant whose
+        marks drive channel r alone; instants that drive several channels,
+        and every jump of a system without maps, take the RK4 flow (see
+        ``marcus``). The Kubo system's map is the rotation by beta*R.
     """
 
     n: int
@@ -103,6 +111,7 @@ class HamiltonianSystem:
     gamma: tuple
     hamiltonians: tuple
     monitored: object = None
+    jump_maps: object = None
 
     def __post_init__(self):
         if not (type(self.n) is int and self.n >= 1):
@@ -119,6 +128,15 @@ class HamiltonianSystem:
         object.__setattr__(self, "hamiltonians", tuple(self.hamiltonians))
         if self.monitored is not None and not callable(self.monitored):
             raise InvalidSpecError("monitored must be callable or None")
+        if self.jump_maps is not None:
+            if not isinstance(self.jump_maps, (tuple, list)):
+                raise InvalidSpecError(f"jump_maps must be None or a tuple, got {self.jump_maps!r}")
+            if len(self.jump_maps) != self.m:
+                raise InvalidSpecError(
+                    f"jump_maps must have m = {self.m} entries, got {len(self.jump_maps)}")
+            if not all(callable(f) for f in self.jump_maps):
+                raise InvalidSpecError("jump_maps entries must be callable")
+            object.__setattr__(self, "jump_maps", tuple(self.jump_maps))
 
 
 @dataclass(frozen=True)
@@ -141,7 +159,8 @@ def kubo_system(params):
 
     Coefficients: sigma_0 = alpha*Q, gamma_0 = alpha*P, sigma_1 = beta*Q,
     gamma_1 = beta*P, from H_0 = alpha*(P^2+Q^2)/2 and
-    H_1 = beta*(P^2+Q^2)/2. The monitored invariant is (P^2+Q^2)/2.
+    H_1 = beta*(P^2+Q^2)/2. The monitored invariant is (P^2+Q^2)/2, and
+    the jump map is the exact rotation by beta*R.
     """
     alpha = float(params.alpha)
     beta = float(params.beta)
@@ -159,6 +178,7 @@ def kubo_system(params):
         hamiltonians=(lambda p, q: 0.5 * alpha * radius2(p, q),
                       lambda p, q: 0.5 * beta * radius2(p, q)),
         monitored=lambda p, q: 0.5 * radius2(p, q),
+        jump_maps=(lambda p, q, R: _kubo_rotation(params, p, q, 0.0, R),),
     )
 
 

@@ -29,8 +29,9 @@ Two drivers build trajectories on noise realizations, and one pass,
   its own step. Between jumps it substeps the drift ODE with the
   symplectic Euler map (``converge --scheme explicit``: explicit Euler);
   at each jump time it applies the Marcus jump flow to that instant's
-  marks and records both the pre-jump and the post-jump state. Lanes
-  waiting at a jump share one flow, whatever their jump index (_phases).
+  marks (the system's exact map of a channel where it has one) and
+  records both the pre-jump and the post-jump state. Lanes waiting at a
+  jump share one flow, whatever their jump index (_phases).
 
 Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
 The pass checks for it once per window of steps (ticks and jumps): a window
@@ -422,6 +423,11 @@ def _check_lane_shapes(system, p, q):
                     f"{name}[{r}] maps lane arrays of shape {p.shape} to shape {shape}; "
                     "coefficient evaluators must map (B, n) arrays to (B, n)"
                 )
+    for r, jump_map in enumerate(system.jump_maps or (), 1):
+        shapes = [np.shape(x) for x in jump_map(p, q, np.zeros((len(p), 1)))]
+        if shapes != [p.shape] * 2:
+            raise DomainError(f"jump_maps[{r - 1}] maps lane arrays of shape {p.shape} to shapes "
+                              f"{shapes}; jump maps must map (B, n) arrays to two (B, n)")
 
 
 def _lane_jumps(system, paths, t0, T):
@@ -705,9 +711,12 @@ def integrate_pathwise_batch(system, initial, t0, T, paths, dt):
     every substep state and, at each jump time, both the pre-jump and
     post-jump states, and equals the same path run alone bit for bit.
 
-    Each jump takes its own number of RK4 substeps in the jump flow, by
-    step doubling and at most DEFAULT_SUBSTEPS (see ``marcus``); its
-    post-jump state is ``jump_flow`` at that count bit for bit.
+    A jump instant whose marks drive one channel r of a system with
+    ``jump_maps`` takes ``jump_maps[r-1]`` (for Kubo, the exact rotation
+    by beta*R). Every other jump takes its own number of RK4 substeps in
+    the jump flow, by step doubling and at most DEFAULT_SUBSTEPS (see
+    ``marcus``); its post-jump state is ``jump_flow`` at that count bit
+    for bit.
 
     dt is one step for every path or a list with one per path; a list of
     another length raises DomainError, and a step that is not a finite

@@ -11,6 +11,15 @@ several channels are combined into the single summed field above rather
 than applied one channel at a time; the two differ when the channel
 fields do not commute.
 
+A system may give that flow exactly for each channel alone
+(``HamiltonianSystem.jump_maps``; the Kubo system's is the rotation by
+beta*R, exactly symplectic). The jump-adapted driver applies
+``jump_maps[r-1]`` to every jump instant whose marks drive channel r
+alone, in one call for all such lanes, and fails a lane whose result is
+not finite as a flow that failed at substep 0. Instants that drive
+several channels, every jump of a system without maps, and ``jump_flow``
+at any count take the Runge-Kutta flow below.
+
 The flow is integrated with the classical 4th-order Runge-Kutta method
 in equal substeps. Accuracy scales as (total angle)^5 / substeps^4 on
 rotation-like fields. ``jump_flow`` takes a fixed number of substeps
@@ -53,7 +62,7 @@ import numpy as np
 
 from ._noise import Recording
 from .errors import DivergenceError, DomainError
-from .hamiltonian import PhaseState, _kubo_rotation
+from .hamiltonian import PhaseState, kubo_system
 
 __all__ = ["jump_flow", "kubo_jump_closed_form", "DEFAULT_SUBSTEPS"]
 
@@ -125,10 +134,11 @@ def _rk4(field, p, q, substeps, first=None, checked=True):
 def _flow(system, p, q, marks, channels, substeps, tol, watched=False):
     """The flow of lanes that drive the same channels: (p, q, failed) as from _rk4.
 
-    With tol None every lane takes `substeps` substeps. Otherwise each
-    lane takes the first 2N = 2, 4, ... with 4N < `substeps` whose
-    step-doubling estimate meets tol (see the module docstring), and the
-    others exactly `substeps`. Every try runs every lane from the shared
+    With tol None every lane takes `substeps` substeps. With a tol, lanes
+    of one channel of a system with jump maps take that channel's map;
+    otherwise each lane takes the first 2N = 2, 4, ... with 4N <
+    `substeps` whose step-doubling estimate meets tol (see the module
+    docstring), and the others exactly `substeps`. Every try runs every lane from the shared
     first stage; two masks keep the outcomes: `met`, the lanes whose rows
     of out_p, out_q hold an accepted try, and `trying`, the lanes still
     doubling. The runs below the cap go unchecked and issue no noise (see
@@ -141,6 +151,12 @@ def _flow(system, p, q, marks, channels, substeps, tol, watched=False):
     """
     if not channels:
         return p, q, None
+    if tol is not None and system.jump_maps is not None and len(channels) == 1:
+        r = channels[0]  # the channel's exact map; a non-finite lane fails as at substep 0
+        p, q = system.jump_maps[r - 1](p, q, marks[:, r - 1 : r])
+        if _all(np.isfinite(p), None) and _all(np.isfinite(q), None):
+            return p, q, None
+        return p, q, np.where(_all(np.isfinite(p), 1) & _all(np.isfinite(q), 1), -1, 0)
     field = _make_field(system, channels, marks)
     if tol is None:
         return _rk4(field, p, q, substeps)
@@ -255,7 +271,11 @@ def jump_flow(system, state, marks, substeps=DEFAULT_SUBSTEPS):
 def kubo_jump_closed_form(params, state, mark):
     """Exact Kubo jump map: rotation by beta*mark.
 
-    Serves as the oracle for jump_flow on the Kubo system, where the
-    jump field is the rotation generator scaled by beta.
+    The one-state case of ``kubo_system(params).jump_maps[0]``, which the
+    jump-adapted driver applies to Kubo jumps; the oracle for jump_flow on
+    the Kubo system, where the jump field is the rotation generator scaled
+    by beta.
     """
-    return PhaseState(*_kubo_rotation(params, state.p, state.q, 0.0, mark))
+    mark = np.asarray(mark, dtype=float).reshape(1, 1)
+    p, q = kubo_system(params).jump_maps[0](state.p[None], state.q[None], mark)
+    return PhaseState(p[0], q[0])

@@ -12,6 +12,8 @@ the exact identities of both schemes on the Marcus driver.
 """
 
 import csv
+import dataclasses
+import itertools
 import math
 import time
 
@@ -286,16 +288,19 @@ def test_criterion_8_explicit_study_converges_to_the_marcus_solution(tmp_path, c
 def test_criterion_9_identities_on_the_marcus_driver(capsys):
     # the jump-adapted driver solves the Marcus SDE; on Kubo its drift
     # ticks and jumps obey exact identities, so each tolerance below is a
-    # count of roundings (u = 2^-53), or the jump flow's acceptance rule
+    # count of roundings (u = 2^-53), or the jump flow's acceptance rule.
+    # Kubo's jumps take its exact rotation; on Kubo without that map they
+    # take the RK4 flow, whose identities are checked there
     t0 = time.perf_counter()
     with capsys.disabled():
-        system, T, dt, u = kubo(), 200.0, 0.08, np.finfo(float).eps / 2
+        T, dt, u = 200.0, 0.08, np.finfo(float).eps / 2
+        systems = {"rotation": kubo(), "RK4": dataclasses.replace(kubo(), jump_maps=None)}
         paths = [sl.sample_path(sl.LevyPathSpec(rate=RATE, mark_sigma=MARK_SIGMA, seed=seed), T)
                  for seed in range(100)]
-        _, _, marks = _lane_jumps(system, paths, 0.0, T)  # lane by lane, in time order
+        _, _, marks = _lane_jumps(kubo(), paths, 0.0, T)  # lane by lane, in time order
         theta = KUBO.beta * marks[:, 0]  # each jump's rotation angle
         ends, worst, holds = {}, {}, []
-        for scheme in ("symplectic", "explicit"):
+        for (flow, system), scheme in itertools.product(systems.items(), ("symplectic", "explicit")):
             rec = _pathwise_record(system, unit_start(), 0.0, T, paths, dt, scheme)
             p, q, times = rec.ps[:, 0], rec.qs[:, 0], rec.times
             r2 = p * p + q * q
@@ -320,6 +325,21 @@ def test_criterion_9_identities_on_the_marcus_driver(capsys):
 
                 drift = np.abs(energy(tick) - energy(tick - 1)) / energy(tick - 1)
             drift_bound = (8.0 + 10.0 * a.max()) * u * (1.0 + a.max())
+            holds += [jump.size == theta.size, drift.max() <= drift_bound]
+            ends[flow, scheme] = np.abs(r2[rec.hi - 1] - 1.0)
+            if flow == "rotation":
+                # p' = p c - q s, q' = p s + q c, with c and s cos(theta) and
+                # sin(theta) within an ulp (2 u each): c^2 + s^2 is 1 to 4 u, and
+                # the 2 products and the sum or difference of each component
+                # move r'^2 by at most 2 (|p'| (|p c| + |q s|) + |q'| (|p s| +
+                # |q c|) + r'^2) u <= 2 (1 + sqrt 2) r^2 u (Cauchy-Schwarz); the
+                # check rounds each r^2 by 2 u. That is 12.8 u, against the RK4
+                # bounds below of 18 u and up at 4 and 16 substeps and of
+                # (12 + 26 |theta|) u at 2
+                dev = np.abs(r2[jump] - r2[jump - 1]) / r2[jump - 1]
+                worst[flow, scheme] = (float(drift.max() / u), float(dev.max() / u))
+                holds.append(dev.max() <= (10.0 + 2.0 * math.sqrt(2.0)) * u)
+                continue
             # RK4 on the rotation by theta, in N substeps of x = theta / N,
             # scales r^2 by |R(ix)|^(2N) = (1 - x^6/72 + x^8/576)^N. Each
             # substep rounds r^2 by (2 + 26 |x|) u; the check rounds the
@@ -339,17 +359,17 @@ def test_criterion_9_identities_on_the_marcus_driver(capsys):
             rule = math.sqrt(2.0) * _JUMP_TOL * size * (np.sqrt(r2[jump]) + np.sqrt(r2[jump - 1]))
             below = matched[0] | matched[1]
             change = np.abs(r2[jump] - r2[jump - 1])
-            worst[scheme] = (float(drift.max() / u), float(np.min(jump_dev, axis=0).max()),
-                             float((change[below] / rule[below]).max()))
-            holds += [jump.size == theta.size, drift.max() <= drift_bound,
-                      matched.any(axis=0).all(), (change[below] <= rule[below]).all()]
-            ends[scheme] = np.abs(r2[rec.hi - 1] - 1.0)
-        separated = bool((ends["symplectic"] < ends["explicit"]).all())
+            worst[flow, scheme] = (float(drift.max() / u), float(np.min(jump_dev, axis=0).max()),
+                                   float((change[below] / rule[below]).max()))
+            holds += [matched.any(axis=0).all(), (change[below] <= rule[below]).all()]
+        separated = all((ends[flow, "symplectic"] < ends[flow, "explicit"]).all() for flow in systems)
         ok = all(holds) and separated
-        detail = (
-            "; ".join(f"{s} drift identity {w[0]:.1f} u, jump factor {w[1]:.2f} of its bound, "
-                      f"accepted jumps {w[2]:.3f} of the rule's bound" for s, w in worst.items())
-            + f"; |r^2 - 1| at T: symplectic <= {ends['symplectic'].max():.4f} < explicit >= "
-            f"{ends['explicit'].min():.4f} on every seed: {separated}"
-        )
+        detail = "; ".join(
+            f"{flow} {scheme}: drift identity {w[0]:.1f} u, "
+            + (f"jump keeps r^2 to {w[1]:.1f} u" if flow == "rotation" else
+               f"jump factor {w[1]:.2f} of its bound, accepted jumps {w[2]:.3f} of the rule's bound")
+            for (flow, scheme), w in worst.items()
+        ) + (f"; |r^2 - 1| at T: symplectic <= {ends['rotation', 'symplectic'].max():.4f} < "
+             f"explicit >= {ends['rotation', 'explicit'].min():.4f} on every seed, with either "
+             f"flow: {separated}")
         report(9, "identities on the Marcus driver", ok, detail, t0)

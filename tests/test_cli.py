@@ -37,22 +37,22 @@ SETTINGS = {
 
 CONVERGE_SEED_1 = """\
 dt,ms_error,log_dt,log_error
-0.080000000000000002,0.0031898811974222156,-2.5257286443082556,-5.7477716050662844
-0.040000000000000001,0.0016234449001179875,-3.2188758248682006,-6.4232049059452727
-0.02,0.00081176182601325761,-3.912023005428146,-7.1163035785463151
-0.01,0.00041301025737171558,-4.6051701859880909,-7.7920381290605283
-0.0050000000000000001,0.00020933716615678121,-5.2983173665480363,-8.4715643706656536
+0.080000000000000002,0.003189881096010822,-2.5257286443082556,-5.7477716368578742
+0.040000000000000001,0.0016234449632941464,-3.2188758248682006,-6.4232048670303961
+0.02,0.0008117618394392445,-3.912023005428146,-7.1163035620069968
+0.01,0.00041301003221244176,-4.6051701859880909,-7.7920386742269772
+0.0050000000000000001,0.00020933726699366771,-5.2983173665480363,-8.4715638889697171
 slope,intercept,residual
-0.98340135334713397,-3.2630877999936461,0.0061270606895078572
+0.98340128945107463,-3.2630880579180839,0.0061270361886061053
 """
 
-# converge --beta 15 --samples 5 --T 2 --seed 1: large marks, so most lane
-# jumps fail the step-doubling tolerance below the cap and take its 16
-# substeps; the SHA-256 of convergence.csv and of stdout with the output
-# directory written as <out-dir>
-CONVERGE_CAP_SEED_1_SHA256 = "4694cb84273a958d8c12149546430747f36949abec64d063f32778b104ba5a83"
+# converge --beta 15 --samples 5 --T 2 --seed 1: large marks, each applied
+# by Kubo's exact rotation (the RK4 flow would take its 16-substep cap on
+# most of them); the SHA-256 of convergence.csv and of stdout with the
+# output directory written as <out-dir>
+CONVERGE_CAP_SEED_1_SHA256 = "7024a6ec02bd985dddbf46df0db9598845128b96f63d10c25571ba5ef0d0e5f3"
 CONVERGE_CAP_SEED_1_STDOUT_SHA256 = (
-    "0997e491f1cd6cfd6077a5fba30b94f97d578a38d7f4c0bab92a7a0193a571bc"
+    "3a2918ecc4d6f6944ffcb34b3964834fbc99c3d542a5524a81d74f851830b992"
 )
 
 
@@ -491,6 +491,14 @@ class TestConverge:
         slope = float(capsys.readouterr().out.split("slope=")[1].split()[0])
         assert 0.9 < slope < 1.1
 
+    def test_large_marks_fit_first_order(self, tmp_path, capsys):
+        # beta R about 3 N(0, 1): Kubo's exact jump map leaves the scheme's
+        # own error, where the RK4 flow's cap error fitted a slope of 0.14
+        argv = ["converge", "--beta", 15, "--samples", 40, "--T", 2, "--seed", 1,
+                "--out-dir", tmp_path]
+        assert run_cli(argv) == 0
+        assert float(capsys.readouterr().out.split("slope=")[1].split()[0]) >= 0.9
+
     @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
     def test_samples_run_in_chunks_under_the_row_budget(self, tmp_path, capsys, monkeypatch, scheme):
         argv = ["converge", "--samples", 7, "--dts", "0.2,0.1,0.05", "--T", 2, "--scheme", scheme,
@@ -569,8 +577,10 @@ class TestConverge:
         )
 
     def test_cap_heavy_flags_write_the_pinned_bytes(self, tmp_path, capsys):
-        # beta 15 makes the marks large, so the flow's runs below the cap,
-        # its cap runs and its step-doubling bookkeeping all decide these bytes
+        # beta 15 makes the marks large; Kubo's jumps take its exact rotation,
+        # so these bytes are the rotation's (the RK4 flow's cap runs and
+        # step-doubling bookkeeping at these paths are pinned in
+        # test_integrators, on Kubo without its map)
         argv = ["converge", "--beta", 15, "--samples", 5, "--T", 2, "--seed", 1,
                 "--out-dir", tmp_path]
         assert run_cli(argv) == 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ def test_system_validation():
         HamiltonianSystem(n=1, m=1, sigma=(f, 3), gamma=(f, f), hamiltonians=(h, h))
     with pytest.raises(InvalidSpecError):
         HamiltonianSystem(n=0, m=1, sigma=(f, f), gamma=(f, f), hamiltonians=(h, h))
+
+
+@pytest.mark.parametrize("jump_maps, message", [
+    (lambda p, q, R: (p, q), "jump_maps must be None or a tuple, got <function"),
+    ("ab", "jump_maps must be None or a tuple, got 'ab'"),
+    ((), "jump_maps must have m = 1 entries, got 0"),
+    ([None], "jump_maps entries must be callable"),
+])
+def test_jump_maps_are_none_or_one_callable_per_channel(jump_maps, message):
+    f = lambda p, q: p
+    h = lambda p, q: 0.0
+    with pytest.raises(InvalidSpecError, match="^" + re.escape(message)):
+        HamiltonianSystem(n=1, m=1, sigma=(f, f), gamma=(f, f), hamiltonians=(h, h),
+                          jump_maps=jump_maps)
+    identity = lambda p, q, R: (p, q)
+    system = HamiltonianSystem(n=1, m=1, sigma=(f, f), gamma=(f, f), hamiltonians=(h, h),
+                               jump_maps=[identity])
+    assert system.jump_maps == (identity,)
 
 
 def test_kubo_coefficients_at_unit_position():

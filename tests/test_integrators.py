@@ -1,6 +1,8 @@
 """Tests for the one-step maps and the trajectory drivers."""
 
 import csv
+import dataclasses
+import hashlib
 import math
 import re
 import warnings
@@ -14,6 +16,7 @@ import symplevy as sl
 from symplevy import _noise, cli, integrators
 from symplevy._csv import fmt, fmt_rows
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
+from symplevy.hamiltonian import _kubo_rotation
 from symplevy.integrators import (
     MAX_GRID_STEPS,
     _lane_jumps,
@@ -29,6 +32,11 @@ KUBO = sl.KuboParams(alpha=0.1, beta=0.1)
 
 def kubo():
     return sl.kubo_system(KUBO)
+
+
+def rk4_kubo():
+    # Kubo without its exact jump map: every jump takes the RK4 flow
+    return dataclasses.replace(kubo(), jump_maps=None)
 
 
 def unit_start():
@@ -375,13 +383,13 @@ class TestPathwiseJumps:
 
     def test_records_pre_and_post_states_at_jump_time(self):
         path = self.one_jump_path(0.5, 0.8, 1.0)
-        traj = sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, 0.25)
+        traj = sl.integrate_pathwise(rk4_kubo(), unit_start(), 0.0, 1.0, path, 0.25)
         assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.5, 0.75, 1.0], atol=1e-15)
         i_pre = 2
         pre = traj.state(i_pre)
         post = traj.state(i_pre + 1)
         # beta R = 0.08: the 2-substep flow misses the tolerance, the 4-substep one meets it
-        expected, substeps = doubled_jump_flow(kubo(), pre, np.array([0.8]))
+        expected, substeps = doubled_jump_flow(rk4_kubo(), pre, np.array([0.8]))
         assert substeps == 4
         assert post.p[0] == expected.p[0]
         assert post.q[0] == expected.q[0]
@@ -436,7 +444,8 @@ class TestPathwiseJumps:
 
 
 class TestJumpSubsteps:
-    # beta = 0.1, so marks 0.1, 0.8 and 30 are jump angles 0.01, 0.08 and 3
+    # beta = 0.1, so marks 0.1, 0.8 and 30 are jump angles 0.01, 0.08 and 3;
+    # the RK4 flow's substep rule, on Kubo without its jump map
     MARKS = (0.1, 0.8, 30.0)
 
     def paths(self):
@@ -445,10 +454,11 @@ class TestJumpSubsteps:
     def jumps(self, dt):
         """Each lane's pre-jump state and post-jump row, from one batch that equals the paths alone."""
         paths = self.paths()
-        lanes = sl.integrate_pathwise_batch(kubo(), unit_start(), 0.0, 1.0, paths, dt)
+        system = rk4_kubo()
+        lanes = sl.integrate_pathwise_batch(system, unit_start(), 0.0, 1.0, paths, dt)
         for path, lane in zip(paths, lanes):
-            assert_same_run(lane, sl.integrate_pathwise(kubo(), unit_start(), 0.0, 1.0, path, dt))
-            assert_same_run(lane, scalar_pathwise(kubo(), unit_start(), 0.0, 1.0, path, dt))
+            assert_same_run(lane, sl.integrate_pathwise(system, unit_start(), 0.0, 1.0, path, dt))
+            assert_same_run(lane, scalar_pathwise(system, unit_start(), 0.0, 1.0, path, dt))
         pre = [int(np.flatnonzero(lane.times == 0.6)[0]) for lane in lanes]
         return [(lane.state(i), lane.state(i + 1)) for lane, i in zip(lanes, pre)]
 
@@ -456,7 +466,7 @@ class TestJumpSubsteps:
         """The substep counts whose fixed-count jump_flow maps pre to post bit for bit."""
         taken = []
         for n in counts:
-            state = sl.jump_flow(kubo(), pre, np.array([mark]), n)
+            state = sl.jump_flow(rk4_kubo(), pre, np.array([mark]), n)
             if np.array_equal(state.p, post.p) and np.array_equal(state.q, post.q):
                 taken.append(n)
         return taken
@@ -479,6 +489,115 @@ class TestJumpSubsteps:
         jumps = self.jumps(0.25)
         taken = [self.flows_at(pre, mark, post) for (pre, post), mark in zip(jumps, self.MARKS)]
         assert taken == [[1]] * 3
+
+
+class TestJumpMaps:
+    # Kubo's jumps take its exact rotation; other jumps the RK4 flow
+
+    def test_the_rk4_flow_at_large_marks_keeps_its_bytes(self):
+        # the cells of converge --beta 15 --samples 5 --T 2 --seed 1 as one
+        # record on Kubo without its map: most jumps miss the tolerance below
+        # the cap, so the step doubling, its cap runs and its bookkeeping
+        # decide these bytes; the digest is the record's from before systems
+        # had jump maps
+        system = dataclasses.replace(sl.kubo_system(sl.KuboParams(alpha=0.1, beta=15.0)),
+                                     jump_maps=None)
+        dts = [0.08, 0.04, 0.02, 0.01, 0.005]
+        paths = [sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2,
+                                                seed=cli._cell_seed(1, i, s)), 2.0)
+                 for i in range(len(dts)) for s in range(5)]
+        rec = _pathwise_record(system, unit_start(), 0.0, 2.0, paths, np.repeat(dts, 5).tolist(),
+                               "symplectic")
+        digest = hashlib.sha256()
+        for column in (rec.times, rec.ps, rec.qs):
+            digest.update(column.tobytes())
+        assert rec.times.size == 4307
+        assert digest.hexdigest() == (
+            "aacd3bbf4ba93d376a5d7f867e9dde5119a600c5af482aa319f74baeb4dfb7ba"
+        )
+
+    @pytest.mark.parametrize("beta", [0.1, 15.0])
+    @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
+    def test_every_post_jump_row_is_the_rotation_of_its_pre_jump_row(self, beta, scheme):
+        params = sl.KuboParams(alpha=0.1, beta=beta)
+        system = sl.kubo_system(params)
+        paths = [sampled(seed, 4.0) for seed in range(6)]
+        rec = _pathwise_record(system, unit_start(), 0.0, 4.0, paths, [0.1, 0.05, 0.02] * 2,
+                               scheme)
+        _, _, marks = _lane_jumps(system, paths, 0.0, 4.0)  # lane by lane, in time order
+        stepped = np.ones(rec.times.size, dtype=bool)
+        stepped[rec.lo] = False
+        rows = np.flatnonzero(stepped)
+        jump = rows[rec.times[rows] == rec.times[rows - 1]]  # a jump's post-jump rows
+        assert jump.size == len(marks) > 50
+        p, q = _kubo_rotation(params, rec.ps[jump - 1], rec.qs[jump - 1], 0.0, marks)
+        assert np.array_equal(rec.ps[jump], p) and np.array_equal(rec.qs[jump], q)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_a_map_that_is_not_finite_fails_only_its_lane(self, monkeypatch, block):
+        # Kubo's rotation, but NaN for marks over 0.5: lane 1's second jump
+        # fails as a flow that failed at substep 0, and the lanes beside it
+        # end as alone
+        monkeypatch.setattr(integrators, "_CHECK_BLOCK", block)
+
+        def jump_map(p, q, R):
+            p, q = _kubo_rotation(KUBO, p, q, 0.0, R)
+            return np.where(np.abs(R) > 0.5, np.nan, p), q
+
+        system = dataclasses.replace(kubo(), jump_maps=(jump_map,))
+        paths = [event_path([(0.3, 1, 0.2), (1.1, 1, -0.4)], 2.0),
+                 event_path([(0.45, 1, 0.3), (0.9, 1, 0.8), (1.5, 1, 0.1)], 2.0),
+                 event_path([(0.9, 1, -0.3)], 2.0)]
+        dts = np.array([0.1, 0.05, 0.1])
+        err = run_error(system, paths[1:2], 2.0, 0.05)
+        assert str(err) == "jump flow diverged at t=0.9 (substep 0)" and err.step == 0
+        assert str(err.__cause__) == "jump flow produced a non-finite state at substep 0"
+        assert err.partial.times[-1] == 0.9 and np.count_nonzero(err.partial.times == 0.45) == 2
+        assert np.isfinite(err.partial.ps).all()
+        assert_batch_as_alone(system, paths, dts.tolist(), 2.0)
+        rec, jumps, ticks, marks = _lane_record(system, paths, 0.0, 2.0, dts)
+        rec.ps[rec.lo], rec.qs[rec.lo] = unit_start().p, unit_start().q
+        failures = integrators._step_record(system, rec, rec.lo, ticks, jumps, marks, alone=True)
+        assert list(failures) == [1]
+        assert_same_error(failures[1], err)
+        for b in (0, 2):
+            alone = sl.integrate_pathwise(system, unit_start(), 0.0, 2.0, paths[b], dts[b])
+            assert_same_run(rec.trajectory(b), alone)
+
+    def test_a_simultaneous_instant_takes_the_summed_rk4_flow(self):
+        # two_channel's exact maps, a rotation and a squeeze, serve the
+        # instants that drive one channel; the instant that drives both takes
+        # the RK4 flow of the summed field, which the maps one after the
+        # other miss, since the fields do not commute
+        def rotation(p, q, R):
+            c, s = np.cos(0.3 * R), np.sin(0.3 * R)
+            return p * c - q * s, p * s + q * c
+
+        def squeeze(p, q, R):
+            return p * np.exp(-0.2 * R), q * np.exp(0.2 * R)
+
+        system = dataclasses.replace(two_channel(), jump_maps=(rotation, squeeze))
+        path = event_path([(0.3, 1, 0.5), (0.3, 2, -0.4), (0.6, 1, 0.7), (0.8, 2, 0.3)], 1.0,
+                          channels=2)
+        traj = sl.integrate_pathwise(system, unit_start(), 0.0, 1.0, path, 0.1)
+        pre = np.flatnonzero(np.diff(traj.times) == 0)
+        assert traj.times[pre].tolist() == [0.3, 0.6, 0.8]
+        summed, _ = doubled_jump_flow(system, traj.state(pre[0]), np.array([0.5, -0.4]))
+        assert traj.ps[pre[0] + 1] == summed.p and traj.qs[pre[0] + 1] == summed.q
+        one_by_one = squeeze(*rotation(traj.ps[pre[0]][None], traj.qs[pre[0]][None], 0.5), -0.4)
+        assert abs(one_by_one[0][0, 0] - summed.p[0]) > 1e-3
+        for i, (jump_map, mark) in zip(pre[1:], [(rotation, 0.7), (squeeze, 0.3)]):
+            p, q = jump_map(traj.ps[i][None], traj.qs[i][None], np.array([[mark]]))
+            assert traj.ps[i + 1] == p[0] and traj.qs[i + 1] == q[0]
+        single = event_path([(0.25, 2, 0.6), (0.5, 1, -0.2)], 1.0, channels=2)
+        assert_batch_as_alone(system, [path, single], [0.1, 0.05], 1.0)
+
+    def test_a_map_of_the_wrong_shape_is_refused_before_any_lane_runs(self):
+        system = dataclasses.replace(kubo(), jump_maps=(lambda p, q, R: (p[:, 0], q),))
+        message = ("jump_maps[0] maps lane arrays of shape (2, 1) to shapes [(2,), (2, 1)]; "
+                   "jump maps must map (B, n) arrays to two (B, n)")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            sl.integrate_pathwise_batch(system, unit_start(), 0.0, 1.0, [sampled(1, 1.0)] * 2, 0.1)
 
 
 class TestDivergenceGuard:
@@ -644,7 +763,9 @@ def scalar_pathwise(system, initial, t0, T, path, dt, scheme="symplectic"):
 
     Drift steps are the reference map of `scheme` with zero increments on
     the driver's grid nodes; each jump instant applies
-    ``doubled_jump_flow`` to the marks of all events at that time. A
+    ``doubled_jump_flow`` to the marks of all events at that time, or, if
+    they drive one channel r of a system with jump maps, ``jump_maps[r-1]``
+    (a non-finite result raises the flow's error at substep 0). A
     check after every drift tick and jump raises what the driver raises
     for this path alone: a stalled tick's NonConvergenceError, or a
     DivergenceError at the first state beyond the divergence limit, with
@@ -688,7 +809,15 @@ def scalar_pathwise(system, initial, t0, T, path, dt, scheme="symplectic"):
             if ev.time == tau:
                 marks[ev.channel - 1] += ev.mark
         drift_to(tau)
-        after, _ = doubled_jump_flow(system, sl.PhaseState(ps[-1], qs[-1]), marks)
+        driven = np.flatnonzero(marks)
+        if system.jump_maps is not None and driven.size == 1:
+            r = driven[0]
+            p, q = system.jump_maps[r](ps[-1][None], qs[-1][None], marks[None, r : r + 1])
+            if not (np.isfinite(p).all() and np.isfinite(q).all()):
+                raise DivergenceError("jump flow produced a non-finite state at substep 0", step=0)
+            after = sl.PhaseState(p[0], q[0])
+        else:
+            after, _ = doubled_jump_flow(system, sl.PhaseState(ps[-1], qs[-1]), marks)
         push(tau, after.p, after.q)
     drift_to(T)
     return sl.Trajectory(times, ps, qs, "pathwise")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -14,10 +15,13 @@ from symplevy import (
     kubo_jump_closed_form,
     kubo_system,
 )
+from symplevy.hamiltonian import _kubo_rotation
 from symplevy.marcus import _flow_raw
 
 PARAMS = KuboParams(alpha=0.1, beta=0.1)
 SYSTEM = kubo_system(PARAMS)
+# Kubo without its exact jump map: the driver's flow (a tol) is RK4 on every jump
+RK4_SYSTEM = dataclasses.replace(SYSTEM, jump_maps=None)
 
 
 def flow_error(theta, substeps, state=(1.0, 0.0)):
@@ -214,11 +218,11 @@ def test_each_lane_takes_the_substeps_its_mark_needs():
     p = np.array([[0.3], [0.0], [-0.7]])
     q = np.array([[0.9], [1.0], [0.2]])
     marks = np.array([[0.1], [0.8], [30.0]])
-    out_p, out_q, failed = _flow_raw(SYSTEM, p, q, marks, 16, 1e-9)
+    out_p, out_q, failed = _flow_raw(RK4_SYSTEM, p, q, marks, 16, 1e-9)
     assert failed is None
-    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[2], [4], [16]]
+    assert substeps_taken(RK4_SYSTEM, p, q, marks, out_p, out_q) == [[2], [4], [16]]
     for b in range(3):
-        alone = _flow_raw(SYSTEM, p[b : b + 1], q[b : b + 1], marks[b : b + 1], 16, 1e-9)
+        alone = _flow_raw(RK4_SYSTEM, p[b : b + 1], q[b : b + 1], marks[b : b + 1], 16, 1e-9)
         assert np.array_equal(alone[0], out_p[b : b + 1])
         assert np.array_equal(alone[1], out_q[b : b + 1])
 
@@ -228,14 +232,16 @@ def test_a_lane_that_misses_the_tolerance_takes_the_cap():
     q = np.array([[0.9], [1.0], [0.2]])
     marks = np.array([[0.1], [0.8], [30.0]])
     for cap in (5, 8, 9, 12, 16):
-        out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, cap, 1e-300)
-        taken = substeps_taken(SYSTEM, p, q, marks, out_p, out_q, counts=sorted({1, 2, 4, cap}))
+        out_p, out_q, _ = _flow_raw(RK4_SYSTEM, p, q, marks, cap, 1e-300)
+        taken = substeps_taken(RK4_SYSTEM, p, q, marks, out_p, out_q,
+                               counts=sorted({1, 2, 4, cap}))
         assert taken == [[cap]] * 3
     # a cap of 8 tries only 2 substeps: the mark that needs 4 takes the cap
-    out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, 8, 1e-9)
-    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[2], [8], [8]]
-    out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, 9, 1e-9)
-    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q, counts=(2, 4, 8, 9)) == [[2], [4], [9]]
+    out_p, out_q, _ = _flow_raw(RK4_SYSTEM, p, q, marks, 8, 1e-9)
+    assert substeps_taken(RK4_SYSTEM, p, q, marks, out_p, out_q) == [[2], [8], [8]]
+    out_p, out_q, _ = _flow_raw(RK4_SYSTEM, p, q, marks, 9, 1e-9)
+    assert (substeps_taken(RK4_SYSTEM, p, q, marks, out_p, out_q, counts=(2, 4, 8, 9))
+            == [[2], [4], [9]])
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4])
@@ -243,8 +249,8 @@ def test_a_cap_of_four_or_less_is_the_fixed_count_flow(cap):
     p = np.array([[0.3], [0.0], [-0.7]])
     q = np.array([[0.9], [1.0], [0.2]])
     marks = np.array([[0.1], [0.8], [30.0]])
-    out_p, out_q, _ = _flow_raw(SYSTEM, p, q, marks, cap, 1e-9)
-    assert substeps_taken(SYSTEM, p, q, marks, out_p, out_q) == [[cap]] * 3
+    out_p, out_q, _ = _flow_raw(RK4_SYSTEM, p, q, marks, cap, 1e-9)
+    assert substeps_taken(RK4_SYSTEM, p, q, marks, out_p, out_q) == [[cap]] * 3
 
 
 def nan_beyond(beyond, value):
@@ -361,3 +367,60 @@ def test_a_non_finite_flow_reports_the_substep_of_the_cap():
     fine = [0, 2]
     taken = substeps_taken(quad, p[fine], q[fine], marks[fine], out_p[fine], out_q[fine])
     assert taken == [[8], [2]]
+
+
+def test_closed_form_is_the_kubo_jump_map_and_the_rotation_it_was():
+    # kubo_jump_closed_form is the one-state case of kubo_system's map, and
+    # its bits are those of the rotation it computed itself before
+    rng = np.random.default_rng(21)
+    for alpha, beta in ((0.1, 0.1), (-0.3, 15.0), (2, -1), (0.0, 0.7)):
+        params = KuboParams(alpha=alpha, beta=beta)
+        jump_map = kubo_system(params).jump_maps[0]
+        for _ in range(200):
+            st = PhaseState(rng.normal(size=1), rng.normal(size=1))
+            mark = float(rng.normal(scale=3.0))
+            got = kubo_jump_closed_form(params, st, mark)
+            p, q = _kubo_rotation(params, st.p, st.q, 0.0, mark)
+            assert got.p.tobytes() == p.tobytes() and got.q.tobytes() == q.tobytes()
+            p, q = jump_map(st.p[None], st.q[None], np.array([[mark]]))
+            assert got.p.tobytes() == p[0].tobytes() and got.q.tobytes() == q[0].tobytes()
+
+
+def test_the_driver_flow_applies_a_channel_map_and_jump_flow_stays_rk4():
+    # with a tol (the driver's flow), lanes that drive channel 1 alone take
+    # Kubo's rotation in one call, a lane without marks stays put; without
+    # a tol, and through jump_flow, the flow is RK4 at its count, the same
+    # bits as on Kubo without its map
+    p = np.array([[0.3], [0.0], [-0.7], [0.2]])
+    q = np.array([[0.9], [1.0], [0.2], [-0.4]])
+    for marks in (np.array([[0.1], [0.8], [30.0], [-2.0]]),
+                  np.array([[0.1], [0.0], [30.0], [-2.0]])):
+        out_p, out_q, failed = _flow_raw(SYSTEM, p, q, marks, 16, 1e-9)
+        want_p, want_q = _kubo_rotation(PARAMS, p, q, 0.0, marks)
+        assert failed is None
+        assert np.array_equal(out_p, want_p) and np.array_equal(out_q, want_q)
+        for substeps in (1, 4, 16):
+            fixed = _flow_raw(SYSTEM, p, q, marks, substeps)
+            rk4 = _flow_raw(RK4_SYSTEM, p, q, marks, substeps)
+            assert np.array_equal(fixed[0], rk4[0]) and np.array_equal(fixed[1], rk4[1])
+            for b in range(len(p)):
+                one = jump_flow(SYSTEM, PhaseState(p[b], q[b]), marks[b], substeps=substeps)
+                assert one.p[0] == fixed[0][b, 0] and one.q[0] == fixed[1][b, 0]
+
+
+def test_a_map_that_is_not_finite_fails_its_lane_at_substep_0():
+    # a channel map that returns NaN from states with q < 0 fails those
+    # lanes only, as a flow that failed at its first substep; the others
+    # keep the map
+    def jump_map(p, q, R):
+        out_p, out_q = _kubo_rotation(PARAMS, p, q, 0.0, R)
+        return np.where(q < 0.0, np.nan, out_p), out_q
+
+    system = dataclasses.replace(SYSTEM, jump_maps=(jump_map,))
+    p, q = np.array([[0.3], [0.0], [-0.7]]), np.array([[0.9], [-1.0], [0.2]])
+    marks = np.array([[0.1], [0.8], [3.0]])
+    out_p, out_q, failed = _flow_raw(system, p, q, marks, 16, 1e-9)
+    assert list(failed) == [-1, 0, -1]
+    want_p, want_q = _kubo_rotation(PARAMS, p, q, 0.0, marks)
+    assert np.array_equal(out_p[[0, 2]], want_p[[0, 2]])
+    assert np.array_equal(out_q, want_q)
