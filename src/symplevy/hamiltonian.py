@@ -103,6 +103,12 @@ class HamiltonianSystem:
         marks drive channel r alone; instants that drive several channels,
         and every jump of a system without maps, take the RK4 flow (see
         ``marcus``). The Kubo system's map is the rotation by beta*R.
+    separable : bool
+        True declares that every sigma_r, r = 0..m, depends on Q alone
+        (H_r = T_r(P) + V_r(Q)), so the symplectic Euler momentum is
+        explicit and the kernel skips the fixed-point solve. A false
+        declaration yields the explicit-momentum map, not symplectic
+        Euler. Default False; the Kubo system declares True.
     """
 
     n: int
@@ -112,6 +118,7 @@ class HamiltonianSystem:
     hamiltonians: tuple
     monitored: object = None
     jump_maps: object = None
+    separable: bool = False
 
     def __post_init__(self):
         if not (type(self.n) is int and self.n >= 1):
@@ -137,6 +144,8 @@ class HamiltonianSystem:
             if not all(callable(f) for f in self.jump_maps):
                 raise InvalidSpecError("jump_maps entries must be callable")
             object.__setattr__(self, "jump_maps", tuple(self.jump_maps))
+        if type(self.separable) is not bool:
+            raise InvalidSpecError(f"separable must be True or False, got {self.separable!r}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +168,9 @@ def kubo_system(params):
 
     Coefficients: sigma_0 = alpha*Q, gamma_0 = alpha*P, sigma_1 = beta*Q,
     gamma_1 = beta*P, from H_0 = alpha*(P^2+Q^2)/2 and
-    H_1 = beta*(P^2+Q^2)/2. The monitored invariant is (P^2+Q^2)/2, and
-    the jump map is the exact rotation by beta*R.
+    H_1 = beta*(P^2+Q^2)/2. The monitored invariant is (P^2+Q^2)/2, the
+    jump map is the exact rotation by beta*R, and the system is separable:
+    sigma_0 and sigma_1 ignore P, so a symplectic step takes one sweep.
     """
     alpha = float(params.alpha)
     beta = float(params.beta)
@@ -179,6 +189,7 @@ def kubo_system(params):
                       lambda p, q: 0.5 * beta * radius2(p, q)),
         monitored=lambda p, q: 0.5 * radius2(p, q),
         jump_maps=(lambda p, q, R: _kubo_rotation(params, p, q, 0.0, R),),
+        separable=True,
     )
 
 

@@ -6,16 +6,18 @@ Two one-step maps act on a HamiltonianSystem state:
   explicit in Q. The momentum equation is solved by fixed-point
   iteration started at the current P; each iterate costs one sweep of
   coefficient evaluations, and the step is symplectic for any (dt, dL).
+  A separable system's sigma_r ignore P, so its first sweep is the
+  solution and the only one.
 * ``explicit_euler_step``: both updates evaluated at the current state;
   cheap, not symplectic, used as the comparison scheme.
 
 Both maps run in one lane kernel that steps (B, n) state arrays, one
 state per row, each at its own dt and increments; one state is B = 1.
 An explicit step is the first fixed-point sweep of the symplectic one,
-so the kernel sweeps every row once and goes on with the leading rows
-that are symplectic. The public steps, every step of both drivers and
-the Jacobians of ``analysis`` call it (``_step_lanes`` says when rows
-are bit exact).
+so the kernel sweeps every row once and, unless the system is
+separable, sweeps on with the leading rows that are symplectic. The
+public steps, every step of both drivers and the Jacobians of
+``analysis`` call it (``_step_lanes`` says when rows are bit exact).
 
 Two drivers build trajectories on noise realizations, and one pass,
 ``_step_record``, steps the drift ticks and jumps of both as lanes:
@@ -151,10 +153,12 @@ def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
     sweep of the momentum solve from p0, the explicit Euler momentum; the
     symplectic lanes sweep on, each until an update (the residual at the
     previous iterate, read as a float if one entry) of max-norm <=
-    _IMPLICIT_TOL, as alone. The explicit rows' q reads a copy of p0
-    under the symplectic rows' p. stalled is None, or the ascending
-    indices and last residuals of the lanes still moving after
-    _IMPLICIT_MAX_ITERS sweeps.
+    _IMPLICIT_TOL, as alone. On a separable system they stop after the
+    first: a further sweep would return its bits, which settles a finite
+    row at residual 0 and leaves any other row moving at residual NaN.
+    The explicit rows' q reads a copy of p0 under the symplectic rows'
+    p. stalled is None, or the ascending indices and last residuals of
+    the lanes still moving after _IMPLICIT_MAX_ITERS sweeps.
     """
     sigma, gamma = system.sigma, system.gamma
     tol, max_iters = _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
@@ -165,7 +169,12 @@ def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
     for r, d in terms:
         p = p - sigma[r](p0, q0) * d
     at, stalled = p0, None
-    if s:
+    if s and system.separable:  # a second sweep would repeat p's bits and settle at residual 0
+        finite = np.isfinite(p[:s])
+        if np.count_nonzero(finite) < finite.size:  # as the loop, which never settles a NaN
+            bad = np.flatnonzero(~finite.all(axis=1))
+            stalled = bad, np.full(bad.size, np.nan)
+    elif s:
         x, pa, qa, dta, live = p, p0, q0, dt, terms  # the lanes still iterating, rows `left` of p
         if s < len(p):
             x, pa, qa, dta, live = p[:s], p0[:s], q0[:s], dt[:s], [(r, d[:s]) for r, d in terms]
@@ -193,6 +202,7 @@ def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
             p = x  # no lane settled early, so x holds every row
         else:
             p[left] = x
+    if s:
         at = p
         if s < len(p):  # the explicit rows' q steps from p0
             at = p0.copy()
@@ -247,8 +257,9 @@ def symplectic_euler_step(system, state, dt, dL):
     """Semi-implicit Euler step: P implicit at (P1, Q0), then Q explicit.
 
     Solves P1 = P0 - sigma_0(P1,Q0) dt - sum_r sigma_r(P1,Q0) dL_r by
-    fixed-point iteration to 1e-12 in the max norm (at most 50 sweeps),
-    then sets Q1 = Q0 + gamma_0(P1,Q0) dt + sum_r gamma_r(P1,Q0) dL_r.
+    fixed-point iteration to 1e-12 in the max norm (at most 50 sweeps;
+    one for a separable system, whose sigma_r ignore P), then sets
+    Q1 = Q0 + gamma_0(P1,Q0) dt + sum_r gamma_r(P1,Q0) dL_r.
     """
     return _single_step(system, "symplectic", state, dt, dL)
 

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symplevy as sl
 from symplevy import (
@@ -74,22 +77,53 @@ def test_system_validation():
         HamiltonianSystem(n=0, m=1, sigma=(f, f), gamma=(f, f), hamiltonians=(h, h))
 
 
-@pytest.mark.parametrize("jump_maps, message", [
-    (lambda p, q, R: (p, q), "jump_maps must be None or a tuple, got <function"),
-    ("ab", "jump_maps must be None or a tuple, got 'ab'"),
-    ((), "jump_maps must have m = 1 entries, got 0"),
-    ([None], "jump_maps entries must be callable"),
+@pytest.mark.parametrize("field, value, message", [
+    ("jump_maps", lambda p, q, R: (p, q), "jump_maps must be None or a tuple, got <function"),
+    ("jump_maps", "ab", "jump_maps must be None or a tuple, got 'ab'"),
+    ("jump_maps", (), "jump_maps must have m = 1 entries, got 0"),
+    ("jump_maps", [None], "jump_maps entries must be callable"),
+    ("separable", 1, "separable must be True or False, got 1"),
+    ("separable", 0, "separable must be True or False, got 0"),
+    ("separable", None, "separable must be True or False, got None"),
+    ("separable", "yes", "separable must be True or False, got 'yes'"),
+    ("separable", np.True_, "separable must be True or False, got np.True_"),
 ])
-def test_jump_maps_are_none_or_one_callable_per_channel(jump_maps, message):
+def test_optional_fields_are_checked(field, value, message):
     f = lambda p, q: p
     h = lambda p, q: 0.0
     with pytest.raises(InvalidSpecError, match="^" + re.escape(message)):
         HamiltonianSystem(n=1, m=1, sigma=(f, f), gamma=(f, f), hamiltonians=(h, h),
-                          jump_maps=jump_maps)
+                          **{field: value})
     identity = lambda p, q, R: (p, q)
     system = HamiltonianSystem(n=1, m=1, sigma=(f, f), gamma=(f, f), hamiltonians=(h, h),
                                jump_maps=[identity])
-    assert system.jump_maps == (identity,)
+    assert system.jump_maps == (identity,) and system.separable is False
+
+
+def test_kubo_declares_itself_separable_and_keeps_it_without_maps():
+    system = kubo_system(PARAMS)
+    assert system.separable is True
+    assert dataclasses.replace(system, jump_maps=None).separable is True
+    assert dataclasses.replace(system, separable=False).separable is False
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p1=_ANY_FLOAT, p2=_ANY_FLOAT, q=_ANY_FLOAT,
+       alpha=st.floats(allow_nan=False, allow_infinity=False),
+       beta=st.floats(allow_nan=False, allow_infinity=False))
+def test_kubo_sigma_ignores_p_bit_for_bit(p1, p2, q, alpha, beta):
+    # the separable declaration: at fixed q every sigma_r gives the same bits
+    # for any p, infinite and NaN included
+    system = kubo_system(KuboParams(alpha, beta))
+    q_lane = np.array([[q]])
+    with np.errstate(all="ignore"):
+        for sigma in system.sigma:
+            a = sigma(np.array([[p1]]), q_lane)
+            b = sigma(np.array([[p2]]), q_lane)
+            assert a.tobytes() == b.tobytes()
 
 
 def test_kubo_coefficients_at_unit_position():

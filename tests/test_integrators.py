@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import symplevy as sl
 from symplevy import _noise, cli, integrators
 from symplevy._csv import fmt, fmt_rows
+from symplevy.analysis import _jacobian_lanes
 from symplevy.errors import DivergenceError, DomainError, InvalidSpecError, NonConvergenceError
 from symplevy.hamiltonian import _kubo_rotation
 from symplevy.integrators import (
@@ -895,7 +896,21 @@ def counting(system, sizes):
         return system.sigma[0](p, q)
 
     return sl.HamiltonianSystem(n=system.n, m=system.m, sigma=(sigma0, *system.sigma[1:]),
-                                gamma=system.gamma, hamiltonians=system.hamiltonians)
+                                gamma=system.gamma, hamiltonians=system.hamiltonians,
+                                separable=system.separable)
+
+
+def coupled(delta=0.5):
+    # H0 = (p^2 + q^2)/2 + delta p q: a linear drift whose sigma_0 = q + delta p
+    # depends on p, so the momentum solve sweeps until its update settles
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: q + delta * p, lambda p, q: 0.1 * q),
+        gamma=(lambda p, q: p + delta * q, lambda p, q: 0.1 * p),
+        hamiltonians=(lambda p, q: 0.5 * (p[:, 0] ** 2 + q[:, 0] ** 2) + delta * p[:, 0] * q[:, 0],
+                      lambda p, q: 0.05 * (p[:, 0] ** 2 + q[:, 0] ** 2)),
+    )
 
 
 def two_channel():
@@ -941,7 +956,8 @@ def raw_error(system, p, q, dt, dL, max_iters=None):
 class TestStepLanes:
     @pytest.mark.parametrize("scheme", ["symplectic", "explicit"])
     @pytest.mark.parametrize(
-        "system", [kubo(), anharmonic(), two_channel()], ids=["kubo", "anharmonic", "two-channel"]
+        "system", [kubo(), anharmonic(), two_channel(), coupled()],
+        ids=["kubo", "anharmonic", "two-channel", "coupled"]
     )
     def test_every_lane_equals_the_scalar_reference(self, system, scheme):
         rng = np.random.default_rng(3)
@@ -953,11 +969,15 @@ class TestStepLanes:
         # zero on some lanes: those get a zero term the reference skips,
         # equal up to the sign of a zero
         mixed = np.where(rng.uniform(size=dl.shape) < 0.5, 0.0, dl)
+        sizes = []
         for increments in (dl, mixed, None):
+            sizes.clear()
             got_p, got_q, stalled = _step_lanes(
-                system, lanes if scheme == "symplectic" else 0, p, q, dt, increments
+                counting(system, sizes), lanes if scheme == "symplectic" else 0, p, q, dt, increments
             )
             assert stalled is None
+            # one sigma_0 sweep for an explicit step or a separable system (Kubo), more otherwise
+            assert (len(sizes) == 1) == (scheme == "explicit" or system.separable)
             for b in range(lanes):
                 dL = np.zeros(system.m) if increments is None else increments[b]
                 want_p, want_q = raw_step(system, scheme, p[b], q[b], dt[b, 0], dL)
@@ -1165,6 +1185,16 @@ class TestStepLanes:
                 want_p, want_q = raw_step(system, scheme, p[b : b + 1], q[b : b + 1], dt[b, 0], dL)
                 assert np.array_equal(got_p[b : b + 1], want_p)
                 assert np.array_equal(got_q[b : b + 1], want_q)
+
+    def test_a_forced_stall_of_a_p_dependent_drift_keeps_its_message(self, monkeypatch):
+        p, q, dl = np.array([0.4]), np.array([-1.1]), np.array([0.3])
+        monkeypatch.setattr(integrators, "_IMPLICIT_MAX_ITERS", 3)
+        want = raw_error(coupled(), p, q, 0.08, dl, 3)
+        with pytest.raises(NonConvergenceError) as info:
+            sl.symplectic_euler_step(coupled(), sl.PhaseState(p, q), 0.08, dl)
+        assert str(info.value) == str(want) and info.value.residual == want.residual
+        assert re.fullmatch(r"implicit momentum solve stalled at residual \d\.\d{3}e-\d\d after 3 "
+                            r"iterations", str(want))
 
     def test_fixed_grid_stall_raises_the_reference_error(self):
         start = sl.PhaseState([0.5], [0.25])
@@ -2652,3 +2682,128 @@ class TestPhases:
                                         [dts[i] for i in order], 2.0)
             assert isinstance(err, NonConvergenceError)
         assert err.step > 80  # lane 2's own stall, after its one jump
+
+
+def separable_and_loop(params=KUBO):
+    """kubo_system(params), then its copy that does not declare itself separable."""
+    system = sl.kubo_system(params)
+    return system, dataclasses.replace(system, separable=False)
+
+
+def assert_same_outcome_bits(got, want):
+    """Two outcomes of `outcome`: equal errors, or lists of equal runs or errors."""
+    if isinstance(want, Exception):
+        assert_same_error(got, want)
+        return
+    assert not isinstance(got, Exception) and len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, Exception):
+            assert_same_error(a, b)
+        else:
+            assert_same_run(a, b)
+
+
+class TestSeparable:
+    """Kubo's one-sweep momentum against the fixed-point loop on the same system, bit for bit."""
+
+    @pytest.mark.parametrize("alpha, beta, rate, sigma, dt, T, ends", [
+        (0.1, 0.1, 5.0, 0.2, 0.08, 20.0, "runs"),
+        (10.0, 0.1, 5.0, 0.2, 0.08, 20.0, "explicit diverges"),  # orbit --alpha 10
+        (0.1, 0.1, 0.0, 0.2, 1e6, 3e6, "both diverge"),  # orbit --lambda 0 --dt 1e6 --T 3e6
+        (1e200, 0.1, 5.0, 0.2, 0.08, 5.0, "both diverge"),  # hamiltonian --alpha 1e200: noisy
+        (0.1, 1e308, 5.0, 0.2, 0.08, 5.0, "both diverge"),  # beta dL overflows p's bound
+        (0.1, 1e308, 5.0, 20.0, 0.08, 5.0, "symplectic stalls"),  # beta dL overflows to inf
+    ])
+    def test_the_fixed_grid_pair(self, alpha, beta, rate, sigma, dt, T, ends):
+        path = sl.sample_path(sl.LevyPathSpec(rate=rate, mark_sigma=sigma, seed=1), T)
+
+        def pair(system):
+            return list(integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, T, path,
+                                                      dt))
+
+        separable, loop = separable_and_loop(sl.KuboParams(alpha, beta))
+        got, want = outcome(pair, separable)[0], outcome(pair, loop)[0]
+        assert_same_outcome_bits(got, want)
+        kinds = [type(run).__name__ for run in want]
+        assert kinds == {"runs": ["Trajectory"] * 2,
+                         "explicit diverges": ["Trajectory", "DivergenceError"],
+                         "both diverge": ["DivergenceError"] * 2,
+                         "symplectic stalls": ["NonConvergenceError", "DivergenceError"]}[ends]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("alpha, dts, ends", [
+        (0.1, [0.08, 0.02, 0.005], None),
+        (1e308, [3.0, 0.5, 0.1], NonConvergenceError),  # 3 alpha overflows: lane 0 stalls
+        (1e308, [0.5, 3.0, 0.1], DivergenceError),
+    ])
+    def test_pathwise_batches(self, scheme, alpha, dts, ends):
+        paths = [empty_path(3.0), sampled(1, 3.0), sampled(2, 3.0)]
+
+        def batch(system):
+            rec = _pathwise_record(system, unit_start(), 0.0, 3.0, paths, dts, scheme)
+            return [rec.trajectory(b) for b in range(len(paths))]
+
+        separable, loop = separable_and_loop(sl.KuboParams(alpha, 0.1))
+        got, want = outcome(batch, separable)[0], outcome(batch, loop)[0]
+        assert_same_outcome_bits(got, want)
+        if scheme == "explicit" or ends is None:
+            assert not isinstance(want, NonConvergenceError)
+        else:
+            assert isinstance(want, ends)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.1, 0.1), (0.1, 1e308), (1e308, 1e308)])
+    def test_one_step_maps_and_jacobians(self, alpha, beta):
+        rng = np.random.default_rng(21)
+        p, q = rng.uniform(-2.0, 2.0, (2, 60, 1))
+        dt, dl = 0.1 - rng.uniform(0.0, 0.1, 60), rng.uniform(-1.0, 1.0, (60, 1))
+        dt[::11], dl[::7] = 0.0, 0.0
+        separable, loop = separable_and_loop(sl.KuboParams(alpha, beta))
+        with np.errstate(all="ignore"):
+            for scheme in SCHEMES:
+                got, got_failure = _jacobian_lanes(separable, scheme, p, q, dt, dl)
+                want, want_failure = _jacobian_lanes(loop, scheme, p, q, dt, dl)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                if want_failure is None:
+                    assert got_failure is None and beta == 0.1
+                    continue
+                assert got_failure[0] == want_failure[0]
+                assert type(got_failure[1]) is type(want_failure[1])
+                assert str(got_failure[1]) == str(want_failure[1])
+            stalls = 0
+            for b in range(60):
+                state = sl.PhaseState(p[b], q[b])
+                results = []
+                for system in (separable, loop):
+                    try:
+                        results.append(sl.symplectic_euler_step(system, state, dt[b], dl[b]))
+                    except (DomainError, NonConvergenceError) as err:
+                        results.append(err)
+                got, want = results
+                if isinstance(want, Exception):
+                    assert type(got) is type(want) and str(got) == str(want)
+                    stalls += isinstance(want, NonConvergenceError)
+                else:
+                    assert got.p.tobytes() == want.p.tobytes()
+                    assert got.q.tobytes() == want.q.tobytes()
+        assert (stalls > 0) == (beta > 1.0)
+
+    @pytest.mark.parametrize("s", [0, 1, 5, 12])
+    def test_kernel_rows_that_overflow_or_start_non_finite_stall_as_in_the_loop(self, s):
+        rng = np.random.default_rng(22)
+        p, q = rng.uniform(-2.0, 2.0, (2, 12, 1))
+        p[3], p[5], q[8] = np.inf, np.nan, -np.inf
+        dt = rng.uniform(0.0, 0.1, (12, 1))
+        dl = rng.uniform(-1.0, 1.0, (12, 1))
+        dl[::2] *= 1e308
+        separable, loop = separable_and_loop(sl.KuboParams(0.1, 1e308))
+        with np.errstate(all="ignore"):
+            for increments in (dl, None):
+                got_p, got_q, got = _step_lanes(separable, s, p, q, dt, increments)
+                want_p, want_q, want = _step_lanes(loop, s, p, q, dt, increments)
+                assert got_p.tobytes() == want_p.tobytes()
+                assert got_q.tobytes() == want_q.tobytes()
+                if want is None:
+                    assert got is None and s < 4
+                    continue
+                assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+                assert np.isnan(want[1]).all()
