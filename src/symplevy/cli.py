@@ -227,7 +227,10 @@ def _levels(path, times):
     ratios = [mark.as_integer_ratio() for mark in path.marks.tolist()]
     unit = max((den for _, den in ratios), default=1)
     sums = itertools.accumulate(num * (unit // den) for num, den in ratios)
-    levels = [0.0] + [total / unit for total in sums]
+    try:
+        levels = [0.0] + [total / unit for total in sums]
+    except OverflowError:  # as increment raises it
+        raise DomainError("channel 1 marks sum beyond the float range") from None
     counts = np.searchsorted(path.times, times, side="right")
     return [levels[k] for k in counts]
 

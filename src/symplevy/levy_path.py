@@ -258,7 +258,16 @@ def increment(path, channel, t0, t1):
     """
     _check_channel(path, channel)
     window = _window(path, t0, t1)
-    return math.fsum(path.marks[window][path.channels[window] == channel])
+    return _fsum(path.marks[window][path.channels[window] == channel], channel, t0, t1)
+
+
+def _fsum(marks, channel, t0, t1):
+    """math.fsum of channel marks in (t0, t1]; DomainError where it is beyond the float range."""
+    try:
+        return math.fsum(marks)
+    except OverflowError:
+        message = f"channel {channel} marks in ({t0:g}, {t1:g}] sum beyond the float range"
+        raise DomainError(message) from None
 
 
 def jumps_in(path, t0, t1):
@@ -291,7 +300,7 @@ def grid_increments(path, channel, grid):
     single = counts == 1
     out[single] = marks[ends[:-1][single]] + 0.0  # as fsum: -0.0 sums to 0.0
     for j in np.flatnonzero(counts > 1):
-        out[j] = math.fsum(marks[ends[j] : ends[j + 1]])
+        out[j] = _fsum(marks[ends[j] : ends[j + 1]], channel, grid[j], grid[j + 1])
     return out
 
 

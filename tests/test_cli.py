@@ -302,6 +302,21 @@ class TestUsageErrors:
         assert code == 2
         assert "MAX_GRID_STEPS" in capsys.readouterr().err
 
+    # orbit runs both schemes before its exact trajectory, so their overflow warns first
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["converge", "--samples", 2, "--T", 10, "--sigma", 1e307],
+                                      ["orbit", "--T", 1, "--sigma", 1e308]],
+                             ids=["converge", "orbit"])
+    def test_marks_that_sum_beyond_the_float_range_exit_2(self, argv, tmp_path, capsys):
+        # finite marks whose sum L(t) is not a float: increment (converge) and
+        # _levels (orbit's exact trajectory) refuse it, with no traceback
+        assert run_cli(argv + ["--seed", 0, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: channel 1 marks in (0, 10] sum beyond the float range\n"
+                            if argv[0] == "converge" else
+                            "error: channel 1 marks sum beyond the float range\n")
+        assert err.count("error:") == 1 and "Traceback" not in err
+
     def test_converge_lane_over_the_step_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         # every segment fits in 45 steps; a lane at dt 0.05 has 40 drift
         # ticks and more with its jumps

@@ -2608,14 +2608,24 @@ class TestPhases:
     """Lanes step in phases: the lanes waiting at a jump share a flow, whatever its jump index."""
 
     def test_benchmark_cells_take_few_kernel_calls(self, monkeypatch, tmp_path):
-        # by jump index these cells took 4,946 drift calls, the sum over k
-        # of the longest k-th segment, against 2,029 ticks in the longest lane
+        # the exact schedule the benchmark's speed rests on: by jump index these
+        # cells took 4,946 drift calls and 59 flows, against 2,029 ticks in the
+        # longest lane
         calls, records = kernel_calls(monkeypatch)
         assert cli.main([*BENCHMARK_CONVERGE, "--out-dir", str(tmp_path)]) == 0
         ((jumps, ticks),) = records
-        assert len(jumps) == 25
-        assert calls["drift"] <= 1.5 * ticks.sum(axis=1).max()
-        assert calls["flow"] <= 2 * jumps.max()
+        assert len(jumps) == 25 and ticks.sum(axis=1).max() == 2029 and jumps.max() == 59
+        assert calls == {"drift": 2690, "flow": 104}
+
+    def test_the_fixed_grid_pair_takes_one_drift_call_a_step(self, monkeypatch):
+        # orbit's model flags at T=400: both schemes step as one two-lane call
+        # per grid step, and the linearized grid takes no flow
+        path = sl.sample_path(sl.LevyPathSpec(rate=5.0, mark_sigma=0.2, seed=1), 400.0)
+        calls, _ = kernel_calls(monkeypatch)
+        runs = list(integrators._fixed_grid_lanes(kubo(), SCHEMES, unit_start(), 0.0, 400.0, path,
+                                                  0.08))
+        assert [len(run) for run in runs] == [5001, 5001]
+        assert calls == {"drift": 5000, "flow": 0}
 
     def test_lanes_in_lockstep_take_a_phase_per_segment(self, monkeypatch):
         path = sampled(3, 4.0)

@@ -175,6 +175,19 @@ class TestIncrement:
         with pytest.raises(DomainError):
             increment(two_event_path(), 2, 0.0, 1.0)
 
+    def test_marks_that_sum_beyond_the_float_range_are_refused(self):
+        # two finite marks of 1.5e308: their exact sum, 3e308, is not a float
+        spec = LevyPathSpec(rate=2.0, mark_sigma=1.0)
+        events = (JumpEvent(0.3, 1, 1.5e308), JumpEvent(0.7, 1, 1.5e308))
+        path = LevyPath(spec=spec, horizon=1.0, events=events)
+        refused = r"^channel 1 marks in \(0, 1\] sum beyond the float range$"
+        assert increment(path, 1, 0.0, 0.5) == 1.5e308
+        with pytest.raises(DomainError, match=refused):
+            increment(path, 1, 0.0, 1.0)
+        assert grid_increments(path, 1, [0.0, 0.5, 1.0]).tolist() == [1.5e308, 1.5e308]
+        with pytest.raises(DomainError, match=refused):
+            grid_increments(path, 1, [0.0, 1.0])
+
     def test_out_of_range_interval(self):
         path = two_event_path()
         with pytest.raises(DomainError):
