@@ -27,6 +27,7 @@ cannot be written (refused before any run), 3 numerical divergence
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -216,36 +217,48 @@ def _sample(settings, horizon, seed):
     return sample_path(spec, horizon)
 
 
-def _levels(path, times):
-    """L(t) of the one-channel path at each sorted time, in one pass.
+def _level_sums(path):
+    """L after each of the one-channel path's first k events, k = 0 .. len(path).
 
-    Each level is the correctly rounded exact sum of the marks up to t,
-    so it equals ``increment(path, 1, 0, t)`` bit for bit: the marks are
-    integer multiples of one power-of-two unit, their prefix sums exact
-    integers, and int / int rounds correctly.
+    Each level is the correctly rounded exact sum of those marks, so it
+    equals ``increment`` over them bit for bit: the marks are integer
+    multiples of one power-of-two unit, their prefix sums exact integers,
+    and int / int rounds correctly. A sum beyond the float range raises
+    DomainError, as increment does.
     """
     ratios = [mark.as_integer_ratio() for mark in path.marks.tolist()]
     unit = max((den for _, den in ratios), default=1)
     sums = itertools.accumulate(num * (unit // den) for num, den in ratios)
     try:
-        levels = [0.0] + [total / unit for total in sums]
-    except OverflowError:  # as increment raises it
+        return [0.0] + [total / unit for total in sums]
+    except OverflowError:
         raise DomainError("channel 1 marks sum beyond the float range") from None
+
+
+def _levels(path, times, sums=None):
+    """L(t) of the one-channel path at each sorted time, from its _level_sums (summed if None)."""
+    sums = _level_sums(path) if sums is None else sums
     counts = np.searchsorted(path.times, times, side="right")
-    return [levels[k] for k in counts]
+    return [sums[k] for k in counts]
 
 
-def _exact_trajectory(params, path, times):
-    levels = np.array(_levels(path, times))[:, None]
+def _exact_trajectory(params, path, times, sums=None):
+    levels = np.array(_levels(path, times, sums))[:, None]
     p, q = _kubo_rotation(params, _START.p, _START.q, times[:, None], levels)
     return Trajectory(times, p, q, "exact")
 
 
 def _fixed_grid_runs(settings):
-    """Both schemes as two lanes on one path; a diverged run keeps its partial trajectory."""
+    """Both schemes as two lanes on one path: (system, runs, code, exact).
+
+    A diverged run keeps its partial trajectory, and exact(times) is the
+    exact Trajectory on the same path. Its levels are summed before the
+    runs, so marks that sum beyond the float range are refused first.
+    """
     params, system = _kubo(settings)
     T = settings["T"]
     path = _sample(settings, T if T > 0 else 1.0, settings["seed"])
+    exact = functools.partial(_exact_trajectory, params, path, sums=_level_sums(path))
     code = 0
     runs = {}
     for scheme, run in zip(_SCHEMES, _fixed_grid_lanes(system, _SCHEMES, _START, 0.0, T, path,
@@ -256,7 +269,7 @@ def _fixed_grid_runs(settings):
         elif isinstance(run, Exception):
             raise run
         runs[scheme] = run
-    return params, system, path, runs, code
+    return system, runs, code, exact
 
 
 def _cmd_sample_path(settings):
@@ -270,8 +283,8 @@ def _cmd_sample_path(settings):
 
 
 def _cmd_orbit(settings):
-    params, _, path, runs, code = _fixed_grid_runs(settings)
-    runs = {"exact": _exact_trajectory(params, path, runs["symplectic"].times), **runs}
+    _, runs, code, exact = _fixed_grid_runs(settings)
+    runs = {"exact": exact(runs["symplectic"].times), **runs}
     radii = {}
     for name, traj in runs.items():
         _write(settings, f"{name}.csv", lambda file_path: write_trajectory_csv(traj, file_path))
@@ -287,10 +300,10 @@ def _cmd_orbit(settings):
 
 
 def _cmd_hamiltonian(settings):
-    params, system, path, runs, code = _fixed_grid_runs(settings)
+    system, runs, code, exact = _fixed_grid_runs(settings)
     rows_len = min(len(runs["symplectic"]), len(runs["explicit"]))
     times = runs["symplectic"].times[:rows_len]
-    h_exact = hamiltonian_series(system, _exact_trajectory(params, path, times))[:, 1]
+    h_exact = hamiltonian_series(system, exact(times))[:, 1]
     h_sym = hamiltonian_series(system, runs["symplectic"])[:rows_len, 1]
     h_exp = hamiltonian_series(system, runs["explicit"])[:rows_len, 1]
     lines = fmt_rows(np.column_stack([times, h_exact, h_sym, h_exp]))
@@ -449,6 +462,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="symplevy",

@@ -36,13 +36,14 @@ Two drivers build trajectories on noise realizations, and one pass,
   jump share one flow, whatever their jump index (_phases).
 
 Divergence means a state component beyond DIVERGENCE_LIMIT in magnitude.
-The pass checks for it once per window of steps (ticks and jumps): a window
-in which a step stalls, numpy records a floating-point event, an evaluator
-raises or warns, or a state is out of range runs again one checked step at
-a time (a jump flow's runs below its cap share the window's recorder the
-first time, their own in the rerun); steps are pure functions of their
-states, so the rerun ends where a check after each would. A noisy window
-while a lane after the first steps reruns every lane alone, in lane order.
+The pass checks for it once per window of steps (ticks and jumps), at the
+window's end: a window in which a step stalls, numpy records a
+floating-point event, an evaluator raises or warns, or a state is out of
+range or not finite runs again one checked step at a time (a jump flow's
+runs below its cap share the window's recorder the first time, their own
+in the rerun); steps are pure functions of their states, so the rerun
+ends where a check after each would. A noisy window while a lane after
+the first steps reruns every lane alone, in lane order.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
+def _step_lanes(system, s, p0, q0, dt, dl, channels=None, checked=True):
     """One step of (B, n) lanes, the first s symplectic and the rest explicit: (p, q, stalled).
 
     dt is a (B, 1) array of steps and dl a (B, m) array of increments, or
@@ -158,7 +159,10 @@ def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
     row at residual 0 and leaves any other row moving at residual NaN.
     The explicit rows' q reads a copy of p0 under the symplectic rows'
     p. stalled is None, or the ascending indices and last residuals of
-    the lanes still moving after _IMPLICIT_MAX_ITERS sweeps.
+    the lanes still moving after _IMPLICIT_MAX_ITERS sweeps. Unless
+    checked, a separable system's rows are not scanned for that NaN: a
+    caller that tests the states it returns against DIVERGENCE_LIMIT
+    (an unchecked window of _step_record) sees a non-finite row there.
     """
     sigma, gamma = system.sigma, system.gamma
     tol, max_iters = _IMPLICIT_TOL, _IMPLICIT_MAX_ITERS
@@ -170,10 +174,11 @@ def _step_lanes(system, s, p0, q0, dt, dl, channels=None):
         p = p - sigma[r](p0, q0) * d
     at, stalled = p0, None
     if s and system.separable:  # a second sweep would repeat p's bits and settle at residual 0
-        finite = np.isfinite(p[:s])
-        if np.count_nonzero(finite) < finite.size:  # as the loop, which never settles a NaN
-            bad = np.flatnonzero(~finite.all(axis=1))
-            stalled = bad, np.full(bad.size, np.nan)
+        if checked:
+            finite = np.isfinite(p[:s])
+            if np.count_nonzero(finite) < finite.size:  # as the loop, which never settles a NaN
+                bad = np.flatnonzero(~finite.all(axis=1))
+                stalled = bad, np.full(bad.size, np.nan)
     elif s:
         x, pa, qa, dta, live = p, p0, q0, dt, terms  # the lanes still iterating, rows `left` of p
         if s < len(p):
@@ -578,9 +583,12 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
     state into the row after the one it steps from. The pass is laid out
     once by _phases, as entries: each phase's drift ticks, then its flow;
     an entry steps the first count lanes of its row of `lanes`. Each window
-    of entries runs unchecked under one Recording, and again checked if it
-    was noisy or failed. Returns the failed lanes' errors by lane; a failed
-    lane leaves the pass, with every lane above the lowest one unless
+    of entries runs unchecked under one Recording: its steps do only their
+    arithmetic (no finite scan of a separable momentum), and the rows it
+    wrote are tested against DIVERGENCE_LIMIT once, at its end. A window
+    that was noisy, stalled or failed that test runs again checked, each
+    step scanned and tested. Returns the failed lanes' errors by lane; a
+    failed lane leaves the pass, with every lane above the lowest one unless
     `alone`. A noisy window while a lane after the first steps raises _Noisy.
     """
     live, failures = np.arange(len(start)), {}
@@ -632,17 +640,14 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
 
         def run(checked):
             """Run the window: a stall or failed check if checked, else whether any step went wrong."""
-            out_p, out_q, done, stop, ok = [], [], 0, None, True
+            out_p, out_q, done, stop = [], [], 0, None
 
             def flush(upto):  # the states of entries done..upto-1 into the record
                 nonlocal done
                 rows, done = targets[bounds[done] : bounds[upto]], upto
-                if not rows.size:
-                    return True
-                p_out, q_out = np.concatenate(out_p), np.concatenate(out_q)
-                rec.ps[rows], rec.qs[rows] = p_out, q_out
-                out_p.clear(), out_q.clear()
-                return _lanes_in_range(p_out, q_out).all()
+                if rows.size:
+                    rec.ps[rows], rec.qs[rows] = np.concatenate(out_p), np.concatenate(out_q)
+                    out_p.clear(), out_q.clear()
 
             for j in range(len(counts)):
                 c, a, b = counts[j], bounds[j], bounds[j + 1]
@@ -650,7 +655,7 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
                     if c < len(p):
                         p, q = p[:c], q[:c]
                 elif c:
-                    ok = flush(j) and ok
+                    flush(j)
                     p, q = rec.ps[targets[a:b] - 1], rec.qs[targets[a:b] - 1]
                 else:
                     continue
@@ -661,13 +666,15 @@ def _step_record(system, rec, start, ticks, jumps, marks, alone):
                 else:
                     dl = dls[a:b] if channels[j] else None
                     p, q, bad = _step_lanes(system, min(c, implicit), p, q, dts[a:b], dl,
-                                            channels[j])
+                                            channels[j], checked)
                 out_p.append(p), out_q.append(q)
                 if bad is not None or checked and not _lanes_in_range(p, q).all():
                     stop = j, bad
                     break
-            ok = flush(stop[0] + 1 if stop else len(counts)) and ok
-            return stop if checked else stop is not None or not ok
+            flush(stop[0] + 1 if stop else len(counts))
+            if checked:
+                return stop
+            return stop is not None or not _lanes_in_range(rec.ps[targets], rec.qs[targets]).all()
 
         try:
             with Recording() as noise:

@@ -317,6 +317,35 @@ class TestUsageErrors:
                             "error: channel 1 marks sum beyond the float range\n")
         assert err.count("error:") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["orbit", "hamiltonian"])
+    def test_levels_beyond_the_float_range_are_refused_before_the_runs(self, command, tmp_path,
+                                                                       capsys):
+        # the exact trajectory's levels are summed first, so neither scheme
+        # runs: no overflow warning, no divergence line and no file
+        argv = [command, "--T", 1, "--sigma", 1e308, "--seed", 0, "--out-dir", tmp_path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 2
+        assert capsys.readouterr().err == "error: channel 1 marks sum beyond the float range\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_parser_serves_every_call_with_its_own_usage(self, tmp_path, capsys):
+        # the parser is built once per process; a usage error still shows
+        # the usage of its own subcommand, after a good run of another
+        assert cli._build_parser() is cli._build_parser()
+        assert run_cli(["orbit", "--dt", 0, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: symplevy orbit ") and err.endswith(
+            "error: --dt must be > 0, got 0.0\n")
+        assert run_cli(["sample-path", "--horizon", 5, "--out-dir", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(["converge", "--out-dir", tmp_path, "--samples"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: symplevy converge ") and err.endswith(
+            "symplevy converge: error: argument --samples: expected one argument\n")
+        assert run_cli(["symplectic-check", "--samples", 0, "--out-dir", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("usage: symplevy symplectic-check ")
+
     def test_converge_lane_over_the_step_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         # every segment fits in 45 steps; a lane at dt 0.05 has 40 drift
         # ticks and more with its jumps

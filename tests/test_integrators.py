@@ -2817,3 +2817,76 @@ class TestSeparable:
                     continue
                 assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
                 assert np.isnan(want[1]).all()
+
+
+def momentum_beyond(beyond):
+    # a separable system whose sigma_0 is beyond(q) where |q| > 3 and q
+    # elsewhere; a jump adds its mark to Q. np.where raises no event of its
+    # own, so with beyond = inf the step into |q| > 3 sets P to -inf quietly,
+    # and 1e308 q overflows first unless the caller's errstate ignores it
+    return sl.HamiltonianSystem(
+        n=1,
+        m=1,
+        sigma=(lambda p, q: np.where(np.abs(q) > 3.0, beyond(q), q), lambda p, q: np.zeros_like(p)),
+        gamma=(lambda p, q: p, lambda p, q: np.ones_like(q)),
+        hamiltonians=(lambda p, q: 0.0 * p[..., 0], lambda p, q: 0.0 * p[..., 0]),
+        separable=True,
+    )
+
+
+class TestUncheckedWindows:
+    """An unchecked window does only arithmetic, and a non-finite row still fails as before.
+
+    The expected outcomes were taken from the pass that scanned every
+    separable step for a non-finite momentum: its stall and divergence
+    messages, steps, times, the SHA-256 of the partial trajectory's times,
+    ps and qs bytes, and the warnings (category and message) it issued.
+    """
+
+    PATHS = ([(0.5, 1, 0.1), (1.0, 1, 0.2)], [(0.3, 1, 0.1), (0.7, 1, 5.0), (1.2, 1, 0.1)],
+             [(0.9, 1, 0.3)])  # the mark of 5 at t = 0.7 takes lane 1 past |q| = 3
+    STALL = "implicit momentum solve stalled at residual nan after 50 iterations"
+    DIVERGED = ("DivergenceError", "state magnitude exceeded 1e+12 at step 35 (t=0.72)", 35, 0.72)
+    EXPECTED = {
+        "symplectic": [("NonConvergenceError", f"drift substep at t=0.7: {STALL}", 35, None, None)],
+        "explicit": [(*DIVERGED, (38, "1c4cbc5024c1e1ff0ab841225220c14f"
+                                      "7cba0327bedbbcc760e0612945dbbbe7"))],
+        "pair": [("NonConvergenceError", f"step 35 (t=0.7): {STALL}", 35, None, None),
+                 (*DIVERGED, (36, "ad3616476049e0c038e5b7a64f51499e"
+                                  "3f42c70be8ec04b3b2b31c7329b4d9d0"))],
+    }
+    OVERFLOW = ("RuntimeWarning", "overflow encountered in multiply")
+
+    @staticmethod
+    def summary(error):
+        partial = getattr(error, "partial", None)
+        if partial is not None:
+            digest = hashlib.sha256(partial.times.tobytes() + partial.ps.tobytes()
+                                    + partial.qs.tobytes()).hexdigest()
+            partial = (len(partial), digest)
+        return type(error).__name__, str(error), error.step, getattr(error, "time", None), partial
+
+    @pytest.mark.parametrize("errstate", [{}, {"over": "ignore"}], ids=["default", "over-ignored"])
+    @pytest.mark.parametrize("beyond", ["inf", "overflow"])
+    @pytest.mark.parametrize("run", ["symplectic", "explicit", "pair"])
+    def test_a_quiet_non_finite_momentum_fails_as_with_a_scan_per_step(self, run, beyond,
+                                                                        errstate):
+        system = momentum_beyond({"inf": lambda q: np.inf, "overflow": lambda q: 1e308 * q}[beyond])
+        paths, dts = [event_path(events, 2.0) for events in self.PATHS], [0.01, 0.02, 0.05]
+
+        def go():
+            if run == "pair":
+                return list(integrators._fixed_grid_lanes(system, SCHEMES, unit_start(), 0.0, 2.0,
+                                                          paths[1], 0.02))
+            if run == "symplectic":
+                return sl.integrate_pathwise_batch(system, unit_start(), 0.0, 2.0, paths, dts)
+            rec = _pathwise_record(system, unit_start(), 0.0, 2.0, paths, dts, run)
+            return [rec.trajectory(b) for b in range(len(paths))]
+
+        with np.errstate(**errstate):
+            got, caught = outcome(go)
+        errors = got if run == "pair" else [got]
+        assert [self.summary(error) for error in errors] == self.EXPECTED[run]
+        loud = beyond == "overflow" and errstate == {}
+        assert [(category.__name__, message) for category, message, _, _ in caught] == (
+            [self.OVERFLOW] * (2 if run == "pair" else 1) if loud else [])
